@@ -4,7 +4,6 @@ modulators, with gain-bound verification and nonlinear loop simulation."""
 from .design import DesignSpec, DesignResult, EvaluationReport, evaluate_ntf, run_design, sweep_orders
 from .errors import (
     BoundViolationError,
-    CausalityError,
     ConditioningError,
     DegenerateFilterError,
     EvaluationError,
@@ -39,7 +38,6 @@ from .modsim import (
     Quantizer,
     SnrReport,
     expected_snr,
-    loop_filters_from_ntf,
     make_test_signal,
     measure_snr,
     simulate,

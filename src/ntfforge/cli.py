@@ -8,6 +8,7 @@ target directory, then rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -79,11 +80,7 @@ def ntf_from_artifact(d: dict):
 def cmd_design(args) -> int:
     spec = load_design_spec(args.config)
     if args.gamma is not None:
-        spec = DesignSpec(fs_hz=spec.fs_hz, filter_spec=spec.filter_spec,
-                          fir_order=spec.fir_order, gamma=args.gamma,
-                          quantizer_levels=spec.quantizer_levels,
-                          solver=spec.solver, grid_points=spec.grid_points,
-                          energy_tol=spec.energy_tol)
+        spec = dataclasses.replace(spec, gamma=args.gamma)
     result = run_design(spec)
     atomic_write(args.out, dump_json(result.to_json_dict()))
     print(f"order {result.ntf.order}: sigma_h={result.sigma_h:.6e} "
@@ -94,11 +91,7 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     spec = load_design_spec(args.config)
     if args.gamma is not None:
-        spec = DesignSpec(fs_hz=spec.fs_hz, filter_spec=spec.filter_spec,
-                          fir_order=spec.fir_order, gamma=args.gamma,
-                          quantizer_levels=spec.quantizer_levels,
-                          solver=spec.solver, grid_points=spec.grid_points,
-                          energy_tol=spec.energy_tol)
+        spec = dataclasses.replace(spec, gamma=args.gamma)
     orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     rows = sweep_orders(spec, orders)
     lines = ["order,sigma_h,runtime_seconds,status"]

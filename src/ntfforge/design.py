@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .kyp import (
     bounded_real_matrix,
     canonical_realization,
     grid_gain_max,
-    tri_index_pairs,
+    require_certified,
+    unpack_certificate,
 )
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
 from .objective import NoiseBudget, build_q_matrix, reduce_objective
@@ -139,11 +140,7 @@ class DesignResult:
 def certificate_from_solution(solution: SdpSolution, order_p: int,
                               gamma: float) -> BoundedRealCertificate:
     """Assemble the gain-bound certificate from the solver's own variables."""
-    pairs = tri_index_pairs(order_p)
-    pm = np.zeros((order_p, order_p))
-    for offset, (i, j) in enumerate(pairs):
-        pm[i, j] = solution.xi[order_p + offset]
-        pm[j, i] = pm[i, j]
+    pm = unpack_certificate(solution.xi[order_p:], order_p)
     coeffs = extract_ntf(solution, order_p)
     big = bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
     return BoundedRealCertificate(
@@ -156,7 +153,11 @@ def certificate_from_solution(solution: SdpSolution, order_p: int,
 
 
 def run_design(spec: DesignSpec) -> DesignResult:
-    """Design the FIR NTF that minimizes the filtered quantization noise."""
+    """Design the FIR NTF that minimizes the filtered quantization noise.
+
+    Raises BoundViolationError when the solver's certificate does not prove
+    the gain bound, or the dense grid sees the gain above gamma.
+    """
     filt = design_filter(spec.filter_spec)
     h = impulse_response(filt, energy_tol=spec.energy_tol,
                          source=spec.filter_spec)
@@ -170,7 +171,8 @@ def run_design(spec: DesignSpec) -> DesignResult:
         raise SolverError(f"design solve ended with status {solution.status!r}")
     coeffs = extract_ntf(solution, spec.fir_order)
     sigma2 = spec.budget.sigma2_eps * solution.objective_value
-    cert = certificate_from_solution(solution, spec.fir_order, spec.gamma)
+    cert = require_certified(
+        certificate_from_solution(solution, spec.fir_order, spec.gamma))
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
              solution.runtime_seconds)
@@ -262,13 +264,15 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         else:
             grid = FrequencyGrid.uniform(spec.grid_points)
             sigma2_h_value = quad_sigma2_h(num, den, filt, spec.budget, grid)
-    exp_rep = expected_snr(amplitude, sigma2_h_value)
+    freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
+    if signal_kind != "multitone":
+        freqs = freqs[:1]
+    power = amplitude**2 if signal_kind == "dc" \
+        else len(freqs) * amplitude**2 / 2.0
+    exp_rep = expected_snr(amplitude, sigma2_h_value, signal_power=power)
     simulated_db = float("nan")
     overloaded = False
     if fir is not None:
-        freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
-        if signal_kind == "sine":
-            freqs = freqs[:1]
         amps = (amplitude,) * len(freqs)
         w = make_test_signal(signal_kind, freqs, amps, spec.fs_hz, n_samples)
         trace = simulate(fir, w, spec.quantizer)
@@ -306,12 +310,7 @@ def sweep_orders(spec: DesignSpec, orders) -> list:
         row = {"order": p, "sigma_h": float("nan"),
                "runtime_seconds": 0.0, "status": "failed"}
         try:
-            sub = DesignSpec(fs_hz=spec.fs_hz, filter_spec=spec.filter_spec,
-                             fir_order=p, gamma=spec.gamma,
-                             quantizer_levels=spec.quantizer_levels,
-                             solver=spec.solver, grid_points=spec.grid_points,
-                             energy_tol=spec.energy_tol)
-            result = run_design(sub)
+            result = run_design(replace(spec, fir_order=p))
             row["sigma_h"] = result.sigma_h
             row["runtime_seconds"] = result.solution.runtime_seconds
             row["status"] = result.solution.status

@@ -25,10 +25,6 @@ class DegenerateFilterError(NtfForgeError):
     """The output filter is identically zero; the objective is degenerate."""
 
 
-class CausalityError(NtfForgeError):
-    """A loop decomposition would require a non-causal filter."""
-
-
 class BoundViolationError(NtfForgeError):
     """A gain-bound feasibility check failed at the requested level."""
 

@@ -109,9 +109,20 @@ class BoundedRealCertificate:
         }
 
 
-def tri_index_pairs(p: int):
-    """Row-major upper-triangle (i, j) order, diagonal first within each row."""
-    return [(i, j) for i in range(p) for j in range(i, p)]
+def pack_certificate(p_matrix) -> np.ndarray:
+    """Upper triangle of a symmetric certificate as the LMI variable layout:
+    row-major, diagonal first within each row."""
+    pm = np.asarray(p_matrix, dtype=float)
+    return pm[np.triu_indices(pm.shape[0])]
+
+
+def unpack_certificate(packed, order_p: int) -> np.ndarray:
+    """Symmetric P x P certificate from its packed upper triangle."""
+    rows, cols = np.triu_indices(order_p)
+    pm = np.zeros((order_p, order_p))
+    pm[rows, cols] = packed
+    pm[cols, rows] = packed
+    return pm
 
 
 def canonical_realization(coeffs) -> CanonicalRealization:
@@ -177,32 +188,29 @@ def schur_reduced_matrix(realization: CanonicalRealization, p_matrix,
 def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
     """Basis matrices of the affine map xi -> bounded-real block matrix.
 
-    Extracted by evaluating the block formula at unit vectors, which keeps the
-    index bookkeeping in one place (the formula itself).
+    Built from the delay-chain identity [A B] = [0 I]: the top-left
+    (P+1)x(P+1) part of the block matrix is [A B]^T P [A B] - [I 0]^T P [I 0],
+    so each certificate entry enters as sym(E_ij) placed one step down the
+    diagonal minus sym(E_ij) in place.  The output row C = (a_P, .., a_1)
+    puts a_k at (P-k, P+1).  ``bounded_real_matrix`` is the formula this
+    basis reproduces.
     """
     if order_p < 1:
         raise InvalidSpecError("order must be >= 1")
     if gamma <= 0:
         raise InvalidSpecError("gamma must be positive")
     p = order_p
-    pairs = tri_index_pairs(p)
-    nvar = p + len(pairs)
-    dim = p + 2
-
-    def eval_xi(xi):
-        pm = np.zeros((p, p))
-        for val, (i, j) in zip(xi[p:], pairs):
-            pm[i, j] = val
-            pm[j, i] = val
-        a_full = np.concatenate(([1.0], xi[:p]))
-        return bounded_real_matrix(canonical_realization(a_full), pm, gamma)
-
-    basis = np.zeros((nvar + 1, dim, dim))
-    basis[0] = eval_xi(np.zeros(nvar))
-    for i in range(nvar):
-        e = np.zeros(nvar)
-        e[i] = 1.0
-        basis[i + 1] = eval_xi(e) - basis[0]
+    rows, cols = np.triu_indices(p)
+    nvar = p + rows.size
+    basis = np.zeros((nvar + 1, p + 2, p + 2))
+    basis[0, p, p] = -gamma**2
+    basis[0, p, p + 1] = basis[0, p + 1, p] = 1.0  # D
+    basis[0, p + 1, p + 1] = -1.0
+    k = np.arange(1, p + 1)
+    basis[k, p - k, p + 1] = basis[k, p + 1, p - k] = 1.0
+    cert = np.arange(p + 1, nvar + 1)
+    basis[cert, rows + 1, cols + 1] = basis[cert, cols + 1, rows + 1] = 1.0
+    basis[cert, rows, cols] = basis[cert, cols, rows] = -1.0
     return LmiSystem(order=p, gamma=gamma, basis=basis)
 
 
@@ -284,15 +292,25 @@ def verify_bounded_real(coeffs, gamma: float,
         min_eigenvalue_p=float(np.linalg.eigvalsh(p_matrix)[0]),
         grid_max=gmax,
     )
+    return require_certified(cert)
+
+
+def require_certified(cert: BoundedRealCertificate) -> BoundedRealCertificate:
+    """Return the certificate if it holds the bound, else raise.
+
+    Both the algebra (``feasible``) and the dense grid must agree that the
+    gain stays within gamma (grid slack ``GRID_SLACK``).
+    """
+    gmax = cert.grid_max
     if not cert.feasible:
         raise BoundViolationError(
             f"certificate rejected: max big eig {cert.max_eigenvalue_big:.3e}, "
             f"min P eig {cert.min_eigenvalue_p:.3e} (grid max {gmax:.6f})",
             grid_max=gmax,
         )
-    if gmax > gamma * (1.0 + GRID_SLACK):
+    if gmax > cert.gamma * (1.0 + GRID_SLACK):
         raise BoundViolationError(
-            f"grid max {gmax:.6f} exceeds gamma {gamma} beyond slack",
+            f"grid max {gmax:.6f} exceeds gamma {cert.gamma} beyond slack",
             grid_max=gmax,
         )
     return cert

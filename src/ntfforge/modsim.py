@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausalityError, InvalidSpecError, NtfForgeError
+from .errors import InvalidSpecError, NtfForgeError
 from .filters import RationalFilter, settling_length
 
 SNR_DB_CAP = 300.0
@@ -107,44 +107,6 @@ class SnrReport:
         }
 
 
-def loop_filters_from_ntf(ntf: NtfFir, stf_choice: str = "unity",
-                          delay: int = 1):
-    """Feedforward/feedback decomposition of the loop for a chosen signal path.
-
-    Returns (feedforward, feedback) as RationalFilter objects.  These are
-    open-loop fragments: the feedforward filter inverts the NTF and its poles
-    sit on the NTF zeros, so stability validation is deliberately skipped.
-    """
-    a = ntf.coeffs
-    if a[0] != 1.0:
-        raise CausalityError("loop requires a unit leading NTF coefficient")
-    one_minus = -a.copy()
-    one_minus[0] = 0.0  # 1 - NTF, strictly causal by construction
-    if stf_choice == "unity":
-        ff_num, ff_den = (1.0,), tuple(a)
-        fb_num, fb_den = tuple(one_minus), (1.0,)
-    elif stf_choice == "delay":
-        if delay < 0:
-            raise InvalidSpecError("delay must be nonnegative")
-        if delay > 1:
-            raise CausalityError(
-                "feedback path becomes non-causal for delays beyond one sample"
-            )
-        ff_num = tuple([0.0] * delay + [1.0])
-        ff_den = tuple(a)
-        # (1 - NTF) advanced by the delay stays causal because 1 - NTF
-        # starts at z^-1
-        fb_num = tuple(one_minus[delay:])
-        fb_den = (1.0,)
-    else:
-        raise InvalidSpecError(f"unknown stf choice {stf_choice!r}")
-    ff = RationalFilter(num=ff_num, den=ff_den, fs_hz=1.0,
-                        validate_stability=False)
-    fb = RationalFilter(num=fb_num, den=fb_den, fs_hz=1.0,
-                        validate_stability=False)
-    return ff, fb
-
-
 def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None,
              n_discard: int | None = None) -> ModTrace:
     """Run the error-feedback loop over the input sequence.
@@ -194,14 +156,6 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None,
                     overloaded=overloaded, transient_discard=int(n_discard))
 
 
-def trace_to_csv(trace: ModTrace) -> str:
-    lines = ["n,w,x,e"]
-    for i, (wv, xv, ev) in enumerate(
-            zip(trace.input_w, trace.output_x, trace.quant_error_e)):
-        lines.append(f"{i},{wv:.17g},{xv:.17g},{ev:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def measure_snr(trace: ModTrace, filt: RationalFilter,
                 settle: int | None = None) -> SnrReport:
     """SNR through the output filter.
@@ -236,10 +190,12 @@ def measure_snr(trace: ModTrace, filt: RationalFilter,
                      snr_db=snr_db, amplitude=amplitude, method="simulated")
 
 
-def expected_snr(amplitude: float, sigma2_h: float) -> SnrReport:
-    """White-noise SNR prediction for a sinusoid of the given amplitude.
+def expected_snr(amplitude: float, sigma2_h: float,
+                 signal_power: float | None = None) -> SnrReport:
+    """White-noise SNR prediction for a test signal of the given amplitude.
 
-    The signal power is A^2/2, one sine of amplitude A.  The noise power
+    The signal power defaults to A^2/2, one sine of amplitude A; other test
+    signals pass their own (N A^2/2 for N tones, A^2 for dc).  The noise power
     sigma2_h is that of white quantization error of variance Delta^2/12
     shaped by the NTF and the output filter, i.e. the density Delta^2/(12 pi)
     on omega in [0, pi] (``NoiseBudget.pds_constant``).  A figure quoted with
@@ -249,10 +205,11 @@ def expected_snr(amplitude: float, sigma2_h: float) -> SnrReport:
         raise InvalidSpecError("amplitude must be positive")
     if sigma2_h <= 0:
         raise InvalidSpecError("noise power must be positive")
-    ratio = amplitude**2 / (2.0 * sigma2_h)
-    return SnrReport(signal_power=amplitude**2 / 2.0, noise_power=sigma2_h,
-                     snr_db=10.0 * math.log10(ratio), amplitude=amplitude,
-                     method="expected")
+    if signal_power is None:
+        signal_power = amplitude**2 / 2.0
+    return SnrReport(signal_power=signal_power, noise_power=sigma2_h,
+                     snr_db=10.0 * math.log10(signal_power / sigma2_h),
+                     amplitude=amplitude, method="expected")
 
 
 def make_test_signal(kind: str, freqs_hz, amplitudes, fs_hz: float,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import DegenerateFilterError, EvaluationError, InvalidSpecError
-from .filters import FrequencyGrid, RationalFilter, frequency_response
+from .filters import FrequencyGrid, RationalFilter, _polyval_zinv, frequency_response
 
 PSD_EIG_TOL = 1e-9
 GRID_DOUBLING_WARN = 1e-3
@@ -181,17 +181,10 @@ def sigma2_inband(ntf_num, ntf_den, bands, budget: NoiseBudget,
     for lo, hi in bands:
         om = np.linspace(lo, hi, points_per_band)
         zinv = np.exp(-1j * om)
-        numv = _polyval(ntf_num, zinv)
-        denv = _polyval(ntf_den, zinv)
+        numv = _polyval_zinv(ntf_num, zinv)
+        denv = _polyval_zinv(ntf_den, zinv)
         if np.any(np.abs(denv) < 1e-14):
             raise EvaluationError("NTF denominator vanished inside a band")
         mag2 = np.abs(numv / denv) ** 2
         total += np.trapezoid(mag2, om)
     return float(budget.pds_constant * total)
-
-
-def _polyval(coeffs, zinv):
-    acc = np.zeros_like(zinv)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * zinv + c
-    return acc

@@ -3,9 +3,11 @@
 Solves min c.x subject to F0 + sum_i x_i F_i >= 0 (blockwise PSD) with a
 Mehrotra predictor-corrector iteration under Nesterov-Todd scaling.  The NTF
 design problem is posed in epigraph form: minimize t with a Schur-complement
-block encoding quadratic + linear <= t, the (negated) gain-bound LMI block,
-and the certificate-matrix PSD block.  Problem sizes are desk-scale (a few
-thousand variables at most), so all blocks are dense.
+block encoding quadratic + linear <= t and the (negated) gain-bound LMI block.
+No separate certificate cone is needed: the LMI gives P - A^T P A >= C^T C >= 0
+and the delay-chain A is nilpotent, so P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
+Problem sizes are desk-scale (a few thousand variables at most), so all blocks
+are dense.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.linalg import blas as sblas
 
 from .errors import InvalidSpecError, SolverError
-from .kyp import LmiSystem, assemble_lmi, tri_index_pairs
+from .kyp import LmiSystem, assemble_lmi, pack_certificate, unpack_certificate
 
 log = logging.getLogger("ntfforge.sdp")
 
@@ -311,16 +313,6 @@ def _epigraph_block(quadratic, linear, nvar_total, order):
     return f0, fmat
 
 
-def _certificate_block(order, nvar_total):
-    pairs = tri_index_pairs(order)
-    f0 = np.zeros((order, order))
-    fmat = np.zeros((nvar_total, order, order))
-    for offset, (i, j) in enumerate(pairs):
-        fmat[order + offset, i, j] = 1.0
-        fmat[order + offset, j, i] = 1.0
-    return f0, fmat
-
-
 def _interior_start(problem: SdpProblem):
     """Strictly interior start: zero coefficients, a ramped diagonal
     certificate (strict feasibility needs gamma > 1) and a unit epigraph gap."""
@@ -328,16 +320,13 @@ def _interior_start(problem: SdpProblem):
     gamma = problem.lmi.gamma
     margin = max(gamma * gamma - 1.0, 1e-6) / 2.0
     diag = margin * (np.arange(1, p + 1) / (p + 1.0))
-    cert = np.zeros(p * (p + 1) // 2)
-    for offset, (i, j) in enumerate(tri_index_pairs(p)):
-        if i == j:
-            cert[offset] = diag[i]
-    x0 = np.concatenate((np.zeros(p), cert, [1.0]))
-    return x0
+    cert = pack_certificate(np.diag(diag))
+    return np.concatenate((np.zeros(p), cert, [1.0]))
 
 
 def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:
-    """Design solve: epigraph reformulation over three PSD blocks.
+    """Design solve: epigraph reformulation over two PSD blocks, the
+    epigraph and the KYP block (which already implies the certificate is PSD).
 
     The objective data is normalized internally so the epigraph variable is
     O(1); the reported duality gap is relative to the physical quadratic-form
@@ -355,8 +344,7 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     f0_kyp = -problem.lmi.basis[0]
     fm_kyp = np.zeros((nvar, p + 2, p + 2))
     fm_kyp[: problem.variable_count] = -problem.lmi.basis[1:]
-    f0_cert, fm_cert = _certificate_block(p, nvar)
-    blocks = _ConeBlocks([f0_epi, f0_kyp, f0_cert], [fm_epi, fm_kyp, fm_cert])
+    blocks = _ConeBlocks([f0_epi, f0_kyp], [fm_epi, fm_kyp])
     c = np.zeros(nvar)
     c[-1] = 1.0
     x0 = _interior_start(problem)
@@ -401,7 +389,8 @@ def extract_ntf(solution: SdpSolution, order_p: int) -> np.ndarray:
 def solve_gain_feasibility(coeffs, gamma: float,
                            settings: SolverSettings | None = None):
     """Phase-1 style check for fixed coefficients: minimize the uniform shift s
-    with [-M(a; P) + sI >= 0] and [P + sI >= 0]; feasible iff s* <= ~0.
+    with -M(a; P) + sI >= 0; feasible iff s* <= ~0.  As in ``solve``, the KYP
+    block alone implies P >= 0 when s <= 0.
 
     Returns (p_matrix, feasible).
     """
@@ -417,14 +406,8 @@ def solve_gain_feasibility(coeffs, gamma: float,
     fm_kyp = np.zeros((nvar, p + 2, p + 2))
     fm_kyp[:ncert] = -lmi.basis[p + 1 :]
     fm_kyp[ncert] = np.eye(p + 2)
-    f0_cert = np.zeros((p, p))
-    fm_cert = np.zeros((nvar, p, p))
-    for offset, (i, j) in enumerate(tri_index_pairs(p)):
-        fm_cert[offset, i, j] = 1.0
-        fm_cert[offset, j, i] = 1.0
-    fm_cert[ncert] += np.eye(p)
 
-    blocks = _ConeBlocks([f0_kyp, f0_cert], [fm_kyp, fm_cert])
+    blocks = _ConeBlocks([f0_kyp], [fm_kyp])
     c = np.zeros(nvar)
     c[-1] = 1.0
     s0 = float(np.linalg.eigvalsh(m0)[-1]) + 1.0
@@ -433,9 +416,6 @@ def solve_gain_feasibility(coeffs, gamma: float,
     if status not in ("optimal", "max_iterations"):
         return np.zeros((p, p)), False
     shift = float(x[-1])
-    pm = np.zeros((p, p))
-    for offset, (i, j) in enumerate(tri_index_pairs(p)):
-        pm[i, j] = x[offset]
-        pm[j, i] = x[offset]
+    pm = unpack_certificate(x[:ncert], p)
     feasible = status == "optimal" and shift <= 1e-6 * max(1.0, gamma * gamma)
     return pm, feasible

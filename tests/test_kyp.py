@@ -9,8 +9,9 @@ from ntfforge.kyp import (
     bounded_real_matrix,
     canonical_realization,
     grid_gain_max,
+    pack_certificate,
     schur_equivalence_check,
-    tri_index_pairs,
+    unpack_certificate,
     verify_bounded_real,
 )
 
@@ -122,12 +123,36 @@ class TestAssembleLmi:
         lmi = assemble_lmi(order_p, 1.7)
         coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
         pm = random_psd(rng, order_p)
-        xi = np.concatenate((
-            coeffs[1:],
-            [pm[i, j] for i, j in tri_index_pairs(order_p)],
-        ))
+        xi = np.concatenate((coeffs[1:], pack_certificate(pm)))
         direct = bounded_real_matrix(canonical_realization(coeffs), pm, 1.7)
         assert np.allclose(lmi.evaluate(xi), direct, rtol=1e-14)
+
+    @given(st.integers(1, 8), st.floats(0.5, 8.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_basis_reproduces_block_formula_bit_for_bit(self, order_p, gamma,
+                                                         seed):
+        # dyadic coefficients and certificate entries keep the formula's
+        # matrix products exact, so the shift-built basis must agree exactly
+        rng = np.random.default_rng(seed)
+        coeffs = np.concatenate(
+            ([1.0], rng.integers(-1024, 1025, order_p) / 64.0))
+        half = rng.integers(-1024, 1025, (order_p, order_p)) / 64.0
+        pm = half + half.T
+        lmi = assemble_lmi(order_p, gamma)
+        xi = np.concatenate((coeffs[1:], pack_certificate(pm)))
+        direct = bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
+        assert np.array_equal(lmi.evaluate(xi), direct)
+
+
+class TestCertificatePacking:
+    def test_row_major_upper_triangle_order(self):
+        pm = np.array([[1.0, 2.0, 3.0],
+                       [2.0, 4.0, 5.0],
+                       [3.0, 5.0, 6.0]])
+        # (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+        assert pack_certificate(pm).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert np.array_equal(
+            unpack_certificate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3), pm)
 
 
 class TestVerifyBoundedReal:

@@ -6,18 +6,16 @@ import scipy.signal as spsig
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntfforge.errors import CausalityError, InvalidSpecError, NtfForgeError
+from ntfforge.errors import InvalidSpecError, NtfForgeError
 from ntfforge.filters import RationalFilter
 from ntfforge.modsim import (
     ModTrace,
     NtfFir,
     Quantizer,
     expected_snr,
-    loop_filters_from_ntf,
     make_test_signal,
     measure_snr,
     simulate,
-    trace_to_csv,
 )
 
 
@@ -50,36 +48,6 @@ class TestQuantizer:
             Quantizer(levels=(1.0,))
         with pytest.raises(InvalidSpecError):
             Quantizer(levels=(1.0, 1.0))
-
-
-class TestLoopFilters:
-    def test_first_order_with_delay_stf(self):
-        # accumulator feedforward with unit feedback
-        ff, fb = loop_filters_from_ntf(NtfFir(coeffs=np.array([1.0, -1.0])),
-                                       stf_choice="delay", delay=1)
-        assert ff.num == (0.0, 1.0)
-        assert ff.den == (1.0, -1.0)
-        assert fb.num == (1.0,)
-        assert fb.den == (1.0,)
-
-    def test_flat_ntf_open_loop(self):
-        ff, fb = loop_filters_from_ntf(NtfFir(coeffs=np.array([1.0])))
-        assert ff.num == (1.0,)
-        assert ff.den == (1.0,)
-        assert all(c == 0.0 for c in fb.num)
-
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_feedback_is_strictly_causal(self, order_p, seed):
-        rng = np.random.default_rng(seed)
-        ntf = NtfFir(coeffs=np.concatenate(([1.0], rng.normal(size=order_p))))
-        _, fb = loop_filters_from_ntf(ntf)
-        assert fb.num[0] == 0.0  # leading tap vanishes: loop is not algebraic
-
-    def test_large_delay_rejected(self):
-        with pytest.raises(CausalityError):
-            loop_filters_from_ntf(NtfFir(coeffs=np.array([1.0, -1.0])),
-                                  stf_choice="delay", delay=2)
 
 
 class TestSimulate:
@@ -141,10 +109,6 @@ class TestSimulate:
         ntf_mag2 = np.abs(sum(c * np.exp(-1j * om * k)
                               for k, c in enumerate(coeffs))) ** 2
         assert np.max(np.abs(ratio_db - 10 * np.log10(ntf_mag2))) < 1.0
-
-    def test_csv_export_header(self):
-        trace = simulate(NtfFir(coeffs=np.array([1.0])), np.zeros(4))
-        assert trace_to_csv(trace).splitlines()[0] == "n,w,x,e"
 
 
 class TestMeasureSnr:
