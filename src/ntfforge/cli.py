@@ -26,7 +26,7 @@ from .design import (
 )
 from .errors import BoundViolationError, InvalidSpecError, NtfForgeError, SolverError
 from .filters import FrequencyGrid, design_filter
-from .kyp import verify_bounded_real
+from .kyp import BoundedRealCertificate, verify_bounded_real
 from .modsim import NtfFir
 from .objective import merit_integrand
 
@@ -181,13 +181,28 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
+def stored_certificate(artifact: dict, order_p: int, gamma: float):
+    """The artifact's own certificate when it was made for this order and
+    gamma, else None, which makes verify solve the phase-1 SDP (external
+    NTFs, a ``--gamma`` other than the stored one)."""
+    stored = artifact.get("certificate")
+    if not isinstance(stored, dict) or stored.get("gamma") != gamma:
+        return None
+    cert = BoundedRealCertificate.from_json_dict(stored)
+    if cert.p_matrix.shape != (order_p, order_p):
+        return None
+    return cert
+
+
 def cmd_verify(args) -> int:
     artifact = load_ntf(args.ntf)
     gamma = args.gamma if args.gamma is not None else artifact.get("gamma")
     if gamma is None:
         raise InvalidSpecError("no gamma given and none stored in the artifact")
     coeffs = np.asarray(artifact["a"], dtype=float)
-    cert = verify_bounded_real(coeffs, float(gamma))
+    cert = verify_bounded_real(
+        coeffs, float(gamma),
+        stored_certificate(artifact, coeffs.size - 1, float(gamma)))
     if args.out:
         atomic_write(args.out, dump_json(cert.to_json_dict()))
     print(f"gain bound holds: grid max {cert.grid_max:.6f} <= gamma {gamma}")

@@ -168,7 +168,12 @@ def run_design(spec: DesignSpec) -> DesignResult:
                          lmi=lmi, constant=reduced.constant)
     solution = solve(problem, spec.solver)
     if solution.status != "optimal":
-        raise SolverError(f"design solve ended with status {solution.status!r}")
+        res = solution.kkt_residuals
+        raise SolverError(
+            f"design solve ended with status {solution.status!r} after "
+            f"{solution.iterations} iterations: relative gap {res['gap']:.3e}, "
+            f"primal residual {res['primal']:.3e}, "
+            f"dual residual {res['dual']:.3e}")
     coeffs = extract_ntf(solution, spec.fir_order)
     sigma2 = spec.budget.sigma2_eps * solution.objective_value
     cert = require_certified(

@@ -56,12 +56,17 @@ class LmiSystem:
 
     Variables are ordered as the P filter coefficients a_1..a_P followed by
     the P(P+1)/2 upper-triangle entries of the certificate matrix (row-major,
-    diagonal first within each row).
+    diagonal first within each row).  The basis matrices M_i are never
+    stored: from the delay-chain identity [A B] = [0 I], the top-left
+    (P+1)x(P+1) part of the block matrix is [A B]^T P [A B] - [I 0]^T P [I 0],
+    so a certificate entry enters as sym(E_ij) one step down the diagonal
+    (rows U = 1..P) minus sym(E_ij) in place (rows V = 0..P-1).  The output
+    row C = (a_P, .., a_1) puts a_k at (P-k, P+1).  ``bounded_real_matrix``
+    is the formula this map reproduces.
     """
 
     order: int
     gamma: float
-    basis: np.ndarray  # (L+1, P+2, P+2); basis[0] is the constant term
 
     @property
     def dimension(self) -> int:
@@ -72,13 +77,118 @@ class LmiSystem:
         p = self.order
         return p + p * (p + 1) // 2
 
+    def _coefficient_rows(self) -> np.ndarray:
+        """Row of a_1..a_P in the output column P+1."""
+        return self.order - np.arange(1, self.order + 1)
+
     def evaluate(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if xi.size != self.variable_count:
             raise InvalidSpecError(
                 f"expected {self.variable_count} variables, got {xi.size}"
             )
-        return self.basis[0] + np.tensordot(xi, self.basis[1:], axes=1)
+        p = self.order
+        out = self.linear(xi)
+        out[p, p] -= self.gamma**2
+        out[p, p + 1] += 1.0  # D
+        out[p + 1, p] += 1.0
+        out[p + 1, p + 1] -= 1.0
+        return out
+
+    def linear(self, xi) -> np.ndarray:
+        """sum_i xi_i M_i: the coefficients placed in the output column and
+        the certificate shifted one step down minus in place."""
+        p = self.order
+        rows = self._coefficient_rows()
+        out = np.zeros((p + 2, p + 2))
+        out[rows, p + 1] = out[p + 1, rows] = xi[:p]
+        pm = unpack_certificate(xi[p:], p)
+        out[1:p + 1, 1:p + 1] += pm
+        out[:p, :p] -= pm
+        return out
+
+    def adjoint(self, mats) -> np.ndarray:
+        """<M_i, X> for every variable; leading axes of ``mats`` are kept."""
+        x = np.asarray(mats, dtype=float)
+        p = self.order
+        rows = self._coefficient_rows()
+        coeff = x[..., rows, p + 1] + x[..., p + 1, rows]
+        d = x[..., 1:p + 1, 1:p + 1] - x[..., :p, :p]
+        d = d + np.swapaxes(d, -1, -2)
+        upper, lower = np.triu_indices(p)
+        cert = d[..., upper, lower]
+        cert[..., upper == lower] *= 0.5  # sym(E_ii) = E_ii holds one entry
+        return np.concatenate((coeff, cert), axis=-1)
+
+    def gram(self, r) -> np.ndarray:
+        """tr(G_i G_j) over every variable pair, G_i = R M_i R^T.
+
+        This is the Newton-system matrix of the block under the scaling R,
+        formed from inner products of R's columns, never from the G_i.  Only
+        the lower triangle is formed (what a lower Cholesky factor reads);
+        entries above the diagonal are unspecified.
+
+        A certificate entry's G_(ij) = (c_ij / 4)(X_ij + X_ji), where
+        X_ij = d_i s_j^T + s_j d_i^T, d_i = r_(i+1) - r_i and s_i = r_(i+1) + r_i
+        are the differences and sums of adjacent columns (one step down
+        against in place) and c_ij = 2 - [i == j].  Forming d and s first
+        keeps the cancellation between the two placements at the accuracy of
+        R itself.  A coefficient's G_k = r_k o^T + o r_k^T, with o = r_(P+1).
+        """
+        r = np.asarray(r, dtype=float)
+        p = self.order
+        upper, lower = np.triu_indices(p)
+        half_c = np.where(upper == lower, 0.5, 1.0)
+        diff = r[:, 1:p + 1] - r[:, :p]
+        summ = r[:, 1:p + 1] + r[:, :p]
+        rc = r[:, self._coefficient_rows()]
+        ro = r[:, p + 1]
+        out = np.zeros((self.variable_count, self.variable_count))
+        # coefficient-coefficient: 2 [(r_k.o)(o.r_l) + (r_k.r_l)(o.o)]
+        rc_o = rc.T @ ro
+        out[:p, :p] = 2.0 * (np.outer(rc_o, rc_o) + (rc.T @ rc) * (ro @ ro))
+        # coefficient-certificate: (c_ij / 2) sum over (i, j) and (j, i) of
+        # (r_k.s_j)(o.d_i) + (r_k.d_i)(o.s_j)
+        rs, rd = rc.T @ summ, rc.T @ diff
+        os_, od = ro @ summ, ro @ diff
+        cross = rs[:, lower] * od[upper] + rd[:, upper] * os_[lower] \
+            + rs[:, upper] * od[lower] + rd[:, lower] * os_[upper]
+        cross *= half_c
+        out[p:, :p] = cross.T
+        # certificate-certificate: (c_ij c_kl / 8) sum of X_ik Y_jl + X_il Y_jk
+        # over (X, Y) in (D^T D, S^T S), (S^T S, D^T D), (D^T S, S^T D) and
+        # (S^T D, D^T S).  Packed rows with first index i are contiguous, so
+        # each block of rows is one row of every X against a slice of the
+        # rows of every Y.
+        gds = diff.T @ summ
+        gdd = diff.T @ diff
+        gss = summ.T @ summ
+        pairs = ((gdd, gss), (gss, gdd), (gds, gds.T), (gds.T, gds))
+        xs = np.stack([half_c * x[:, cols] for x, _ in pairs
+                       for cols in (upper, lower)])
+        ys = np.stack([y[:, cols] for _, y in pairs for cols in (lower, upper)])
+        starts = np.concatenate(([0], np.cumsum(np.arange(p, 0, -1))))
+        for i in range(p):
+            begin, end = starts[i], starts[i + 1]
+            out[p + begin:p + end, p:p + end] = np.einsum(
+                "qc,qjc->jc", xs[:, i, :end], ys[:, i:, :end]) \
+                * (0.5 * half_c[begin:end, None])
+        return out
+
+    def gram_identity(self, r) -> np.ndarray:
+        """tr(G_(ij) R R^T) over the certificate entries: the Newton-system
+        entries between them and a shift that enters as the identity.
+
+        Equal to (c_ij / 2)(E_ij + E_ji) with E = (R^T D)^T (R^T S), D and S
+        the adjacent-column differences and sums of ``gram``.
+        """
+        r = np.asarray(r, dtype=float)
+        p = self.order
+        upper, lower = np.triu_indices(p)
+        e = (r.T @ (r[:, 1:p + 1] - r[:, :p])).T \
+            @ (r.T @ (r[:, 1:p + 1] + r[:, :p]))
+        half_c = np.where(upper == lower, 0.5, 1.0)
+        return half_c * (e[upper, lower] + e[lower, upper])
 
 
 @dataclass(frozen=True)
@@ -107,6 +217,17 @@ class BoundedRealCertificate:
             "min_eig_p": self.min_eigenvalue_p,
             "p_matrix": [list(map(float, row)) for row in self.p_matrix],
         }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "BoundedRealCertificate":
+        try:
+            p_matrix = np.asarray(d["p_matrix"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"certificate p_matrix: {exc}") from exc
+        return cls(p_matrix=p_matrix, gamma=float(d["gamma"]),
+                   max_eigenvalue_big=float(d["max_eig_big"]),
+                   min_eigenvalue_p=float(d["min_eig_p"]),
+                   grid_max=float(d["grid_max"]))
 
 
 def pack_certificate(p_matrix) -> np.ndarray:
@@ -186,32 +307,15 @@ def schur_reduced_matrix(realization: CanonicalRealization, p_matrix,
 
 
 def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
-    """Basis matrices of the affine map xi -> bounded-real block matrix.
+    """The affine map xi -> bounded-real block matrix for order P and gamma.
 
-    Built from the delay-chain identity [A B] = [0 I]: the top-left
-    (P+1)x(P+1) part of the block matrix is [A B]^T P [A B] - [I 0]^T P [I 0],
-    so each certificate entry enters as sym(E_ij) placed one step down the
-    diagonal minus sym(E_ij) in place.  The output row C = (a_P, .., a_1)
-    puts a_k at (P-k, P+1).  ``bounded_real_matrix`` is the formula this
-    basis reproduces.
+    The map is kept in the delay-chain structure ``LmiSystem`` describes.
     """
     if order_p < 1:
         raise InvalidSpecError("order must be >= 1")
     if gamma <= 0:
         raise InvalidSpecError("gamma must be positive")
-    p = order_p
-    rows, cols = np.triu_indices(p)
-    nvar = p + rows.size
-    basis = np.zeros((nvar + 1, p + 2, p + 2))
-    basis[0, p, p] = -gamma**2
-    basis[0, p, p + 1] = basis[0, p + 1, p] = 1.0  # D
-    basis[0, p + 1, p + 1] = -1.0
-    k = np.arange(1, p + 1)
-    basis[k, p - k, p + 1] = basis[k, p + 1, p - k] = 1.0
-    cert = np.arange(p + 1, nvar + 1)
-    basis[cert, rows + 1, cols + 1] = basis[cert, cols + 1, rows + 1] = 1.0
-    basis[cert, rows, cols] = basis[cert, cols, rows] = -1.0
-    return LmiSystem(order=p, gamma=gamma, basis=basis)
+    return LmiSystem(order=order_p, gamma=gamma)
 
 
 def grid_gain_max(coeffs, points: int = VERIFY_GRID) -> float:

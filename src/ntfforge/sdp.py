@@ -3,11 +3,18 @@
 Solves min c.x subject to F0 + sum_i x_i F_i >= 0 (blockwise PSD) with a
 Mehrotra predictor-corrector iteration under Nesterov-Todd scaling.  The NTF
 design problem is posed in epigraph form: minimize t with a Schur-complement
-block encoding quadratic + linear <= t and the (negated) gain-bound LMI block.
+block encoding (1, a)^T Q (1, a) <= t and the (negated) gain-bound LMI block.
 No separate certificate cone is needed: the LMI gives P - A^T P A >= C^T C >= 0
 and the delay-chain A is nilpotent, so P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
-Problem sizes are desk-scale (a few thousand variables at most), so all blocks
-are dense.
+
+The Newton system is formed from structure, not from stored basis matrices.
+The epigraph block is dense over the P + 1 variables it touches.  The KYP
+block is applied as shift-and-unpack operations (``kyp.LmiSystem``), and its
+share of the Schur complement comes from inner products of the NT scaling's
+columns: O(P^4) work for the ~P^2/2 certificate entries instead of a dense
+Gram product over (P+2)^2-entry basis matrices.  The Schur complement is
+factored once per iteration with a Cholesky factorization; both Newton steps
+solve with that factor.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas as sblas
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidSpecError, SolverError
 from .kyp import LmiSystem, assemble_lmi, pack_certificate, unpack_certificate
@@ -58,7 +65,12 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """NTF design problem: reduced quadratic objective + gain-bound LMI."""
+    """NTF design problem: reduced quadratic objective + gain-bound LMI.
+
+    The objective constant + linear.a + a^T quadratic a is the form
+    (1, a)^T Q (1, a) of the PSD matrix Q = [[constant, linear^T / 2],
+    [linear / 2, quadratic]].
+    """
 
     quadratic: np.ndarray
     linear: np.ndarray
@@ -71,9 +83,12 @@ class SdpProblem:
         p = self.lmi.order
         if quad.shape != (p, p) or lin.shape != (p,):
             raise InvalidSpecError("objective blocks must match the LMI order")
-        trace = float(np.trace(quad))
-        if np.linalg.eigvalsh(quad)[0] < -1e-9 * max(trace, 1e-300):
-            raise InvalidSpecError("quadratic block must be PSD")
+        full = _full_form(quad, lin, float(self.constant))
+        trace = float(np.trace(full))
+        if np.linalg.eigvalsh(full)[0] < -1e-9 * max(trace, 1e-300):
+            raise InvalidSpecError(
+                "objective form [[constant, linear/2], [linear/2, quadratic]] "
+                "must be PSD")
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "linear", lin)
 
@@ -99,41 +114,109 @@ class SdpSolution:
     kkt_residuals: dict = field(default_factory=dict)
 
 
-class _ConeBlocks:
-    """Dense PSD blocks of one affine constraint map."""
+class _DenseCone:
+    """A small PSD block stored as dense basis matrices over the few
+    variables (``index``) it touches."""
 
-    def __init__(self, f0_list, fmat_list):
-        self.f0 = [np.ascontiguousarray(f, dtype=float) for f in f0_list]
-        self.fmat = [np.ascontiguousarray(f, dtype=float) for f in fmat_list]
-        self.sizes = [f.shape[0] for f in self.f0]
-        self.nvar = self.fmat[0].shape[0]
-        self.fflat = [f.reshape(self.nvar, -1) for f in self.fmat]
+    def __init__(self, f0, fmat, index):
+        self.f0 = np.ascontiguousarray(f0, dtype=float)
+        self.fmat = np.ascontiguousarray(fmat, dtype=float)
+        self.index = np.asarray(index)
+        self.size = self.f0.shape[0]
 
-    def affine(self, x):
-        return [f0 + np.tensordot(x, fm, axes=1)
-                for f0, fm in zip(self.f0, self.fmat)]
+    def linear(self, x):
+        return np.tensordot(x[self.index], self.fmat, axes=1)
 
-    def adjoint(self, mats):
-        out = np.zeros(self.nvar)
-        for ff, m in zip(self.fflat, mats):
-            out += ff @ m.ravel()
+    def adjoint(self, mat, out):
+        out[self.index] += self.fmat.reshape(self.index.size, -1) @ mat.ravel()
+
+    def add_schur(self, r, h):
+        """h_ij += tr(G_i G_j), G_i = R F_i R^T, over this block's variables."""
+        g = (r @ self.fmat @ r.T).reshape(self.index.size, -1)
+        h[np.ix_(self.index, self.index)] += g @ g.T
+
+
+class _KypCone:
+    """The KYP block's slack -M(xi) in its delay-chain structure.
+
+    Without ``coeffs`` the layout is the design's (a, certificate, t), with t
+    outside this block.  With ``coeffs`` fixed it is the phase-1 layout
+    (certificate, s), where the shift s enters as +sI.
+    """
+
+    def __init__(self, lmi: LmiSystem, coeffs=None):
+        p = lmi.order
+        self.lmi = lmi
+        self.size = lmi.dimension
+        self.shifted = coeffs is not None
+        lead = np.zeros(lmi.variable_count)
+        if self.shifted:
+            lead[:p] = coeffs
+        self.f0 = -lmi.evaluate(lead)
+        self.first = p if self.shifted else 0  # first LMI variable in x
+        self.count = lmi.variable_count - self.first
+
+    def linear(self, x):
+        xi = x[:self.count]
+        if self.shifted:
+            xi = np.concatenate((np.zeros(self.first), xi))
+        out = -self.lmi.linear(xi)
+        if self.shifted:
+            out[np.diag_indices(self.size)] += x[-1]
         return out
+
+    def adjoint(self, mat, out):
+        out[:self.count] -= self.lmi.adjoint(mat)[self.first:]
+        if self.shifted:
+            out[-1] += np.trace(mat)
+
+    def add_schur(self, r, h):
+        """h_ij += tr(G_i G_j), G_i = R F_i R^T, from inner products of R's
+        columns (``LmiSystem.gram``).  The KYP basis matrices are -M_i, so the
+        signs cancel between LMI variables; the shift's F = I gives
+        tr(R R^T R R^T) and -tr(G_(ij) R R^T)."""
+        n, first = self.count, self.first
+        h[:n, :n] += self.lmi.gram(r)[first:, first:]
+        if self.shifted:
+            cross = -self.lmi.gram_identity(r)
+            h[:n, -1] += cross
+            h[-1, :n] += cross
+            h[-1, -1] += float(np.sum((r @ r.T) ** 2))
+
+
+def _affine(cones, x):
+    return [cone.f0 + cone.linear(x) for cone in cones]
+
+
+def _adjoint(cones, mats, nvar):
+    out = np.zeros(nvar)
+    for cone, mat in zip(cones, mats):
+        cone.adjoint(mat, out)
+    return out
+
+
+def _schur_matrix(cones, scalings, nvar):
+    """Newton-system matrix h_ij = sum over blocks of tr(G_i G_j), with
+    G_i = R F_i R^T under the block's NT scaling R (``r_inv``)."""
+    h = np.zeros((nvar, nvar))
+    for cone, r in zip(cones, scalings):
+        cone.add_schur(r, h)
+    return h
 
 
 def _max_step(chol_lower, direction):
     """Largest alpha with X + alpha*D > 0, given X = L L^T."""
-    w = np.linalg.solve(chol_lower, direction)
-    w = np.linalg.solve(chol_lower, w.T).T
+    w = solve_triangular(chol_lower, direction, lower=True, check_finite=False)
+    w = solve_triangular(chol_lower, w.T, lower=True, check_finite=False).T
     lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam_min >= 0.0:
         return np.inf
     return 1.0 / (-lam_min)
 
 
-def _nt_scaling(s, z):
-    """NT scaling point: (r, r_inv, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
-    ls = np.linalg.cholesky(s)
-    lz = np.linalg.cholesky(z)
+def _nt_scaling(ls, lz):
+    """NT scaling point from the Cholesky factors of s and z:
+    (r, r_inv, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
     u, sing, vt = np.linalg.svd(lz.T @ ls)
     lam = sing
     d = 1.0 / np.sqrt(sing)
@@ -142,46 +225,47 @@ def _nt_scaling(s, z):
     return r, r_inv, lam
 
 
-def solve_conic(blocks: _ConeBlocks, c, x0, settings: SolverSettings,
-                objective_offset: float = 0.0, gap_scale_floor: float = 1.0):
+def solve_conic(cones, c, x0, settings: SolverSettings,
+                gap_scale_floor: float = 1.0):
     """Mehrotra predictor-corrector over the product of PSD blocks.
 
+    Each cone supplies its constant ``f0``, ``size``, the linear map
+    ``linear(x)``, its ``adjoint(mat, out)`` and ``add_schur(r, h)``, which
+    adds its share of the Newton-system matrix under the NT scaling R.
     Returns (x, status, info).  The start x0 need not be strictly feasible;
     the slack is shifted onto the identity when F(x0) is not PD and the
     residual is driven out by the iteration.  The duality gap is judged
-    relative to the offset objective c.x + objective_offset (floored by
-    gap_scale_floor), so callers can make the gap meaningful for objectives
-    that are small differences of large terms.
+    relative to the objective c.x (floored by gap_scale_floor).
     """
     t_start = time.perf_counter()
-    n = blocks.nvar
     c = np.asarray(c, dtype=float)
+    n = c.size
     x = np.asarray(x0, dtype=float).copy()
+    f0_list = [cone.f0 for cone in cones]
 
-    s_mats = blocks.affine(x)
+    s_mats = _affine(cones, x)
     for k, s in enumerate(s_mats):
         lam_min = float(np.linalg.eigvalsh(s)[0])
         if lam_min < 1e-8:
             s_mats[k] = s + (abs(lam_min) * 1.5 + 1.0) * np.eye(s.shape[0])
-    z_mats = [np.eye(m) for m in blocks.sizes]
-    total_dim = float(sum(blocks.sizes))
-    f0_scale = 1.0 + max(float(np.max(np.abs(f))) for f in blocks.f0)
+    z_mats = [np.eye(cone.size) for cone in cones]
+    total_dim = float(sum(cone.size for cone in cones))
+    f0_scale = 1.0 + max(float(np.max(np.abs(f))) for f in f0_list)
     c_scale = 1.0 + float(np.max(np.abs(c)))
 
     status = "max_iterations"
     iters = 0
     info = {}
     for iters in range(1, settings.max_iter + 1):
-        f_of_x = blocks.affine(x)
+        f_of_x = _affine(cones, x)
         res_primal = [f - s for f, s in zip(f_of_x, s_mats)]
-        res_dual = c - blocks.adjoint(z_mats)
+        res_dual = c - _adjoint(cones, z_mats, n)
         gap = sum(float(np.tensordot(s, z)) for s, z in zip(s_mats, z_mats))
         mu = gap / total_dim
         pobj = float(c @ x)
         dobj = -sum(float(np.tensordot(f0, z))
-                    for f0, z in zip(blocks.f0, z_mats))
-        denom = max(gap_scale_floor, abs(pobj + objective_offset),
-                    abs(dobj + objective_offset))
+                    for f0, z in zip(f0_list, z_mats))
+        denom = max(gap_scale_floor, abs(pobj), abs(dobj))
         rel_gap = gap / denom
         rp_norm = max(float(np.max(np.abs(r))) for r in res_primal) / f0_scale
         rd_norm = float(np.max(np.abs(res_dual))) / c_scale
@@ -200,9 +284,9 @@ def solve_conic(blocks: _ConeBlocks, c, x0, settings: SolverSettings,
             1e-300,
             max(float(np.max(np.abs(z))) for z in z_mats),
         )
-        adj_hat = blocks.adjoint([z / z_norm for z in z_mats])
+        adj_hat = _adjoint(cones, [z / z_norm for z in z_mats], n)
         val_hat = sum(float(np.tensordot(f0, z / z_norm))
-                      for f0, z in zip(blocks.f0, z_mats))
+                      for f0, z in zip(f0_list, z_mats))
         if float(np.max(np.abs(adj_hat))) <= INFEAS_RES_TOL \
                 and val_hat < -INFEAS_VAL_TOL:
             status = "infeasible"
@@ -211,42 +295,43 @@ def solve_conic(blocks: _ConeBlocks, c, x0, settings: SolverSettings,
         try:
             chol_s = [np.linalg.cholesky(s) for s in s_mats]
             chol_z = [np.linalg.cholesky(z) for z in z_mats]
-            scal = [_nt_scaling(s, z) for s, z in zip(s_mats, z_mats)]
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        scal = [_nt_scaling(ls, lz) for ls, lz in zip(chol_s, chol_z)]
 
-        # scaled basis tensors and the Schur complement matrix
-        g_flat_parts = []
-        for (_, r_inv, _), fm in zip(scal, blocks.fmat):
-            g = np.einsum("ab,nbc,dc->nad", r_inv, fm, r_inv, optimize=True)
-            g_flat_parts.append(g.reshape(n, -1))
-        g_all = np.concatenate(g_flat_parts, axis=1)
-        h = sblas.dsyrk(1.0, g_all, lower=0)
-        h = np.triu(h) + np.triu(h, 1).T
+        h = _schur_matrix(cones, [r_inv for _, r_inv, _ in scal], n)
+        h[np.diag_indices(n)] += 1e-14 * np.trace(h) / n
         try:
-            h_chol = np.linalg.cholesky(
-                h + 1e-14 * np.trace(h) / n * np.eye(n)
-            )
+            h_factor = cho_factor(h, lower=True, overwrite_a=True,
+                                  check_finite=False)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
-        def newton_step(k_list):
-            rhs = -res_dual.copy()
-            for gf, (_, r_inv, _), kmat, rp in zip(
-                    g_flat_parts, scal, k_list, res_primal):
-                rd_scaled = r_inv @ rp @ r_inv.T
-                rhs += gf @ (kmat - rd_scaled).ravel()
-            dx = np.linalg.solve(h_chol.T, np.linalg.solve(h_chol, rhs))
+        def directions(dx, k_list):
             ds_list, dz_list = [], []
-            for fm, (_, r_inv, _), kmat, rp in zip(
-                    blocks.fmat, scal, k_list, res_primal):
-                ds = np.tensordot(dx, fm, axes=1) + rp
+            for cone, (_, r_inv, _), kmat, rp in zip(
+                    cones, scal, k_list, res_primal):
+                ds = cone.linear(dx) + rp
                 ds_scaled = r_inv @ ds @ r_inv.T
                 dz = r_inv.T @ (kmat - ds_scaled) @ r_inv
                 ds_list.append(ds)
                 dz_list.append(0.5 * (dz + dz.T))
+            return ds_list, dz_list
+
+        def newton_step(k_list):
+            mats = [r_inv.T @ (kmat - r_inv @ rp @ r_inv.T) @ r_inv
+                    for (_, r_inv, _), kmat, rp in zip(scal, k_list, res_primal)]
+            rhs = _adjoint(cones, mats, n) - res_dual
+            dx = cho_solve(h_factor, rhs, check_finite=False)
+            ds_list, dz_list = directions(dx, k_list)
+            # one refinement step against the operators themselves: the
+            # step must meet the dual equation adjoint(dz) = r_d, and near the
+            # optimum the factored matrix alone no longer holds it to feas_tol
+            dx += cho_solve(h_factor, _adjoint(cones, dz_list, n) - res_dual,
+                            check_finite=False)
+            ds_list, dz_list = directions(dx, k_list)
             return dx, ds_list, dz_list
 
         # predictor (affine scaling) direction
@@ -292,36 +377,62 @@ def solve_conic(blocks: _ConeBlocks, c, x0, settings: SolverSettings,
     return x, status, info
 
 
-def _epigraph_block(quadratic, linear, nvar_total, order):
-    """Schur-complement epigraph block: [[I, L a], [(L a)^T, t - lin.a]] >= 0."""
-    lam, vec = np.linalg.eigh(np.asarray(quadratic, dtype=float))
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    keep = lam > RANK_TRUNCATION * max(lam_max, 0.0)
-    factor = (np.sqrt(lam[keep])[:, None] * vec[:, keep].T) if np.any(keep) \
-        else np.zeros((0, len(linear)))
-    rank = factor.shape[0]
-    dim = rank + 1
+def _full_form(quadratic, linear, constant) -> np.ndarray:
+    """Q with (1, a)^T Q (1, a) = constant + linear.a + a^T quadratic a."""
     p = len(linear)
-    f0 = np.zeros((dim, dim))
+    full = np.empty((p + 1, p + 1))
+    full[0, 0] = constant
+    full[0, 1:] = full[1:, 0] = 0.5 * np.asarray(linear, dtype=float)
+    full[1:, 1:] = quadratic
+    return full
+
+
+def _epigraph_block(full_form):
+    """Epigraph block [[I, L (1, a)], [(L (1, a))^T, t]] >= 0 of
+    (1, a)^T Q (1, a) = ||L (1, a)||^2 <= t, over its P + 1 variables
+    (a_1..a_P, t).
+
+    At the optimum the objective is a small remainder of O(1) terms.
+    Factoring the whole form keeps that remainder inside L (1, a), so the
+    block's slack t - ||L (1, a)||^2 is not itself a difference of O(1)
+    numbers and stays resolvable near the optimum.
+    """
+    lam, vec = np.linalg.eigh(full_form)
+    keep = lam > RANK_TRUNCATION * max(float(lam[-1]), 0.0)
+    factor = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
+    rank = factor.shape[0]
+    p = full_form.shape[0] - 1
+    f0 = np.zeros((rank + 1, rank + 1))
     f0[:rank, :rank] = np.eye(rank)
-    fmat = np.zeros((nvar_total, dim, dim))
-    for k in range(p):
-        fmat[k, :rank, rank] = factor[:, k]
-        fmat[k, rank, :rank] = factor[:, k]
-        fmat[k, rank, rank] = -linear[k]
-    fmat[nvar_total - 1, rank, rank] = 1.0  # epigraph variable t
+    f0[:rank, rank] = f0[rank, :rank] = factor[:, 0]
+    fmat = np.zeros((p + 1, rank + 1, rank + 1))
+    fmat[:p, :rank, rank] = factor[:, 1:].T
+    fmat[:p, rank, :rank] = factor[:, 1:].T
+    fmat[p, rank, rank] = 1.0  # epigraph variable t
     return f0, fmat
 
 
-def _interior_start(problem: SdpProblem):
+def _interior_start(problem: SdpProblem, obj_scale: float):
     """Strictly interior start: zero coefficients, a ramped diagonal
-    certificate (strict feasibility needs gamma > 1) and a unit epigraph gap."""
+    certificate (strict feasibility needs gamma > 1) and a unit epigraph gap
+    above the objective's value constant / obj_scale at a = 0."""
     p = problem.order
     gamma = problem.lmi.gamma
     margin = max(gamma * gamma - 1.0, 1e-6) / 2.0
     diag = margin * (np.arange(1, p + 1) / (p + 1.0))
     cert = pack_certificate(np.diag(diag))
-    return np.concatenate((np.zeros(p), cert, [1.0]))
+    return np.concatenate((np.zeros(p), cert,
+                           [1.0 + problem.constant / obj_scale]))
+
+
+def _design_cones(problem: SdpProblem, obj_scale: float):
+    """The design SDP's two blocks over x = (a, certificate, t): the
+    epigraph of the objective (divided by ``obj_scale``) and the KYP block."""
+    p = problem.order
+    f0_epi, fm_epi = _epigraph_block(_full_form(
+        problem.quadratic, problem.linear, problem.constant) / obj_scale)
+    index = np.append(np.arange(p), problem.variable_count)
+    return [_DenseCone(f0_epi, fm_epi, index), _KypCone(problem.lmi)]
 
 
 def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:
@@ -339,17 +450,11 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
                     float(np.max(np.abs(problem.quadratic))),
                     float(np.max(np.abs(problem.linear))) if p else 0.0,
                     1e-300)
-    f0_epi, fm_epi = _epigraph_block(problem.quadratic / obj_scale,
-                                     problem.linear / obj_scale, nvar, p)
-    f0_kyp = -problem.lmi.basis[0]
-    fm_kyp = np.zeros((nvar, p + 2, p + 2))
-    fm_kyp[: problem.variable_count] = -problem.lmi.basis[1:]
-    blocks = _ConeBlocks([f0_epi, f0_kyp], [fm_epi, fm_kyp])
+    cones = _design_cones(problem, obj_scale)
     c = np.zeros(nvar)
     c[-1] = 1.0
-    x0 = _interior_start(problem)
-    x, status, info = solve_conic(blocks, c, x0, settings,
-                                  objective_offset=problem.constant / obj_scale,
+    x0 = _interior_start(problem, obj_scale)
+    x, status, info = solve_conic(cones, c, x0, settings,
                                   gap_scale_floor=1e-12)
 
     xi = x[:-1]
@@ -400,19 +505,12 @@ def solve_gain_feasibility(coeffs, gamma: float,
     lmi = assemble_lmi(p, gamma)
     ncert = p * (p + 1) // 2
     nvar = ncert + 1  # certificate entries + shift s
-    m0 = lmi.basis[0] + np.tensordot(a[1:], lmi.basis[1 : p + 1], axes=1)
-
-    f0_kyp = -m0
-    fm_kyp = np.zeros((nvar, p + 2, p + 2))
-    fm_kyp[:ncert] = -lmi.basis[p + 1 :]
-    fm_kyp[ncert] = np.eye(p + 2)
-
-    blocks = _ConeBlocks([f0_kyp], [fm_kyp])
+    kyp = _KypCone(lmi, a[1:])
     c = np.zeros(nvar)
     c[-1] = 1.0
-    s0 = float(np.linalg.eigvalsh(m0)[-1]) + 1.0
+    s0 = float(np.linalg.eigvalsh(-kyp.f0)[-1]) + 1.0
     x0 = np.concatenate((np.zeros(ncert), [max(s0, 1.0)]))
-    x, status, info = solve_conic(blocks, c, x0, settings)
+    x, status, info = solve_conic([kyp], c, x0, settings)
     if status not in ("optimal", "max_iterations"):
         return np.zeros((p, p)), False
     shift = float(x[-1])

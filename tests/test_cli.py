@@ -235,6 +235,54 @@ class TestVerify:
         cert = json.loads(cert_out.read_text())
         assert cert["grid_max"] <= 1.5 * 1.0001
 
+    def test_design_artifact_verifies_from_stored_certificate(
+            self, spec_path, tmp_path, monkeypatch):
+        import ntfforge.sdp as sdp
+
+        ntf_path = run_design(spec_path, tmp_path)
+
+        def no_phase_one(*args, **kwargs):
+            raise AssertionError("verify re-solved the phase-1 SDP")
+
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        cert_out = tmp_path / "cert.json"
+        code = main(["verify", "--ntf", str(ntf_path),
+                     "--out", str(cert_out)])
+        assert code == 0
+        stored = json.loads(ntf_path.read_text())["certificate"]
+        assert json.loads(cert_out.read_text())["p_matrix"] \
+            == stored["p_matrix"]
+
+    def test_doubled_tail_with_stored_certificate_exits_4(self, spec_path,
+                                                           tmp_path):
+        from ntfforge.kyp import grid_gain_max
+
+        ntf_path = run_design(spec_path, tmp_path)
+        artifact = json.loads(ntf_path.read_text())
+        a = np.asarray(artifact["a"])
+        artifact["a"] = [a[0]] + (2.0 * a[1:]).tolist()
+        assert grid_gain_max(artifact["a"]) > 1.5 * 1.0001
+        ntf_path.write_text(json.dumps(artifact))
+        code = main(["verify", "--ntf", str(ntf_path)])
+        assert code == 4
+
+    def test_gamma_override_solves_phase_one(self, spec_path, tmp_path,
+                                             monkeypatch):
+        import ntfforge.sdp as sdp
+
+        ntf_path = run_design(spec_path, tmp_path)
+        calls = []
+        genuine = sdp.solve_gain_feasibility
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", counted)
+        code = main(["verify", "--ntf", str(ntf_path), "--gamma", "2.0"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bound_violation_exit_code(self, tmp_path):
         ntf_path = tmp_path / "diff.json"
         ntf_path.write_text(json.dumps({"a": [1.0, -1.0], "gamma": 1.5}))

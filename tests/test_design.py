@@ -7,9 +7,10 @@ import pytest
 import ntfforge.design as design
 from ntfforge.cli import main
 from ntfforge.design import DesignSpec, evaluate_ntf, run_design
-from ntfforge.errors import BoundViolationError
+from ntfforge.errors import BoundViolationError, SolverError
 from ntfforge.filters import FilterSpec
 from ntfforge.modsim import NtfFir
+from ntfforge.sdp import SolverSettings
 
 FS = 256000.0
 
@@ -113,3 +114,35 @@ class TestExpectedSnrPerSignalKind:
         assert rep.expected_snr_db == pytest.approx(
             10.0 * np.log10(0.3**2 / 1e-5), abs=1e-12)
         assert np.isfinite(rep.simulated_snr_db)
+
+
+class TestNarrowbandP49:
+    def test_narrowed_band_solves_and_certifies(self):
+        # 8th-order Butterworth on 828.4-1164.7 Hz at fs = 2*64*400 Hz,
+        # P = 49, gamma = 1.5: this design used to end in numerical_failure,
+        # when the epigraph slack near the optimum was a difference of O(1)
+        # terms below double precision
+        spec = DesignSpec.from_json_dict({
+            "fs_hz": 2 * 64 * 400.0,
+            "filter": {"kind": "bandpass_butterworth", "order": 8,
+                       "bands_hz": [[828.3988402281964, 1164.6618392077046]]},
+            "fir_order": 49,
+            "gamma": 1.5,
+        })
+        result = run_design(spec)
+        assert result.solution.status == "optimal"
+        assert result.certificate.feasible
+        assert result.certificate.grid_max <= 1.5 * (1.0 + 1e-4)
+
+
+class TestSolverErrorMessage:
+    def test_names_status_iterations_and_last_residuals(self):
+        spec = dataclasses.replace(lowpass_spec(),
+                                   solver=SolverSettings(max_iter=2))
+        with pytest.raises(SolverError) as err:
+            run_design(spec)
+        msg = str(err.value)
+        assert "status 'max_iterations' after 2 iterations" in msg
+        for name in ("relative gap", "primal residual", "dual residual"):
+            value = msg.split(name + " ")[1].split(",")[0]
+            assert np.isfinite(float(value))

@@ -91,12 +91,15 @@ class TestAssembleLmi:
         for order_p in (1, 2, 5, 12):
             lmi = assemble_lmi(order_p, 1.5)
             assert lmi.variable_count == order_p + order_p * (order_p + 1) // 2
-            assert lmi.basis.shape == (lmi.variable_count + 1,
-                                       order_p + 2, order_p + 2)
+            mat = lmi.evaluate(np.zeros(lmi.variable_count))
+            assert mat.shape == (order_p + 2, order_p + 2)
 
     def test_basis_matrices_symmetric(self):
+        # M_0 = M(0) and M_i = M(e_i) - M(0)
         lmi = assemble_lmi(4, 2.0)
-        for mat in lmi.basis:
+        for xi in np.vstack((np.zeros(lmi.variable_count),
+                             np.eye(lmi.variable_count))):
+            mat = lmi.evaluate(xi)
             assert np.array_equal(mat, mat.T)
 
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))

@@ -2,9 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ntfforge import sdp
 from ntfforge.errors import InvalidSpecError, SolverError
-from ntfforge.kyp import assemble_lmi, grid_gain_max
+from ntfforge.kyp import (
+    assemble_lmi,
+    bounded_real_matrix,
+    canonical_realization,
+    grid_gain_max,
+    unpack_certificate,
+)
 from ntfforge.sdp import (
     SdpProblem,
     SolverSettings,
@@ -147,3 +156,89 @@ class TestProblemValidation:
         with pytest.raises(InvalidSpecError):
             SdpProblem(quadratic=np.eye(3), linear=np.zeros(3),
                        lmi=assemble_lmi(2, 1.5))
+
+
+def dense_kyp_basis(order_p, gamma):
+    """M(0) and M_i = M(e_i) - M(0), rebuilt from the block formula."""
+    count = assemble_lmi(order_p, gamma).variable_count
+
+    def formula(xi):
+        coeffs = np.concatenate(([1.0], xi[:order_p]))
+        pm = unpack_certificate(xi[order_p:], order_p)
+        return bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
+
+    m0 = formula(np.zeros(count))
+    return m0, np.array([formula(e) - m0 for e in np.eye(count)])
+
+
+def random_spd(rng, n):
+    m = rng.normal(size=(n, n))
+    return m @ m.T + 0.1 * np.eye(n)
+
+
+def assert_close(got, want, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+def check_against_dense(cones, dense, rng):
+    """Structured affine map, adjoint and Schur matrix of ``cones`` against
+    the dense (F0, [F_i]) pairs: F0 + sum x_i F_i, <F_i, M> and, under the NT
+    scaling R of random S and Z, sum over blocks of G_k G_l^T with
+    G_k = vec(R F_k R^T)."""
+    nvar = dense[0][1].shape[0]
+    x = rng.normal(size=nvar)
+    for cone, (f0, fmat) in zip(cones, dense):
+        assert_close(cone.f0 + cone.linear(x), f0 + np.tensordot(x, fmat, 1))
+    mats = []
+    for _, fmat in dense:
+        m = rng.normal(size=fmat.shape[1:])
+        mats.append(m + m.T)
+    want = sum(np.einsum("nab,ab->n", fmat, m)
+               for (_, fmat), m in zip(dense, mats))
+    assert_close(sdp._adjoint(cones, mats, nvar), want)
+    scalings, want = [], np.zeros((nvar, nvar))
+    for _, fmat in dense:
+        size = fmat.shape[1]
+        _, r, _ = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, size)),
+                                  np.linalg.cholesky(random_spd(rng, size)))
+        g = (r @ fmat @ r.T).reshape(nvar, -1)
+        want += g @ g.T
+        scalings.append(r)
+    got = sdp._schur_matrix(cones, scalings, nvar)
+    # the Newton system reads the lower triangle only
+    assert_close(np.tril(got), np.tril(want))
+
+
+class TestStructuredOperators:
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_design_layout_matches_dense(self, order_p, gamma, seed):
+        # x = (a, certificate, t); epigraph block over (a, t), KYP block
+        # -M(a; P) over (a, certificate)
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(order_p + 1, order_p + 1))
+        full = half @ half.T
+        problem = SdpProblem(quadratic=full[1:, 1:], linear=2.0 * full[0, 1:],
+                             lmi=assemble_lmi(order_p, gamma),
+                             constant=full[0, 0])
+        cones = sdp._design_cones(problem, 1.0)
+        nvar = problem.variable_count + 1
+        epi = cones[0]
+        epi_fmat = np.zeros((nvar,) + epi.fmat.shape[1:])
+        epi_fmat[epi.index] = epi.fmat
+        m0, basis = dense_kyp_basis(order_p, gamma)
+        kyp_fmat = np.concatenate((-basis, np.zeros((1,) + m0.shape)))
+        check_against_dense(cones, [(epi.f0, epi_fmat), (-m0, kyp_fmat)], rng)
+
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_feasibility_layout_matches_dense(self, order_p, gamma, seed):
+        # x = (certificate, s); a is fixed and s enters as +sI
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=order_p)
+        cone = sdp._KypCone(assemble_lmi(order_p, gamma), coeffs)
+        m0, basis = dense_kyp_basis(order_p, gamma)
+        f0 = -(m0 + np.tensordot(coeffs, basis[:order_p], 1))
+        fmat = np.concatenate((-basis[order_p:], np.eye(order_p + 2)[None]))
+        check_against_dense([cone], [(f0, fmat)], rng)
