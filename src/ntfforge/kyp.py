@@ -3,9 +3,10 @@
 The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix built on the
 delay-chain state-space realization of the FIR filter, together with a
-positive definite certificate matrix.  Assembly, verification against a dense
-frequency grid, and the Schur-complement equivalence used as a test oracle all
-live here.
+positive definite certificate matrix.  The affine map, its adjoint and its
+Newton-system blocks (all from the delay-chain structure), verification against
+a dense frequency grid, and the Schur-complement equivalence used as a test
+oracle all live here.
 """
 
 from __future__ import annotations
@@ -120,46 +121,61 @@ class LmiSystem:
         cert[..., upper == lower] *= 0.5  # sym(E_ii) = E_ii holds one entry
         return np.concatenate((coeff, cert), axis=-1)
 
-    def gram(self, r) -> np.ndarray:
-        """tr(G_i G_j) over every variable pair, G_i = R M_i R^T.
+    def _adjacent(self, r):
+        """Differences and sums of adjacent columns of R (one step down
+        against in place), and the weights c_ij / 2 of the packed entries."""
+        p = self.order
+        upper, lower = np.triu_indices(p)
+        return (r[:, 1:p + 1] - r[:, :p], r[:, 1:p + 1] + r[:, :p],
+                np.where(upper == lower, 0.5, 1.0))
 
-        This is the Newton-system matrix of the block under the scaling R,
-        formed from inner products of R's columns, never from the G_i.  Only
-        the lower triangle is formed (what a lower Cholesky factor reads);
-        entries above the diagonal are unspecified.
+    def gram_coefficients(self, r) -> np.ndarray:
+        """tr(G_k G_j) for k over a_1..a_P and j over every variable, where
+        G_i = R M_i R^T under the scaling R.
 
-        A certificate entry's G_(ij) = (c_ij / 4)(X_ij + X_ji), where
-        X_ij = d_i s_j^T + s_j d_i^T, d_i = r_(i+1) - r_i and s_i = r_(i+1) + r_i
-        are the differences and sums of adjacent columns (one step down
-        against in place) and c_ij = 2 - [i == j].  Forming d and s first
-        keeps the cancellation between the two placements at the accuracy of
-        R itself.  A coefficient's G_k = r_k o^T + o r_k^T, with o = r_(P+1).
+        G_k = r_k o^T + o r_k^T, with r_k the column of a_k's row and
+        o = r_(P+1); G_(ij) of a certificate entry is as in
+        ``gram_certificate``.
         """
         r = np.asarray(r, dtype=float)
         p = self.order
         upper, lower = np.triu_indices(p)
-        half_c = np.where(upper == lower, 0.5, 1.0)
-        diff = r[:, 1:p + 1] - r[:, :p]
-        summ = r[:, 1:p + 1] + r[:, :p]
+        diff, summ, half_c = self._adjacent(r)
         rc = r[:, self._coefficient_rows()]
         ro = r[:, p + 1]
-        out = np.zeros((self.variable_count, self.variable_count))
+        out = np.empty((p, self.variable_count))
         # coefficient-coefficient: 2 [(r_k.o)(o.r_l) + (r_k.r_l)(o.o)]
         rc_o = rc.T @ ro
-        out[:p, :p] = 2.0 * (np.outer(rc_o, rc_o) + (rc.T @ rc) * (ro @ ro))
+        out[:, :p] = 2.0 * (np.outer(rc_o, rc_o) + (rc.T @ rc) * (ro @ ro))
         # coefficient-certificate: (c_ij / 2) sum over (i, j) and (j, i) of
         # (r_k.s_j)(o.d_i) + (r_k.d_i)(o.s_j)
         rs, rd = rc.T @ summ, rc.T @ diff
         os_, od = ro @ summ, ro @ diff
-        cross = rs[:, lower] * od[upper] + rd[:, upper] * os_[lower] \
-            + rs[:, upper] * od[lower] + rd[:, lower] * os_[upper]
-        cross *= half_c
-        out[p:, :p] = cross.T
-        # certificate-certificate: (c_ij c_kl / 8) sum of X_ik Y_jl + X_il Y_jk
-        # over (X, Y) in (D^T D, S^T S), (S^T S, D^T D), (D^T S, S^T D) and
-        # (S^T D, D^T S).  Packed rows with first index i are contiguous, so
-        # each block of rows is one row of every X against a slice of the
-        # rows of every Y.
+        out[:, p:] = half_c * (
+            rs[:, lower] * od[upper] + rd[:, upper] * os_[lower]
+            + rs[:, upper] * od[lower] + rd[:, lower] * os_[upper])
+        return out
+
+    def gram_certificate(self, r, out):
+        """Add tr(G_(ij) G_(kl)) over the packed certificate entries into the
+        lower triangle of ``out``; G_(ij) = R M_(ij) R^T under the scaling R.
+
+        This is the Newton-system matrix of the certificate, formed from
+        inner products of R's columns, never from the G_(ij).  Entries above
+        the diagonal are left unspecified (a lower Cholesky factor does not
+        read them).  G_(ij) = (c_ij / 4)(T_ij + T_ji), where
+        T_ij = d_i s_j^T + s_j d_i^T, d_i = r_(i+1) - r_i, s_i = r_(i+1) + r_i
+        and c_ij = 2 - [i == j].  Forming d and s first keeps the cancellation
+        between the two placements at the accuracy of R itself.
+        """
+        r = np.asarray(r, dtype=float)
+        p = self.order
+        upper, lower = np.triu_indices(p)
+        diff, summ, half_c = self._adjacent(r)
+        # (c_ij c_kl / 8) sum of X_ik Y_jl + X_il Y_jk over (X, Y) in
+        # (D^T D, S^T S), (S^T S, D^T D), (D^T S, S^T D), (S^T D, D^T S).
+        # Packed rows with first index i are contiguous, so each block of
+        # rows is one row of every X against a slice of the rows of every Y.
         gds = diff.T @ summ
         gdd = diff.T @ diff
         gss = summ.T @ summ
@@ -170,24 +186,21 @@ class LmiSystem:
         starts = np.concatenate(([0], np.cumsum(np.arange(p, 0, -1))))
         for i in range(p):
             begin, end = starts[i], starts[i + 1]
-            out[p + begin:p + end, p:p + end] = np.einsum(
+            out[begin:end, :end] += np.einsum(
                 "qc,qjc->jc", xs[:, i, :end], ys[:, i:, :end]) \
                 * (0.5 * half_c[begin:end, None])
-        return out
 
     def gram_identity(self, r) -> np.ndarray:
         """tr(G_(ij) R R^T) over the certificate entries: the Newton-system
         entries between them and a shift that enters as the identity.
 
         Equal to (c_ij / 2)(E_ij + E_ji) with E = (R^T D)^T (R^T S), D and S
-        the adjacent-column differences and sums of ``gram``.
+        the adjacent-column differences and sums of ``gram_certificate``.
         """
         r = np.asarray(r, dtype=float)
-        p = self.order
-        upper, lower = np.triu_indices(p)
-        e = (r.T @ (r[:, 1:p + 1] - r[:, :p])).T \
-            @ (r.T @ (r[:, 1:p + 1] + r[:, :p]))
-        half_c = np.where(upper == lower, 0.5, 1.0)
+        upper, lower = np.triu_indices(self.order)
+        diff, summ, half_c = self._adjacent(r)
+        e = (r.T @ diff).T @ (r.T @ summ)
         return half_c * (e[upper, lower] + e[lower, upper])
 
 

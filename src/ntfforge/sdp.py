@@ -171,17 +171,21 @@ class _KypCone:
             out[-1] += np.trace(mat)
 
     def add_schur(self, r, h):
-        """h_ij += tr(G_i G_j), G_i = R F_i R^T, from inner products of R's
-        columns (``LmiSystem.gram``).  The KYP basis matrices are -M_i, so the
-        signs cancel between LMI variables; the shift's F = I gives
-        tr(R R^T R R^T) and -tr(G_(ij) R R^T)."""
-        n, first = self.count, self.first
-        h[:n, :n] += self.lmi.gram(r)[first:, first:]
+        """h_ij += tr(G_i G_j), G_i = R F_i R^T, on the lower triangle, from
+        inner products of R's columns (``LmiSystem.gram_*``).  The KYP basis
+        matrices are -M_i, so the signs cancel between LMI variables; the
+        shift's F = I gives tr(R R^T R R^T) and -tr(G_(ij) R R^T)."""
+        n = self.count
         if self.shifted:
-            cross = -self.lmi.gram_identity(r)
-            h[:n, -1] += cross
-            h[-1, :n] += cross
+            self.lmi.gram_certificate(r, h[:n, :n])
+            h[-1, :n] -= self.lmi.gram_identity(r)
             h[-1, -1] += float(np.sum((r @ r.T) ** 2))
+            return
+        p = self.lmi.order
+        rows = self.lmi.gram_coefficients(r)
+        h[:p, :p] += rows[:, :p]
+        h[p:n, :p] += rows[:, p:].T
+        self.lmi.gram_certificate(r, h[p:n, p:n])
 
 
 def _affine(cones, x):
@@ -197,7 +201,8 @@ def _adjoint(cones, mats, nvar):
 
 def _schur_matrix(cones, scalings, nvar):
     """Newton-system matrix h_ij = sum over blocks of tr(G_i G_j), with
-    G_i = R F_i R^T under the block's NT scaling R (``r_inv``)."""
+    G_i = R F_i R^T under the block's NT scaling R (``r_inv``).  Only the
+    lower triangle is complete."""
     h = np.zeros((nvar, nvar))
     for cone, r in zip(cones, scalings):
         cone.add_schur(r, h)
@@ -303,7 +308,9 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
         h = _schur_matrix(cones, [r_inv for _, r_inv, _ in scal], n)
         h[np.diag_indices(n)] += 1e-14 * np.trace(h) / n
         try:
-            h_factor = cho_factor(h, lower=True, overwrite_a=True,
+            # h.T is Fortran-ordered and its upper triangle is h's lower one,
+            # so LAPACK factors it in place instead of copying h
+            h_factor = cho_factor(h.T, lower=False, overwrite_a=True,
                                   check_finite=False)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
