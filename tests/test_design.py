@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,23 +119,45 @@ class TestExpectedSnrPerSignalKind:
         assert np.isfinite(rep.simulated_snr_db)
 
 
+NARROWBAND_P49 = {
+    "fs_hz": 2 * 64 * 400.0,
+    "filter": {"kind": "bandpass_butterworth", "order": 8,
+               "bands_hz": [[828.3988402281964, 1164.6618392077046]]},
+    "fir_order": 49,
+    "gamma": 1.5,
+}
+
+DESIGN_IN_CHILD = """
+import json, sys
+from ntfforge.design import DesignSpec, run_design
+result = run_design(DesignSpec.from_json_dict(json.loads(sys.argv[1])))
+print(json.dumps({"status": result.solution.status,
+                  "feasible": result.certificate.feasible,
+                  "grid_max": result.certificate.grid_max}))
+"""
+
+
 class TestNarrowbandP49:
-    def test_narrowed_band_solves_and_certifies(self):
-        # 8th-order Butterworth on 828.4-1164.7 Hz at fs = 2*64*400 Hz,
-        # P = 49, gamma = 1.5: this design used to end in numerical_failure,
-        # when the epigraph slack near the optimum was a difference of O(1)
-        # terms below double precision
-        spec = DesignSpec.from_json_dict({
-            "fs_hz": 2 * 64 * 400.0,
-            "filter": {"kind": "bandpass_butterworth", "order": 8,
-                       "bands_hz": [[828.3988402281964, 1164.6618392077046]]},
-            "fir_order": 49,
-            "gamma": 1.5,
-        })
-        result = run_design(spec)
-        assert result.solution.status == "optimal"
-        assert result.certificate.feasible
-        assert result.certificate.grid_max <= 1.5 * (1.0 + 1e-4)
+    # 8th-order Butterworth on 828.4-1164.7 Hz at fs = 2*64*400 Hz, P = 49,
+    # gamma = 1.5: this design used to end in numerical_failure, with one
+    # BLAS thread but not with two, because the epigraph slack near the
+    # optimum was a difference of O(1) terms below double precision.  Each
+    # thread count runs in its own process, since BLAS reads it at start.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_narrowed_band_solves_and_certifies(self, threads):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            design.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", DESIGN_IN_CHILD,
+             json.dumps(NARROWBAND_P49)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["status"] == "optimal"
+        assert out["feasible"]
+        assert out["grid_max"] <= 1.5 * (1.0 + 1e-4)
 
 
 class TestSolverErrorMessage:
