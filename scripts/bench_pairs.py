@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Alternated parent/change pairs of the perfbench workloads.
 
-    python3 scripts/bench_pairs.py --parent REV [--change REV] --pairs N \
-        --label NAME [--seconds S] [--designs K] [--workdir DIR]
+    python3 scripts/bench_pairs.py --parent REV --pairs N --label NAME \
+        [--workdir DIR]
 
-Both revisions are exported with ``git archive`` (so only committed files are
-measured and no worktree is left registered in the repository), and
-``perfbench/run.py`` runs from each export.  Pair k runs every workload of
-BENCHMARK.json once per side with seed k + 1; odd pairs run the parent first,
-even pairs the change.  Then each side designs the bandpass P=49 and the
-two-band P=50 cases K times in a fresh process with BLAS pinned to one thread.
+The parent revision REV and HEAD are exported with ``git archive`` (so only
+committed files are measured and no worktree is left registered in the
+repository), and ``perfbench/run.py`` runs from each export.  Pair k runs
+every workload of BENCHMARK.json once per side for its ``run_seconds``, with
+seed k + 1; odd pairs run the parent first, even pairs the change.  Then each
+side designs the bandpass P=49 and the two-band P=50 cases three times, each
+in a fresh process with BLAS pinned to one thread.
 
 Writes ``BENCH_<label>.json`` in the repository root: per workload and side,
 the median and quartiles of every end-to-end metric with the runs behind
@@ -28,6 +29,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CHANGE = "HEAD"
+DESIGN_REPEATS = 3
 
 # The paper's bandpass case and its two-band case (4th-order branch per band),
 # as the acceptance tests define them.
@@ -127,12 +130,8 @@ def summarize(runs, metrics) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", default="HEAD")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--label", required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length; default BENCHMARK.json's run_seconds")
-    ap.add_argument("--designs", type=int, default=3)
     ap.add_argument("--workdir", default=None,
                     help="where the exports go; default a new temp directory")
     args = ap.parse_args(argv)
@@ -141,14 +140,14 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
-    seconds = args.seconds or float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs-")
     os.makedirs(workdir, exist_ok=True)
     checkouts = {side: os.path.join(workdir, side)
                  for side in ("parent", "change")}
     shas = {side: export(rev, checkouts[side])
             for side, rev in (("parent", args.parent),
-                              ("change", args.change))}
+                              ("change", CHANGE))}
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
     order = []
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
         designs[name] = {}
         for side in ("parent", "change"):
             reps = [run_design(checkouts[side], config)
-                    for _ in range(args.designs)]
+                    for _ in range(DESIGN_REPEATS)]
             ok = [r for r in reps if "error" not in r]
             designs[name][side] = {
                 "seconds": [r["seconds"] for r in ok],

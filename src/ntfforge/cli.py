@@ -182,16 +182,22 @@ def cmd_curves(args) -> int:
 
 
 def stored_certificate(artifact: dict, order_p: int, gamma: float):
-    """The artifact's own certificate when it was made for this order and
-    gamma, else None, which makes verify solve the phase-1 SDP (external
-    NTFs, a ``--gamma`` other than the stored one)."""
+    """The artifact's own certificate matrix when it was made for this order
+    and gamma, else None (external NTFs, a ``--gamma`` other than the stored
+    one).  Only ``p_matrix`` and ``gamma`` are read; verify recomputes the
+    eigenvalue extremes and the grid maximum."""
     stored = artifact.get("certificate")
     if not isinstance(stored, dict) or stored.get("gamma") != gamma:
         return None
-    cert = BoundedRealCertificate.from_json_dict(stored)
-    if cert.p_matrix.shape != (order_p, order_p):
+    try:
+        p_matrix = np.asarray(stored.get("p_matrix"), dtype=float)
+    except (TypeError, ValueError):
         return None
-    return cert
+    if p_matrix.shape != (order_p, order_p):
+        return None
+    return BoundedRealCertificate(p_matrix=p_matrix, gamma=gamma,
+                                  max_eigenvalue_big=np.nan,
+                                  min_eigenvalue_p=np.nan, grid_max=np.nan)
 
 
 def cmd_verify(args) -> int:
@@ -199,10 +205,20 @@ def cmd_verify(args) -> int:
     gamma = args.gamma if args.gamma is not None else artifact.get("gamma")
     if gamma is None:
         raise InvalidSpecError("no gamma given and none stored in the artifact")
+    gamma = float(gamma)
     coeffs = np.asarray(artifact["a"], dtype=float)
-    cert = verify_bounded_real(
-        coeffs, float(gamma),
-        stored_certificate(artifact, coeffs.size - 1, float(gamma)))
+    stored = stored_certificate(artifact, coeffs.size - 1, gamma)
+    cert = None
+    if stored is not None:
+        try:
+            cert = verify_bounded_real(coeffs, gamma, stored)
+        except BoundViolationError:
+            # the design sits on the LMI boundary, so coefficients edited
+            # after the design (rounded, say) can leave the stored witness
+            # behind while still meeting the bound: search for another
+            log.info("stored certificate rejected; solving for another")
+    if cert is None:
+        cert = verify_bounded_real(coeffs, gamma)
     if args.out:
         atomic_write(args.out, dump_json(cert.to_json_dict()))
     print(f"gain bound holds: grid max {cert.grid_max:.6f} <= gamma {gamma}")

@@ -231,17 +231,6 @@ class BoundedRealCertificate:
             "p_matrix": [list(map(float, row)) for row in self.p_matrix],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BoundedRealCertificate":
-        try:
-            p_matrix = np.asarray(d["p_matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"certificate p_matrix: {exc}") from exc
-        return cls(p_matrix=p_matrix, gamma=float(d["gamma"]),
-                   max_eigenvalue_big=float(d["max_eig_big"]),
-                   min_eigenvalue_p=float(d["min_eig_p"]),
-                   grid_max=float(d["grid_max"]))
-
 
 def pack_certificate(p_matrix) -> np.ndarray:
     """Upper triangle of a symmetric certificate as the LMI variable layout:

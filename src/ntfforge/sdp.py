@@ -3,12 +3,15 @@
 Solves min c.x subject to F0 + sum_i x_i F_i >= 0 (blockwise PSD) with a
 Mehrotra predictor-corrector iteration under Nesterov-Todd scaling.  The NTF
 design problem is posed in epigraph form: minimize t with a Schur-complement
-block encoding (1, a)^T Q (1, a) <= t and the (negated) gain-bound LMI block.
+block encoding quadratic + linear + constant <= t and the (negated) gain-bound
+LMI block.
 No separate certificate cone is needed: the LMI gives P - A^T P A >= C^T C >= 0
 and the delay-chain A is nilpotent, so P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
 
 The Newton system is formed from structure, not from stored basis matrices.
-The epigraph block is dense over the P + 1 variables it touches.  The KYP
+The epigraph block is dense over the P + 1 variables it touches, and is
+written through a congruence that keeps its entries as small as the
+objective's residual near the optimum (``_epigraph_block``).  The KYP
 block is applied as shift-and-unpack operations (``kyp.LmiSystem``), and its
 share of the Schur complement comes from inner products of the NT scaling's
 columns: O(P^4) work for the ~P^2/2 certificate entries instead of a dense
@@ -65,12 +68,7 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """NTF design problem: reduced quadratic objective + gain-bound LMI.
-
-    The objective constant + linear.a + a^T quadratic a is the form
-    (1, a)^T Q (1, a) of the PSD matrix Q = [[constant, linear^T / 2],
-    [linear / 2, quadratic]].
-    """
+    """NTF design problem: reduced quadratic objective + gain-bound LMI."""
 
     quadratic: np.ndarray
     linear: np.ndarray
@@ -83,12 +81,9 @@ class SdpProblem:
         p = self.lmi.order
         if quad.shape != (p, p) or lin.shape != (p,):
             raise InvalidSpecError("objective blocks must match the LMI order")
-        full = _full_form(quad, lin, float(self.constant))
-        trace = float(np.trace(full))
-        if np.linalg.eigvalsh(full)[0] < -1e-9 * max(trace, 1e-300):
-            raise InvalidSpecError(
-                "objective form [[constant, linear/2], [linear/2, quadratic]] "
-                "must be PSD")
+        trace = float(np.trace(quad))
+        if np.linalg.eigvalsh(quad)[0] < -1e-9 * max(trace, 1e-300):
+            raise InvalidSpecError("quadratic block must be PSD")
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "linear", lin)
 
@@ -116,13 +111,14 @@ class SdpSolution:
 
 class _DenseCone:
     """A small PSD block stored as dense basis matrices over the few
-    variables (``index``) it touches."""
+    variables (``index``) it touches, with its dual start ``z0``."""
 
-    def __init__(self, f0, fmat, index):
+    def __init__(self, f0, fmat, index, z0):
         self.f0 = np.ascontiguousarray(f0, dtype=float)
         self.fmat = np.ascontiguousarray(fmat, dtype=float)
         self.index = np.asarray(index)
         self.size = self.f0.shape[0]
+        self.z0 = z0
 
     def linear(self, x):
         return np.tensordot(x[self.index], self.fmat, axes=1)
@@ -153,6 +149,7 @@ class _KypCone:
         if self.shifted:
             lead[:p] = coeffs
         self.f0 = -lmi.evaluate(lead)
+        self.z0 = np.eye(self.size)
         self.first = p if self.shifted else 0  # first LMI variable in x
         self.count = lmi.variable_count - self.first
 
@@ -234,9 +231,10 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
                 gap_scale_floor: float = 1.0):
     """Mehrotra predictor-corrector over the product of PSD blocks.
 
-    Each cone supplies its constant ``f0``, ``size``, the linear map
-    ``linear(x)``, its ``adjoint(mat, out)`` and ``add_schur(r, h)``, which
-    adds its share of the Newton-system matrix under the NT scaling R.
+    Each cone supplies its constant ``f0``, ``size``, its dual start ``z0``,
+    the linear map ``linear(x)``, its ``adjoint(mat, out)`` and
+    ``add_schur(r, h)``, which adds its share of the Newton-system matrix
+    under the NT scaling R.
     Returns (x, status, info).  The start x0 need not be strictly feasible;
     the slack is shifted onto the identity when F(x0) is not PD and the
     residual is driven out by the iteration.  The duality gap is judged
@@ -253,7 +251,7 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
         lam_min = float(np.linalg.eigvalsh(s)[0])
         if lam_min < 1e-8:
             s_mats[k] = s + (abs(lam_min) * 1.5 + 1.0) * np.eye(s.shape[0])
-    z_mats = [np.eye(cone.size) for cone in cones]
+    z_mats = [cone.z0 for cone in cones]
     total_dim = float(sum(cone.size for cone in cones))
     f0_scale = 1.0 + max(float(np.max(np.abs(f))) for f in f0_list)
     c_scale = 1.0 + float(np.max(np.abs(c)))
@@ -316,7 +314,11 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
             status = "numerical_failure"
             break
 
-        def directions(dx, k_list):
+        def newton_step(k_list):
+            mats = [r_inv.T @ (kmat - r_inv @ rp @ r_inv.T) @ r_inv
+                    for (_, r_inv, _), kmat, rp in zip(scal, k_list, res_primal)]
+            rhs = _adjoint(cones, mats, n) - res_dual
+            dx = cho_solve(h_factor, rhs, check_finite=False)
             ds_list, dz_list = [], []
             for cone, (_, r_inv, _), kmat, rp in zip(
                     cones, scal, k_list, res_primal):
@@ -325,20 +327,6 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
                 dz = r_inv.T @ (kmat - ds_scaled) @ r_inv
                 ds_list.append(ds)
                 dz_list.append(0.5 * (dz + dz.T))
-            return ds_list, dz_list
-
-        def newton_step(k_list):
-            mats = [r_inv.T @ (kmat - r_inv @ rp @ r_inv.T) @ r_inv
-                    for (_, r_inv, _), kmat, rp in zip(scal, k_list, res_primal)]
-            rhs = _adjoint(cones, mats, n) - res_dual
-            dx = cho_solve(h_factor, rhs, check_finite=False)
-            ds_list, dz_list = directions(dx, k_list)
-            # one refinement step against the operators themselves: the
-            # step must meet the dual equation adjoint(dz) = r_d, and near the
-            # optimum the factored matrix alone no longer holds it to feas_tol
-            dx += cho_solve(h_factor, _adjoint(cones, dz_list, n) - res_dual,
-                            check_finite=False)
-            ds_list, dz_list = directions(dx, k_list)
             return dx, ds_list, dz_list
 
         # predictor (affine scaling) direction
@@ -384,39 +372,44 @@ def solve_conic(cones, c, x0, settings: SolverSettings,
     return x, status, info
 
 
-def _full_form(quadratic, linear, constant) -> np.ndarray:
-    """Q with (1, a)^T Q (1, a) = constant + linear.a + a^T quadratic a."""
-    p = len(linear)
-    full = np.empty((p + 1, p + 1))
-    full[0, 0] = constant
-    full[0, 1:] = full[1:, 0] = 0.5 * np.asarray(linear, dtype=float)
-    full[1:, 1:] = quadratic
-    return full
+def _epigraph_block(quadratic, linear, constant):
+    """Epigraph block of quadratic + linear + constant <= t over its P + 1
+    variables (a_1..a_P, t): (f0, fmat, z0).
 
+    Mathematically it is the block E = [[I, L a], [(L a)^T, t - lin.a - c]]
+    with L^T L = quadratic, seen through the congruence N E N^T,
+    N = [[I, 0], [w^T, 1]], where L^T w = lin / 2 (the part lin_r of lin that
+    L^T does not reach stays in the corner):
 
-def _epigraph_block(full_form):
-    """Epigraph block [[I, L (1, a)], [(L (1, a))^T, t]] >= 0 of
-    (1, a)^T Q (1, a) = ||L (1, a)||^2 <= t, over its P + 1 variables
-    (a_1..a_P, t).
+        N E N^T = [[I, L a + w], [(L a + w)^T, t - (c - |w|^2) - lin_r.a]].
 
-    At the optimum the objective is a small remainder of O(1) terms.
-    Factoring the whole form keeps that remainder inside L (1, a), so the
-    block's slack t - ||L (1, a)||^2 is not itself a difference of O(1)
-    numbers and stays resolvable near the optimum.
+    E's entries are O(1) near the optimum while its Schur complement, the
+    epigraph slack, is a small remainder below their rounding error.  Here the
+    entries are the residual L a + w and t less the objective's floor
+    c - |w|^2, which shrink with the objective.  NT-scaled steps commute with
+    the congruence when the dual starts at z0 = N^-T N^-1 (E's identity), so
+    the iterates are E's, computed without the cancellation.
     """
-    lam, vec = np.linalg.eigh(full_form)
-    keep = lam > RANK_TRUNCATION * max(float(lam[-1]), 0.0)
-    factor = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
+    lam, vec = np.linalg.eigh(np.asarray(quadratic, dtype=float))
+    lam_max = float(lam[-1]) if lam.size else 0.0
+    keep = lam > RANK_TRUNCATION * max(lam_max, 0.0)
+    root = np.sqrt(lam[keep])
+    factor = root[:, None] * vec[:, keep].T
+    w = (vec[:, keep].T @ (0.5 * linear)) / root
     rank = factor.shape[0]
-    p = full_form.shape[0] - 1
-    f0 = np.zeros((rank + 1, rank + 1))
-    f0[:rank, :rank] = np.eye(rank)
-    f0[:rank, rank] = f0[rank, :rank] = factor[:, 0]
+    p = len(linear)
+    f0 = np.eye(rank + 1)
+    f0[:rank, rank] = f0[rank, :rank] = w
+    f0[rank, rank] = float(w @ w) - constant
     fmat = np.zeros((p + 1, rank + 1, rank + 1))
-    fmat[:p, :rank, rank] = factor[:, 1:].T
-    fmat[:p, rank, :rank] = factor[:, 1:].T
+    fmat[:p, :rank, rank] = factor.T
+    fmat[:p, rank, :rank] = factor.T
+    fmat[:p, rank, rank] = 2.0 * factor.T @ w - linear
     fmat[p, rank, rank] = 1.0  # epigraph variable t
-    return f0, fmat
+    z0 = np.eye(rank + 1)
+    z0[:rank, :rank] += np.outer(w, w)
+    z0[:rank, rank] = z0[rank, :rank] = -w
+    return f0, fmat, z0
 
 
 def _interior_start(problem: SdpProblem, obj_scale: float):
@@ -436,10 +429,11 @@ def _design_cones(problem: SdpProblem, obj_scale: float):
     """The design SDP's two blocks over x = (a, certificate, t): the
     epigraph of the objective (divided by ``obj_scale``) and the KYP block."""
     p = problem.order
-    f0_epi, fm_epi = _epigraph_block(_full_form(
-        problem.quadratic, problem.linear, problem.constant) / obj_scale)
+    f0_epi, fm_epi, z0_epi = _epigraph_block(problem.quadratic / obj_scale,
+                                             problem.linear / obj_scale,
+                                             problem.constant / obj_scale)
     index = np.append(np.arange(p), problem.variable_count)
-    return [_DenseCone(f0_epi, fm_epi, index), _KypCone(problem.lmi)]
+    return [_DenseCone(f0_epi, fm_epi, index, z0_epi), _KypCone(problem.lmi)]
 
 
 def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:

@@ -266,6 +266,54 @@ class TestVerify:
         code = main(["verify", "--ntf", str(ntf_path)])
         assert code == 4
 
+    def test_shrunk_tail_falls_back_to_phase_one(self, spec_path, tmp_path,
+                                                 monkeypatch):
+        # (1 - e) H + e has gain <= (1 - e) gamma + e <= gamma, so the edited
+        # NTF meets the bound, but the design sits on the LMI boundary and
+        # the stored certificate no longer fits it
+        import ntfforge.sdp as sdp
+        from ntfforge.kyp import (FEAS_EIG_TOL, bounded_real_matrix,
+                                  canonical_realization)
+
+        ntf_path = run_design(spec_path, tmp_path)
+        artifact = json.loads(ntf_path.read_text())
+        a = np.asarray(artifact["a"])
+        artifact["a"] = [a[0]] + (0.999 * a[1:]).tolist()
+        big = bounded_real_matrix(
+            canonical_realization(artifact["a"]),
+            np.asarray(artifact["certificate"]["p_matrix"]), 1.5)
+        assert np.linalg.eigvalsh(big)[-1] > FEAS_EIG_TOL * 1.5**2
+        ntf_path.write_text(json.dumps(artifact))
+        calls = []
+        genuine = sdp.solve_gain_feasibility
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", counted)
+        code = main(["verify", "--ntf", str(ntf_path)])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_certificate_needs_only_p_matrix_and_gamma(
+            self, spec_path, tmp_path, monkeypatch):
+        import ntfforge.sdp as sdp
+
+        ntf_path = run_design(spec_path, tmp_path)
+        artifact = json.loads(ntf_path.read_text())
+        stored = artifact["certificate"]
+        artifact["certificate"] = {"p_matrix": stored["p_matrix"],
+                                   "gamma": stored["gamma"]}
+        ntf_path.write_text(json.dumps(artifact))
+
+        def no_phase_one(*args, **kwargs):
+            raise AssertionError("verify re-solved the phase-1 SDP")
+
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        code = main(["verify", "--ntf", str(ntf_path)])
+        assert code == 0
+
     def test_gamma_override_solves_phase_one(self, spec_path, tmp_path,
                                              monkeypatch):
         import ntfforge.sdp as sdp

@@ -79,6 +79,16 @@ class TestSolve:
         gmax = grid_gain_max(extract_ntf(sol, 1))
         assert gmax == pytest.approx(1.5, abs=1e-6)
 
+    def test_objective_may_go_negative(self):
+        # only the quadratic block must be PSD: constant 0 with a linear term
+        # has its minimum -1 at a = (-1, 0)
+        prob = SdpProblem(quadratic=np.eye(2), linear=np.array([2.0, 0.0]),
+                          lmi=assemble_lmi(2, 100.0))
+        sol = solve(prob, TIGHT)
+        assert sol.status == "optimal"
+        assert sol.xi[:2] == pytest.approx([-1.0, 0.0], abs=1e-6)
+        assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+
     def test_infeasible_gamma_below_unity_detected(self):
         prob = SdpProblem(quadratic=np.eye(2), linear=np.zeros(2),
                           lmi=assemble_lmi(2, 0.9), constant=1.0)
@@ -156,6 +166,33 @@ class TestProblemValidation:
         with pytest.raises(InvalidSpecError):
             SdpProblem(quadratic=np.eye(3), linear=np.zeros(3),
                        lmi=assemble_lmi(2, 1.5))
+
+
+class TestEpigraphBlock:
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_congruent_to_plain_epigraph_block(self, order_p, rank, seed):
+        # E = [[I, L a], [(L a)^T, t - lin.a - c]] holds t >= objective(a) as
+        # its Schur complement; the block must hold the same one, and z0 must
+        # be E's identity seen through N = [[I, 0], [w^T, 1]]
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(min(rank, order_p), order_p))
+        quad = half.T @ half
+        lin = rng.normal(size=order_p)
+        const = float(rng.normal())
+        f0, fmat, z0 = sdp._epigraph_block(quad, lin, const)
+        x = rng.normal(size=order_p + 1)
+        a, t = x[:order_p], x[order_p]
+        block = f0 + np.tensordot(x, fmat, 1)
+        size = block.shape[0]
+        assert np.array_equal(block[:-1, :-1], np.eye(size - 1))
+        schur = block[-1, -1] - block[:-1, -1] @ block[:-1, -1]
+        objective = const + lin @ a + a @ quad @ a
+        assert abs(schur - (t - objective)) <= 1e-9 * (
+            1.0 + abs(t) + abs(const) + abs(lin @ a) + a @ quad @ a)
+        n_inv = np.eye(size)
+        n_inv[-1, :-1] = -f0[:-1, -1]
+        assert_close(z0, n_inv.T @ n_inv)
 
 
 def dense_kyp_basis(order_p, gamma):
