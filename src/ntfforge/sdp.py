@@ -383,12 +383,13 @@ def _epigraph_block(quadratic, linear, constant):
 
         N E N^T = [[I, L a + w], [(L a + w)^T, t - (c - |w|^2) - lin_r.a]].
 
-    E's entries are O(1) near the optimum while its Schur complement, the
-    epigraph slack, is a small remainder below their rounding error.  Here the
-    entries are the residual L a + w and t less the objective's floor
-    c - |w|^2, which shrink with the objective.  NT-scaled steps commute with
-    the congruence when the dual starts at z0 = N^-T N^-1 (E's identity), so
-    the iterates are E's, computed without the cancellation.
+    E's entries stay O(1) near the optimum while its Schur complement, the
+    epigraph slack, shrinks to a remainder that their rounding error can
+    swamp.  Here the entries are the residual L a + w and t less the
+    objective's floor c - |w|^2, which shrink with the objective.  NT-scaled
+    steps commute with the congruence when the dual starts at
+    z0 = N^-T N^-1, the image of the identity start on E, so the iterates
+    are E's, computed without the cancellation.
     """
     lam, vec = np.linalg.eigh(np.asarray(quadratic, dtype=float))
     lam_max = float(lam[-1]) if lam.size else 0.0
