@@ -26,7 +26,7 @@ from .design import (
 )
 from .errors import BoundViolationError, InvalidSpecError, NtfForgeError, SolverError
 from .filters import FrequencyGrid, design_filter
-from .kyp import BoundedRealCertificate, verify_bounded_real
+from .kyp import verify_bounded_real
 from .modsim import NtfFir
 from .objective import merit_integrand
 
@@ -182,7 +182,7 @@ def cmd_curves(args) -> int:
 
 
 def stored_certificate(artifact: dict, order_p: int, gamma: float):
-    """The artifact's own certificate matrix when it was made for this order
+    """The artifact's own certificate matrix P when it was made for this order
     and gamma, else None (external NTFs, a ``--gamma`` other than the stored
     one).  Only ``p_matrix`` and ``gamma`` are read; verify recomputes the
     eigenvalue extremes and the grid maximum."""
@@ -193,11 +193,7 @@ def stored_certificate(artifact: dict, order_p: int, gamma: float):
         p_matrix = np.asarray(stored.get("p_matrix"), dtype=float)
     except (TypeError, ValueError):
         return None
-    if p_matrix.shape != (order_p, order_p):
-        return None
-    return BoundedRealCertificate(p_matrix=p_matrix, gamma=gamma,
-                                  max_eigenvalue_big=np.nan,
-                                  min_eigenvalue_p=np.nan, grid_max=np.nan)
+    return p_matrix if p_matrix.shape == (order_p, order_p) else None
 
 
 def cmd_verify(args) -> int:

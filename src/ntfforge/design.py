@@ -17,15 +17,14 @@ from .filters import (
     FrequencyGrid,
     RationalFilter,
     design_filter,
-    frequency_response,
     impulse_response,
     polynomial_roots,
 )
 from .kyp import (
+    GRID_SLACK,
     BoundedRealCertificate,
     assemble_lmi,
-    bounded_real_matrix,
-    canonical_realization,
+    bounded_real_certificate,
     grid_gain_max,
     require_certified,
     unpack_certificate,
@@ -38,7 +37,6 @@ log = logging.getLogger("ntfforge.design")
 
 MAX_FIR_ORDER = 64
 DEFAULT_SIM_SAMPLES = 2**16
-LEE_GRID_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -139,17 +137,11 @@ class DesignResult:
 
 def certificate_from_solution(solution: SdpSolution, order_p: int,
                               gamma: float) -> BoundedRealCertificate:
-    """Assemble the gain-bound certificate from the solver's own variables."""
-    pm = unpack_certificate(solution.xi[order_p:], order_p)
-    coeffs = extract_ntf(solution, order_p)
-    big = bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
-    return BoundedRealCertificate(
-        p_matrix=pm,
-        gamma=gamma,
-        max_eigenvalue_big=float(np.linalg.eigvalsh(big)[-1]),
-        min_eigenvalue_p=float(np.linalg.eigvalsh(pm)[0]),
-        grid_max=grid_gain_max(coeffs),
-    )
+    """The gain-bound certificate of the solver's own coefficients and
+    certificate matrix."""
+    return bounded_real_certificate(
+        extract_ntf(solution, order_p),
+        unpack_certificate(solution.xi[order_p:], order_p), gamma)
 
 
 def run_design(spec: DesignSpec) -> DesignResult:
@@ -204,7 +196,7 @@ class EvaluationReport:
 
     @property
     def passed(self) -> bool:
-        return (self.grid_max_ntf <= self.gamma * (1.0 + LEE_GRID_SLACK)
+        return (self.grid_max_ntf <= self.gamma * (1.0 + GRID_SLACK)
                 and not self.overloaded)
 
     def to_json_dict(self) -> dict:
@@ -285,8 +277,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         simulated_db = sim_rep.snr_db
         overloaded = trace.overloaded
     zeros = polynomial_roots(num)
-    grid_max = float(np.max(np.abs(
-        frequency_response(num, den, FrequencyGrid.uniform(8192)))))
+    grid_max = grid_gain_max(num, den=den)
     return EvaluationReport(
         ntf_coeffs=tuple(float(v) for v in num),
         sigma2_h=float(sigma2_h_value),

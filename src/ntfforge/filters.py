@@ -11,7 +11,7 @@ operation here runs section-wise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal as spsig
@@ -115,10 +115,6 @@ class FilterSpec:
             if not self.impulse:
                 raise InvalidSpecError("explicit_impulse needs samples")
 
-    @property
-    def total_band_width_hz(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.bands_hz))
-
     def to_json_dict(self) -> dict:
         if self.kind == "explicit_rational":
             return {"kind": self.kind, "num": list(self.num), "den": list(self.den),
@@ -158,7 +154,6 @@ class RationalFilter:
     den: tuple
     fs_hz: float
     branches: tuple = ()
-    validate_stability: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         num = tuple(float(c) for c in self.num)
@@ -180,12 +175,11 @@ class RationalFilter:
             )
         if self.fs_hz <= 0:
             raise InvalidSpecError("sample rate must be positive")
-        if self.validate_stability:
-            radius = self.max_pole_radius()
-            if radius >= 1.0 - _STABILITY_MARGIN:
-                raise ConditioningError(
-                    f"pole radius {radius:.15f} at or beyond the stability margin"
-                )
+        radius = self.max_pole_radius()
+        if radius >= 1.0 - _STABILITY_MARGIN:
+            raise ConditioningError(
+                f"pole radius {radius:.15f} at or beyond the stability margin"
+            )
 
     def poles(self) -> np.ndarray:
         """Poles gathered section-wise (well-conditioned per low-order section)."""

@@ -320,11 +320,12 @@ def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
     return LmiSystem(order=order_p, gamma=gamma)
 
 
-def grid_gain_max(coeffs, points: int = VERIFY_GRID) -> float:
-    """Dense-grid maximum of |NTF| over [0, pi]."""
+def grid_gain_max(coeffs, points: int = VERIFY_GRID, den=(1.0,)) -> float:
+    """Dense-grid maximum of |NTF| over [0, pi]; FIR unless a denominator
+    ``den`` is given."""
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
     grid = FrequencyGrid.uniform(points)
-    return float(np.max(np.abs(frequency_response(a, (1.0,), grid))))
+    return float(np.max(np.abs(frequency_response(a, den, grid))))
 
 
 def schur_equivalence_check(realization: CanonicalRealization, p_matrix,
@@ -343,15 +344,31 @@ def schur_equivalence_check(realization: CanonicalRealization, p_matrix,
     return nsd_big, nsd_red
 
 
+def bounded_real_certificate(coeffs, p_matrix,
+                             gamma: float) -> BoundedRealCertificate:
+    """The gain-bound certificate of an FIR filter with witness P: the top
+    eigenvalue of the bounded-real block matrix, the bottom one of P and the
+    dense-grid gain maximum.  ``require_certified`` judges it."""
+    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    pm = np.asarray(p_matrix, dtype=float)
+    big = bounded_real_matrix(canonical_realization(a), pm, gamma)
+    return BoundedRealCertificate(
+        p_matrix=pm,
+        gamma=float(gamma),
+        max_eigenvalue_big=float(np.linalg.eigvalsh(big)[-1]),
+        min_eigenvalue_p=float(np.linalg.eigvalsh(pm)[0]),
+        grid_max=grid_gain_max(a),
+    )
+
+
 def verify_bounded_real(coeffs, gamma: float,
-                        certificate: BoundedRealCertificate | None = None,
-                        ) -> BoundedRealCertificate:
+                        p_matrix=None) -> BoundedRealCertificate:
     """Check (or construct) a gain-bound certificate for an FIR filter.
 
-    With a certificate supplied, the eigenvalue extremes are recomputed and
-    judged.  Without one, an LMI feasibility problem is solved.  A dense-grid
-    gain check runs in both paths and is authoritative: disagreement between
-    the grid and the algebra raises.
+    With a witness ``p_matrix`` supplied, the certificate is rebuilt from it
+    and judged.  Without one, an LMI feasibility problem is solved for it.  A
+    dense-grid gain check runs in both paths and is authoritative:
+    disagreement between the grid and the algebra raises.
     """
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
     if gamma <= 0:
@@ -371,13 +388,12 @@ def verify_bounded_real(coeffs, gamma: float,
             max_eigenvalue_big=float(np.linalg.eigvalsh(corner)[-1]),
             min_eigenvalue_p=0.0, grid_max=gmax,
         )
-    realization = canonical_realization(a)
-    gmax = grid_gain_max(a)
-    if certificate is None:
+    if p_matrix is None:
         from .sdp import solve_gain_feasibility
 
         p_matrix, feasible = solve_gain_feasibility(a, gamma)
         if not feasible:
+            gmax = grid_gain_max(a)
             if gmax <= gamma * (1.0 + GRID_SLACK):
                 raise BoundViolationError(
                     f"feasibility solve failed although grid max {gmax:.6f} "
@@ -388,17 +404,7 @@ def verify_bounded_real(coeffs, gamma: float,
                 f"gain bound violated: grid max {gmax:.6f} > gamma {gamma}",
                 grid_max=gmax,
             )
-    else:
-        p_matrix = np.asarray(certificate.p_matrix, dtype=float)
-    big = bounded_real_matrix(realization, p_matrix, gamma)
-    cert = BoundedRealCertificate(
-        p_matrix=p_matrix,
-        gamma=float(gamma),
-        max_eigenvalue_big=float(np.linalg.eigvalsh(big)[-1]),
-        min_eigenvalue_p=float(np.linalg.eigvalsh(p_matrix)[0]),
-        grid_max=gmax,
-    )
-    return require_certified(cert)
+    return require_certified(bounded_real_certificate(a, p_matrix, gamma))
 
 
 def require_certified(cert: BoundedRealCertificate) -> BoundedRealCertificate:

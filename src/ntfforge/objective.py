@@ -43,22 +43,24 @@ class NoiseBudget:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """(P+1)x(P+1) symmetric Toeplitz autocorrelation matrix of h."""
+    """(P+1)x(P+1) symmetric Toeplitz autocorrelation matrix of h, stored as
+    its first row; ``entries`` is the full matrix built from it."""
 
     first_row: np.ndarray
-    entries: np.ndarray
 
     def __post_init__(self):
         fr = np.asarray(self.first_row, dtype=float)
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (fr.size, fr.size):
-            raise InvalidSpecError("entries shape must match first_row length")
+        if fr.ndim != 1 or fr.size == 0:
+            raise InvalidSpecError("first_row must be a nonempty vector")
         object.__setattr__(self, "first_row", fr)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def order(self) -> int:
         return self.first_row.size - 1
+
+    @property
+    def entries(self) -> np.ndarray:
+        return toeplitz(self.first_row)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
@@ -93,8 +95,8 @@ def build_q_matrix(h, order_p: int) -> QMatrix:
     """Autocorrelation matrix of the impulse response, lags 0..P.
 
     Accepts an ImpulseResponse or a plain sample vector.  The first row is the
-    restricted correlation sum q_k = sum_{i=k}^{M} h_i h_{i-k}; the full matrix
-    is materialized Toeplitz-symmetric from it.
+    restricted correlation sum q_k = sum_{i=k}^{M} h_i h_{i-k}, and the
+    matrix is the symmetric Toeplitz matrix it defines.
     """
     samples = np.asarray(getattr(h, "samples", h), dtype=float)
     if order_p < 1:
@@ -106,10 +108,9 @@ def build_q_matrix(h, order_p: int) -> QMatrix:
         [np.dot(samples[k:], samples[: m1 - k]) if k < m1 else 0.0
          for k in range(order_p + 1)]
     )
-    entries = toeplitz(first_row)
-    q = QMatrix(first_row=first_row, entries=entries)
+    q = QMatrix(first_row=first_row)
     min_eig = q.min_eigenvalue()
-    trace = float(np.trace(entries))
+    trace = (order_p + 1) * float(first_row[0])
     if min_eig < -PSD_EIG_TOL * trace:
         raise DegenerateFilterError(
             f"autocorrelation matrix not PSD: min eig {min_eig:.3e}, trace {trace:.3e}"

@@ -41,12 +41,12 @@ class TestCertificateWithoutCone:
 
 
 def forge_certificate(monkeypatch, name, value):
-    genuine = design.certificate_from_solution
+    genuine = design.bounded_real_certificate
 
     def forged(*args):
         return dataclasses.replace(genuine(*args), **{name: value})
 
-    monkeypatch.setattr(design, "certificate_from_solution", forged)
+    monkeypatch.setattr(design, "bounded_real_certificate", forged)
 
 
 # one broken field per case; lowpass_spec() designs at gamma = 1.5
@@ -158,6 +158,29 @@ class TestNarrowbandP49:
         assert out["status"] == "optimal"
         assert out["feasible"]
         assert out["grid_max"] <= 1.5 * (1.0 + 1e-4)
+
+
+RANK_DEFICIENT_P35 = {
+    "fs_hz": 51200.0,
+    "filter": {"kind": "bandpass_butterworth", "order": 8,
+               "bands_hz": [[821.7393286631443, 1260.6557032989808]]},
+    "fir_order": 35,
+    "gamma": 1.9358801284298226,
+}
+
+
+class TestRankDeficientObjective:
+    # On this band the objective's quadratic block keeps only 19 of its 35
+    # eigenvalues above 1e-12 of the largest.  Truncating it there, as an
+    # epigraph cone over its factor did, returned "optimal" 1.2e-4 above the
+    # optimum and failed numerically at the tight tolerances.
+    def test_default_settings_reach_the_tight_optimum(self):
+        spec = DesignSpec.from_json_dict(RANK_DEFICIENT_P35)
+        tight = SolverSettings(gap_tol=1e-10, feas_tol=1e-9)
+        loose = run_design(spec)
+        exact = run_design(dataclasses.replace(spec, solver=tight))
+        assert loose.certificate.feasible and exact.certificate.feasible
+        assert loose.sigma2_h == pytest.approx(exact.sigma2_h, rel=1e-6)
 
 
 class TestSolverErrorMessage:

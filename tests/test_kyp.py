@@ -178,10 +178,11 @@ class TestVerifyBoundedReal:
     def test_supplied_certificate_is_rechecked(self):
         cert = verify_bounded_real(np.array([1.0, -0.5]), 1.6)
         again = verify_bounded_real(np.array([1.0, -0.5]), 1.6,
-                                    certificate=cert)
+                                    p_matrix=cert.p_matrix)
         assert again.feasible
         with pytest.raises(BoundViolationError):
-            verify_bounded_real(np.array([1.0, -1.0]), 1.5, certificate=cert)
+            verify_bounded_real(np.array([1.0, -1.0]), 1.5,
+                                p_matrix=cert.p_matrix)
 
     def test_gain_bound_implies_grid_bound(self):
         rng = np.random.default_rng(31)

@@ -168,33 +168,6 @@ class TestProblemValidation:
                        lmi=assemble_lmi(2, 1.5))
 
 
-class TestEpigraphBlock:
-    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_congruent_to_plain_epigraph_block(self, order_p, rank, seed):
-        # E = [[I, L a], [(L a)^T, t - lin.a - c]] holds t >= objective(a) as
-        # its Schur complement; the block must hold the same one, and z0 must
-        # be E's identity seen through N = [[I, 0], [w^T, 1]]
-        rng = np.random.default_rng(seed)
-        half = rng.normal(size=(min(rank, order_p), order_p))
-        quad = half.T @ half
-        lin = rng.normal(size=order_p)
-        const = float(rng.normal())
-        f0, fmat, z0 = sdp._epigraph_block(quad, lin, const)
-        x = rng.normal(size=order_p + 1)
-        a, t = x[:order_p], x[order_p]
-        block = f0 + np.tensordot(x, fmat, 1)
-        size = block.shape[0]
-        assert np.array_equal(block[:-1, :-1], np.eye(size - 1))
-        schur = block[-1, -1] - block[:-1, -1] @ block[:-1, -1]
-        objective = const + lin @ a + a @ quad @ a
-        assert abs(schur - (t - objective)) <= 1e-9 * (
-            1.0 + abs(t) + abs(const) + abs(lin @ a) + a @ quad @ a)
-        n_inv = np.eye(size)
-        n_inv[-1, :-1] = -f0[:-1, -1]
-        assert_close(z0, n_inv.T @ n_inv)
-
-
 def dense_kyp_basis(order_p, gamma):
     """M(0) and M_i = M(e_i) - M(0), rebuilt from the block formula."""
     count = assemble_lmi(order_p, gamma).variable_count
@@ -213,60 +186,51 @@ def random_spd(rng, n):
     return m @ m.T + 0.1 * np.eye(n)
 
 
+def random_scaling(rng, n):
+    """The NT scaling R (``r_inv``) of a random pair of SPD matrices."""
+    _, r, _ = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, n)),
+                              np.linalg.cholesky(random_spd(rng, n)))
+    return r
+
+
+def dense_gram(fmat, r):
+    """tr(G_k G_l) with G_k = R F_k R^T, from the dense basis."""
+    g = (r @ fmat @ r.T).reshape(fmat.shape[0], -1)
+    return g @ g.T
+
+
 def assert_close(got, want, rtol=1e-12):
     scale = max(1.0, float(np.max(np.abs(want))))
     assert float(np.max(np.abs(got - want))) <= rtol * scale
 
 
-def check_against_dense(cones, dense, rng):
-    """Structured affine map, adjoint and Schur matrix of ``cones`` against
-    the dense (F0, [F_i]) pairs: F0 + sum x_i F_i, <F_i, M> and, under the NT
-    scaling R of random S and Z, sum over blocks of G_k G_l^T with
-    G_k = vec(R F_k R^T)."""
-    nvar = dense[0][1].shape[0]
+def check_against_dense(cone, f0, fmat, rng):
+    """The cone's affine map, adjoint and Schur complement against the dense
+    block F0 + sum x_i F_i: <F_i, M> and, under the NT scaling R of random S
+    and Z, tr(G_k G_l)."""
+    nvar = fmat.shape[0]
+    assert cone.nvar == nvar
     x = rng.normal(size=nvar)
-    for cone, (f0, fmat) in zip(cones, dense):
-        assert_close(cone.f0 + cone.linear(x), f0 + np.tensordot(x, fmat, 1))
-    mats = []
-    for _, fmat in dense:
-        m = rng.normal(size=fmat.shape[1:])
-        mats.append(m + m.T)
-    want = sum(np.einsum("nab,ab->n", fmat, m)
-               for (_, fmat), m in zip(dense, mats))
-    assert_close(sdp._adjoint(cones, mats, nvar), want)
-    scalings, want = [], np.zeros((nvar, nvar))
-    for _, fmat in dense:
-        size = fmat.shape[1]
-        _, r, _ = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, size)),
-                                  np.linalg.cholesky(random_spd(rng, size)))
-        g = (r @ fmat @ r.T).reshape(nvar, -1)
-        want += g @ g.T
-        scalings.append(r)
-    got = sdp._schur_matrix(cones, scalings, nvar)
+    assert_close(cone.f0 + cone.linear(x), f0 + np.tensordot(x, fmat, 1))
+    m = rng.normal(size=f0.shape)
+    m = m + m.T
+    assert_close(cone.adjoint(m), np.einsum("nab,ab->n", fmat, m))
+    r = random_scaling(rng, f0.shape[0])
+    got = np.zeros((nvar, nvar))
+    cone.add_schur(r, got)
     # the Newton system reads the lower triangle only
-    assert_close(np.tril(got), np.tril(want))
+    assert_close(np.tril(got), np.tril(dense_gram(fmat, r)))
 
 
 class TestStructuredOperators:
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_design_layout_matches_dense(self, order_p, gamma, seed):
-        # x = (a, certificate, t); epigraph block over (a, t), KYP block
-        # -M(a; P) over (a, certificate)
+        # x = (a, certificate); the block is -M(a; P)
         rng = np.random.default_rng(seed)
-        half = rng.normal(size=(order_p + 1, order_p + 1))
-        full = half @ half.T
-        problem = SdpProblem(quadratic=full[1:, 1:], linear=2.0 * full[0, 1:],
-                             lmi=assemble_lmi(order_p, gamma),
-                             constant=full[0, 0])
-        cones = sdp._design_cones(problem, 1.0)
-        nvar = problem.variable_count + 1
-        epi = cones[0]
-        epi_fmat = np.zeros((nvar,) + epi.fmat.shape[1:])
-        epi_fmat[epi.index] = epi.fmat
+        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
         m0, basis = dense_kyp_basis(order_p, gamma)
-        kyp_fmat = np.concatenate((-basis, np.zeros((1,) + m0.shape)))
-        check_against_dense(cones, [(epi.f0, epi_fmat), (-m0, kyp_fmat)], rng)
+        check_against_dense(cone, -m0, -basis, rng)
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -278,4 +242,19 @@ class TestStructuredOperators:
         m0, basis = dense_kyp_basis(order_p, gamma)
         f0 = -(m0 + np.tensordot(coeffs, basis[:order_p], 1))
         fmat = np.concatenate((-basis[order_p:], np.eye(order_p + 2)[None]))
-        check_against_dense([cone], [(f0, fmat)], rng)
+        check_against_dense(cone, f0, fmat, rng)
+
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_newton_matrix_is_gram_plus_quadratic(self, order_p, gamma, seed):
+        # the objective's quadratic G adds to the a-block of the Gram matrix
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(order_p, order_p))
+        quad = half @ half.T
+        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
+        _, basis = dense_kyp_basis(order_p, gamma)
+        r = random_scaling(rng, order_p + 2)
+        want = dense_gram(-basis, r)
+        want[:order_p, :order_p] += quad
+        assert_close(np.tril(sdp._newton_matrix(cone, r, quad)),
+                     np.tril(want))
