@@ -17,6 +17,7 @@ from .filters import (
     FrequencyGrid,
     RationalFilter,
     design_filter,
+    frequency_response,  # unused here; perfbench/tracing.py wraps it by name
     impulse_response,
     polynomial_roots,
 )
