@@ -211,8 +211,8 @@ def cmd_verify(args) -> int:
         except BoundViolationError:
             # the design sits on the LMI boundary, so coefficients edited
             # after the design (rounded, say) can leave the stored witness
-            # behind while still meeting the bound: search for another
-            log.info("stored certificate rejected; solving for another")
+            # behind while still meeting the bound: build another
+            log.info("stored certificate rejected; building another")
     if cert is None:
         cert = verify_bounded_real(coeffs, gamma)
     if args.out:

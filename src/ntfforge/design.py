@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -103,10 +102,6 @@ class DesignSpec:
             grid_points=int(d.get("grid_points", DEFAULT_GRID_POINTS)),
             energy_tol=float(d.get("energy_tol", DEFAULT_ENERGY_TOL)),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

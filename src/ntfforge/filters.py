@@ -10,7 +10,6 @@ operation here runs section-wise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +134,6 @@ class FilterSpec:
         return cls(kind=kind, fs_hz=d["fs_hz"], order=int(d.get("order", 0)),
                    bands_hz=tuple(tuple(b) for b in d.get("bands_hz", ())))
 
-    @classmethod
-    def from_json(cls, text: str) -> "FilterSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class RationalFilter:
@@ -256,11 +251,6 @@ class ImpulseResponse:
     @property
     def energy(self) -> float:
         return float(np.dot(self.samples, self.samples))
-
-    def to_csv(self) -> str:
-        lines = ["n,h"]
-        lines += [f"{n},{v:.17g}" for n, v in enumerate(self.samples)]
-        return "\n".join(lines) + "\n"
 
 
 def _polyval_zinv(coeffs, zinv):

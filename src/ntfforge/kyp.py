@@ -4,9 +4,11 @@ The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix built on the
 delay-chain state-space realization of the FIR filter, together with a
 positive definite certificate matrix.  The affine map, its adjoint and its
-Newton-system blocks (all from the delay-chain structure), verification against
-a dense frequency grid, and the Schur-complement equivalence used as a test
-oracle all live here.
+Newton-system blocks (all from the delay-chain structure), the judgement of a
+witness against the LMI and a dense frequency grid, and the Schur-complement
+equivalence used as a test oracle all live here.  A fixed filter's witness
+needs no SDP: it is the observability Gramian of the filter's lossless
+extension (``sdp.solve_gain_feasibility``).
 """
 
 from __future__ import annotations
@@ -190,19 +192,6 @@ class LmiSystem:
                 "qc,qjc->jc", xs[:, i, :end], ys[:, i:, :end]) \
                 * (0.5 * half_c[begin:end, None])
 
-    def gram_identity(self, r) -> np.ndarray:
-        """tr(G_(ij) R R^T) over the certificate entries: the Newton-system
-        entries between them and a shift that enters as the identity.
-
-        Equal to (c_ij / 2)(E_ij + E_ji) with E = (R^T D)^T (R^T S), D and S
-        the adjacent-column differences and sums of ``gram_certificate``.
-        """
-        r = np.asarray(r, dtype=float)
-        upper, lower = np.triu_indices(self.order)
-        diff, summ, half_c = self._adjacent(r)
-        e = (r.T @ diff).T @ (r.T @ summ)
-        return half_c * (e[upper, lower] + e[lower, upper])
-
 
 @dataclass(frozen=True)
 class BoundedRealCertificate:
@@ -366,9 +355,9 @@ def verify_bounded_real(coeffs, gamma: float,
     """Check (or construct) a gain-bound certificate for an FIR filter.
 
     With a witness ``p_matrix`` supplied, the certificate is rebuilt from it
-    and judged.  Without one, an LMI feasibility problem is solved for it.  A
-    dense-grid gain check runs in both paths and is authoritative:
-    disagreement between the grid and the algebra raises.
+    and judged.  Without one, the witness is the Gramian of the filter's
+    lossless extension (``sdp.solve_gain_feasibility``), judged the same way.
+    Both the LMI and a dense-grid gain check must hold, else this raises.
     """
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
     if gamma <= 0:
@@ -391,19 +380,7 @@ def verify_bounded_real(coeffs, gamma: float,
     if p_matrix is None:
         from .sdp import solve_gain_feasibility
 
-        p_matrix, feasible = solve_gain_feasibility(a, gamma)
-        if not feasible:
-            gmax = grid_gain_max(a)
-            if gmax <= gamma * (1.0 + GRID_SLACK):
-                raise BoundViolationError(
-                    f"feasibility solve failed although grid max {gmax:.6f} "
-                    f"<= gamma {gamma}",
-                    grid_max=gmax,
-                )
-            raise BoundViolationError(
-                f"gain bound violated: grid max {gmax:.6f} > gamma {gamma}",
-                grid_max=gmax,
-            )
+        p_matrix, _ = solve_gain_feasibility(a, gamma)
     return require_certified(bounded_real_certificate(a, p_matrix, gamma))
 
 

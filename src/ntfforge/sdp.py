@@ -19,6 +19,9 @@ columns: O(P^4) work for the ~P^2/2 certificate entries instead of a dense
 Gram product over (P+2)^2-entry basis matrices.  The Newton matrix is
 factored once per iteration with a Cholesky factorization; both Newton steps
 solve with that factor.
+
+Fixed coefficients need no solve: ``solve_gain_feasibility`` builds their
+witness in closed form from a spectral factor.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import InvalidSpecError, SolverError
-from .kyp import LmiSystem, assemble_lmi, pack_certificate, unpack_certificate
+from .kyp import (
+    LmiSystem,
+    assemble_lmi,  # unused here; perfbench/tracing.py wraps it by name
+    bounded_real_certificate,
+    pack_certificate,
+)
 
 log = logging.getLogger("ntfforge.sdp")
 
@@ -110,48 +118,25 @@ class SdpSolution:
 
 
 class _KypCone:
-    """The KYP block's slack -M(xi) in its delay-chain structure.
+    """The KYP block's slack -M(xi) over the design's x = (a, certificate),
+    in its delay-chain structure."""
 
-    Without ``coeffs`` the layout is the design's x = (a, certificate).  With
-    ``coeffs`` fixed it is the phase-1 layout x = (certificate, s), where the
-    shift s enters as +sI.
-    """
-
-    def __init__(self, lmi: LmiSystem, coeffs=None):
-        p = lmi.order
+    def __init__(self, lmi: LmiSystem):
         self.lmi = lmi
         self.size = lmi.dimension
-        self.shifted = coeffs is not None
-        lead = np.zeros(lmi.variable_count)
-        if self.shifted:
-            lead[:p] = coeffs
-        self.f0 = -lmi.evaluate(lead)
-        self.first = p if self.shifted else 0  # first LMI variable in x
-        self.nvar = lmi.variable_count - self.first + self.shifted
+        self.nvar = lmi.variable_count
+        self.f0 = -lmi.evaluate(np.zeros(self.nvar))
 
     def linear(self, x):
-        if not self.shifted:
-            return -self.lmi.linear(x)
-        out = -self.lmi.linear(np.concatenate((np.zeros(self.first), x[:-1])))
-        out[np.diag_indices(self.size)] += x[-1]
-        return out
+        return -self.lmi.linear(x)
 
     def adjoint(self, mat):
-        out = -self.lmi.adjoint(mat)[self.first:]
-        if self.shifted:
-            out = np.append(out, np.trace(mat))
-        return out
+        return -self.lmi.adjoint(mat)
 
     def add_schur(self, r, h):
         """h_ij += tr(G_i G_j), G_i = R F_i R^T, on the lower triangle, from
-        inner products of R's columns (``LmiSystem.gram_*``).  The KYP basis
-        matrices are -M_i, so the signs cancel between LMI variables; the
-        shift's F = I gives tr(R R^T R R^T) and -tr(G_(ij) R R^T)."""
-        if self.shifted:
-            self.lmi.gram_certificate(r, h[:-1, :-1])
-            h[-1, :-1] -= self.lmi.gram_identity(r)
-            h[-1, -1] += float(np.sum((r @ r.T) ** 2))
-            return
+        inner products of R's columns (``LmiSystem.gram_*``).  The basis
+        matrices are -M_i, so the signs cancel in every product."""
         p = self.lmi.order
         rows = self.lmi.gram_coefficients(r)
         h[:p, :p] += rows[:, :p]
@@ -192,8 +177,7 @@ def _nt_scaling(ls, lz):
 
 
 def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
-                quadratic=None, constant: float = 0.0,
-                gap_scale_floor: float = 1.0):
+                quadratic, constant: float):
     """Mehrotra predictor-corrector for min c.x + x_G^T G x_G / 2 + constant
     over the PSD block S = F0 + F(x) >= 0, with G = ``quadratic`` (PSD)
     acting on the leading entries x_G of x.
@@ -207,12 +191,9 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     Returns (x, status, info).  The start x0 need not be strictly feasible;
     the slack is shifted onto the identity when F(x0) is not PD and the
     residual is driven out by the iteration.  The duality gap <S, Z> is judged
-    relative to the whole objective (floored by gap_scale_floor).
+    relative to the whole objective (floored at 1e-12).
     """
     t_start = time.perf_counter()
-    c = np.asarray(c, dtype=float)
-    quadratic = np.zeros((0, 0)) if quadratic is None \
-        else np.asarray(quadratic, dtype=float)
     k = quadratic.shape[0]
     x = np.asarray(x0, dtype=float).copy()
     f0 = cone.f0
@@ -238,7 +219,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         half_xgx = 0.5 * float(x @ gx)
         pobj = float(c @ x) + half_xgx + constant
         dobj = -float(np.tensordot(f0, z)) - half_xgx + constant
-        denom = max(gap_scale_floor, abs(pobj), abs(dobj))
+        denom = max(1e-12, abs(pobj), abs(dobj))
         rel_gap = gap / denom
         rp_norm = float(np.max(np.abs(res_primal))) / f0_scale
         rd_norm = float(np.max(np.abs(res_dual))) / c_scale
@@ -347,7 +328,7 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     x, status, info = solve_conic(
         _KypCone(problem.lmi), c, _interior_start(problem), settings,
         quadratic=2.0 * problem.quadratic / obj_scale,
-        constant=problem.constant / obj_scale, gap_scale_floor=1e-12)
+        constant=problem.constant / obj_scale)
 
     coeffs = x[:p]
     objective = float(
@@ -382,27 +363,43 @@ def extract_ntf(solution: SdpSolution, order_p: int) -> np.ndarray:
     return np.concatenate(([1.0], solution.xi[:order_p]))
 
 
-def solve_gain_feasibility(coeffs, gamma: float,
-                           settings: SolverSettings | None = None):
-    """Phase-1 style check for fixed coefficients: minimize the uniform shift s
-    with -M(a; P) + sI >= 0; feasible iff s* <= ~0.  As in ``solve``, the KYP
-    block alone implies P >= 0 when s <= 0.
+# perfbench/tracing.py wraps this by name; it moves to kyp with the next
+# benchmark change
+def solve_gain_feasibility(coeffs, gamma: float):
+    """Gain-bound witness for fixed coefficients, with no optimization: the
+    observability Gramian of the lossless extension [A; B] (Vaidyanathan,
+    IEEE Trans. Circuits Syst. 32 (1985) 918-924).
 
-    Returns (p_matrix, feasible).
+    B is the order-P spectral factor of gamma^2 - |A|^2: the P smallest
+    roots of z^P (gamma^2 - r_a(z)), multiplied out on an FFT grid (the
+    serial product of ``np.poly`` loses the identity at P=64) and scaled by
+    least squares on its autocorrelation.  Where |A|^2 + |B|^2 = gamma^2,
+    P = O_a^T O_a + O_b^T O_b solves P - A^T P A = C_a^T C_a + C_b^T C_b and
+    makes the bounded-real matrix -[C_b D_b]^T [C_b D_b] <= 0.  When the bound
+    fails, no factor fits and the certificate is rejected.
+
+    Returns (p_matrix, feasible), feasible as ``bounded_real_certificate``
+    judges it.
     """
-    settings = settings or SolverSettings()
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
     p = a.size - 1
-    kyp = _KypCone(assemble_lmi(p, gamma), a[1:])
-    ncert = kyp.nvar - 1  # certificate entries, then the shift s
-    c = np.zeros(kyp.nvar)
-    c[-1] = 1.0
-    s0 = float(np.linalg.eigvalsh(-kyp.f0)[-1]) + 1.0
-    x0 = np.concatenate((np.zeros(ncert), [max(s0, 1.0)]))
-    x, status, info = solve_conic(kyp, c, x0, settings)
-    if status not in ("optimal", "max_iterations"):
-        return np.zeros((p, p)), False
-    shift = float(x[-1])
-    pm = unpack_certificate(x[:ncert], p)
-    feasible = status == "optimal" and shift <= 1e-6 * max(1.0, gamma * gamma)
-    return pm, feasible
+    poly = -np.correlate(a, a, "full")
+    poly[p] += gamma * gamma
+    roots = np.roots(poly[::-1])
+    roots = roots[np.argsort(np.abs(roots))[:p]]
+    n = 1 << (2 * p + 1).bit_length()  # the power of two >= 2P + 2
+    z_inv = np.exp(-2j * np.pi * np.arange(n) / n)
+    b = np.fft.ifft(np.prod(1.0 - roots[:, None] * z_inv, axis=0)).real[:p + 1]
+    r_b = np.correlate(b, b, "full")
+    b *= np.sqrt(max(0.0, float(r_b @ poly) / float(r_b @ r_b)))
+    o_a, o_b = _observability(a), _observability(b)
+    pm = o_a.T @ o_a + o_b.T @ o_b
+    return pm, bounded_real_certificate(a, pm, gamma).feasible
+
+
+def _observability(x):
+    """Rows C A^k, k < P, of the delay chain with output row
+    C = (x_P, .., x_1): the upper-triangular Toeplitz matrix on that row."""
+    row = x[:0:-1]
+    lag = np.arange(row.size)[None, :] - np.arange(row.size)[:, None]
+    return np.where(lag >= 0, row[np.maximum(lag, 0)], 0.0)

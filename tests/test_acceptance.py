@@ -35,7 +35,7 @@ from ntfforge.objective import (
     sigma2_h,
     sigma2_inband,
 )
-from ntfforge.sdp import SolverSettings, solve_gain_feasibility
+from ntfforge.sdp import solve_gain_feasibility
 
 BINARY = NoiseBudget(delta=2.0)
 GAP_TOL = 1e-7
@@ -340,7 +340,6 @@ class TestCriterion9KypOracles:
 
     def test_feasibility_matches_grid_bound(self):
         rng = np.random.default_rng(123)
-        settings = SolverSettings(max_iter=100)
         good = 0
         trials = 50
         for _ in range(trials):
@@ -348,10 +347,8 @@ class TestCriterion9KypOracles:
             coeffs = np.concatenate(
                 ([1.0], rng.normal(size=order_p) * rng.uniform(0.1, 0.6)))
             gmax = grid_gain_max(coeffs)
-            _, feas_above = solve_gain_feasibility(coeffs, gmax / 0.9,
-                                                   settings)
-            _, feas_below = solve_gain_feasibility(coeffs, gmax * 0.9,
-                                                   settings)
+            _, feas_above = solve_gain_feasibility(coeffs, gmax / 0.9)
+            _, feas_below = solve_gain_feasibility(coeffs, gmax * 0.9)
             good += feas_above and not feas_below
         ok = report("9b (LMI feasibility vs grid bound, 50 NTFs)",
                     good == trials, f"{good}/{trials} consistent")

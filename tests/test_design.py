@@ -12,6 +12,7 @@ from ntfforge.cli import main
 from ntfforge.design import DesignSpec, evaluate_ntf, run_design
 from ntfforge.errors import BoundViolationError, SolverError
 from ntfforge.filters import FilterSpec
+from ntfforge.kyp import verify_bounded_real
 from ntfforge.modsim import NtfFir
 from ntfforge.sdp import SolverSettings
 
@@ -38,6 +39,8 @@ class TestCertificateWithoutCone:
         cert = result.certificate
         assert cert.feasible
         assert cert.grid_max <= gamma * (1.0 + 1e-4)
+        # the design sits on its bound, the hard case for the spectral factor
+        assert verify_bounded_real(result.ntf.coeffs, gamma).feasible
 
 
 def forge_certificate(monkeypatch, name, value):
@@ -181,6 +184,8 @@ class TestRankDeficientObjective:
         exact = run_design(dataclasses.replace(spec, solver=tight))
         assert loose.certificate.feasible and exact.certificate.feasible
         assert loose.sigma2_h == pytest.approx(exact.sigma2_h, rel=1e-6)
+        for result in (loose, exact):
+            assert verify_bounded_real(result.ntf.coeffs, spec.gamma).feasible
 
 
 class TestSolverErrorMessage:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntfforge.design import MAX_FIR_ORDER
 from ntfforge.errors import BoundViolationError, InvalidSpecError
 from ntfforge.kyp import (
     assemble_lmi,
@@ -193,6 +194,23 @@ class TestVerifyBoundedReal:
             cert = verify_bounded_real(coeffs, gamma)
             assert cert.grid_max <= gamma * (1.0 + 1e-4)
 
+
+class TestWitnessAroundGridMax:
+    # without a stored witness verify builds the Gramian of the lossless
+    # extension; tails ending in zeros make np.roots drop degree
+    @given(st.integers(1, MAX_FIR_ORDER), st.integers(0, 3),
+           st.floats(0.01, 1.0), st.floats(1.01, 2.0), st.floats(0.5, 0.99),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_accepts_above_and_rejects_below(self, order_p, zeros, scale,
+                                             above, below, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = np.concatenate(([1.0], scale * rng.normal(size=order_p)))
+        coeffs[coeffs.size - min(zeros, order_p):] = 0.0
+        gmax = grid_gain_max(coeffs)
+        assert verify_bounded_real(coeffs, above * gmax).feasible
+        with pytest.raises(BoundViolationError):
+            verify_bounded_real(coeffs, below * gmax)
 
 class TestSchurEquivalence:
     def test_random_trials_agree(self):
