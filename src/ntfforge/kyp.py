@@ -3,12 +3,13 @@
 The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix built on the
 delay-chain state-space realization of the FIR filter, together with a
-positive definite certificate matrix.  The affine map, its adjoint and its
-Newton-system blocks (all from the delay-chain structure), the judgement of a
-witness against the LMI and a dense frequency grid, and the Schur-complement
-equivalence used as a test oracle all live here.  A fixed filter's witness
-needs no SDP: it is the observability Gramian of the filter's lossless
-extension (``sdp.solve_gain_feasibility``).
+positive definite certificate matrix.  The affine map (from the delay-chain
+structure), the judgement of a witness against the LMI and a dense frequency
+grid, and the Schur-complement equivalence used as a test oracle all live
+here.  The design solver never handles the certificate entries one by one:
+its dual lives on the subspace they leave free (``sdp._KypCone``).  A fixed
+filter's witness needs no SDP: it is the observability Gramian of the
+filter's lossless extension (``sdp.solve_gain_feasibility``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class LmiSystem:
     so a certificate entry enters as sym(E_ij) one step down the diagonal
     (rows U = 1..P) minus sym(E_ij) in place (rows V = 0..P-1).  The output
     row C = (a_P, .., a_1) puts a_k at (P-k, P+1).  ``bounded_real_matrix``
-    is the formula this map reproduces.
+    is the formula this map reproduces.  The top-left P x P block of M holds
+    the shifts alone, so P[i, j] = P[i-1, j-1] - M[i, j] reads a certificate
+    back off a block (``sdp._KypCone.certificate``).
     """
 
     order: int
@@ -79,10 +82,6 @@ class LmiSystem:
     def variable_count(self) -> int:
         p = self.order
         return p + p * (p + 1) // 2
-
-    def _coefficient_rows(self) -> np.ndarray:
-        """Row of a_1..a_P in the output column P+1."""
-        return self.order - np.arange(1, self.order + 1)
 
     def evaluate(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -102,95 +101,13 @@ class LmiSystem:
         """sum_i xi_i M_i: the coefficients placed in the output column and
         the certificate shifted one step down minus in place."""
         p = self.order
-        rows = self._coefficient_rows()
+        rows = p - np.arange(1, p + 1)  # a_1..a_P in the output column
         out = np.zeros((p + 2, p + 2))
         out[rows, p + 1] = out[p + 1, rows] = xi[:p]
         pm = unpack_certificate(xi[p:], p)
         out[1:p + 1, 1:p + 1] += pm
         out[:p, :p] -= pm
         return out
-
-    def adjoint(self, mats) -> np.ndarray:
-        """<M_i, X> for every variable; leading axes of ``mats`` are kept."""
-        x = np.asarray(mats, dtype=float)
-        p = self.order
-        rows = self._coefficient_rows()
-        coeff = x[..., rows, p + 1] + x[..., p + 1, rows]
-        d = x[..., 1:p + 1, 1:p + 1] - x[..., :p, :p]
-        d = d + np.swapaxes(d, -1, -2)
-        upper, lower = np.triu_indices(p)
-        cert = d[..., upper, lower]
-        cert[..., upper == lower] *= 0.5  # sym(E_ii) = E_ii holds one entry
-        return np.concatenate((coeff, cert), axis=-1)
-
-    def _adjacent(self, r):
-        """Differences and sums of adjacent columns of R (one step down
-        against in place), and the weights c_ij / 2 of the packed entries."""
-        p = self.order
-        upper, lower = np.triu_indices(p)
-        return (r[:, 1:p + 1] - r[:, :p], r[:, 1:p + 1] + r[:, :p],
-                np.where(upper == lower, 0.5, 1.0))
-
-    def gram_coefficients(self, r) -> np.ndarray:
-        """tr(G_k G_j) for k over a_1..a_P and j over every variable, where
-        G_i = R M_i R^T under the scaling R.
-
-        G_k = r_k o^T + o r_k^T, with r_k the column of a_k's row and
-        o = r_(P+1); G_(ij) of a certificate entry is as in
-        ``gram_certificate``.
-        """
-        r = np.asarray(r, dtype=float)
-        p = self.order
-        upper, lower = np.triu_indices(p)
-        diff, summ, half_c = self._adjacent(r)
-        rc = r[:, self._coefficient_rows()]
-        ro = r[:, p + 1]
-        out = np.empty((p, self.variable_count))
-        # coefficient-coefficient: 2 [(r_k.o)(o.r_l) + (r_k.r_l)(o.o)]
-        rc_o = rc.T @ ro
-        out[:, :p] = 2.0 * (np.outer(rc_o, rc_o) + (rc.T @ rc) * (ro @ ro))
-        # coefficient-certificate: (c_ij / 2) sum over (i, j) and (j, i) of
-        # (r_k.s_j)(o.d_i) + (r_k.d_i)(o.s_j)
-        rs, rd = rc.T @ summ, rc.T @ diff
-        os_, od = ro @ summ, ro @ diff
-        out[:, p:] = half_c * (
-            rs[:, lower] * od[upper] + rd[:, upper] * os_[lower]
-            + rs[:, upper] * od[lower] + rd[:, lower] * os_[upper])
-        return out
-
-    def gram_certificate(self, r, out):
-        """Add tr(G_(ij) G_(kl)) over the packed certificate entries into the
-        lower triangle of ``out``; G_(ij) = R M_(ij) R^T under the scaling R.
-
-        This is the Newton-system matrix of the certificate, formed from
-        inner products of R's columns, never from the G_(ij).  Entries above
-        the diagonal are left unspecified (a lower Cholesky factor does not
-        read them).  G_(ij) = (c_ij / 4)(T_ij + T_ji), where
-        T_ij = d_i s_j^T + s_j d_i^T, d_i = r_(i+1) - r_i, s_i = r_(i+1) + r_i
-        and c_ij = 2 - [i == j].  Forming d and s first keeps the cancellation
-        between the two placements at the accuracy of R itself.
-        """
-        r = np.asarray(r, dtype=float)
-        p = self.order
-        upper, lower = np.triu_indices(p)
-        diff, summ, half_c = self._adjacent(r)
-        # (c_ij c_kl / 8) sum of X_ik Y_jl + X_il Y_jk over (X, Y) in
-        # (D^T D, S^T S), (S^T S, D^T D), (D^T S, S^T D), (S^T D, D^T S).
-        # Packed rows with first index i are contiguous, so each block of
-        # rows is one row of every X against a slice of the rows of every Y.
-        gds = diff.T @ summ
-        gdd = diff.T @ diff
-        gss = summ.T @ summ
-        pairs = ((gdd, gss), (gss, gdd), (gds, gds.T), (gds.T, gds))
-        xs = np.stack([half_c * x[:, cols] for x, _ in pairs
-                       for cols in (upper, lower)])
-        ys = np.stack([y[:, cols] for _, y in pairs for cols in (lower, upper)])
-        starts = np.concatenate(([0], np.cumsum(np.arange(p, 0, -1))))
-        for i in range(p):
-            begin, end = starts[i], starts[i + 1]
-            out[begin:end, :end] += np.einsum(
-                "qc,qjc->jc", xs[:, i, :end], ys[:, i:, :end]) \
-                * (0.5 * half_c[begin:end, None])
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ No separate certificate cone is needed either: the LMI gives
 P - A^T P A >= C^T C >= 0 and the delay-chain A is nilpotent, so
 P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
 
-The Newton system is formed from structure, not from stored basis matrices.
-The KYP block is applied as shift-and-unpack operations (``kyp.LmiSystem``),
-and its Schur complement comes from inner products of the NT scaling's
-columns: O(P^4) work for the ~P^2/2 certificate entries instead of a dense
-Gram product over (P+2)^2-entry basis matrices.  The Newton matrix is
-factored once per iteration with a Cholesky factorization; both Newton steps
-solve with that factor.
+The certificate never enters the iteration.  The dual condition on its
+entries confines Z to a (2P+3)-dimensional subspace (a Toeplitz top-left
+block and a free last row; the dual KYP reduction of Vandenberghe et al.,
+LNCIS 312, 2005, and the trace parameterization of Dumitrescu, Positive
+Trigonometric Polynomials and Signal Processing Applications, 2007), so the
+iteration carries the coefficients, the slack and Z's coordinates there.
+Each Newton system has order 3P+3 and takes two small Cholesky factors;
+the certificate is read off the final slack by the delay-chain recursion.
 
 Fixed coefficients need no solve: ``solve_gain_feasibility`` builds their
 witness in closed form from a spectral factor.
@@ -48,6 +49,7 @@ STEP_FRACTION = 0.98
 STALL_STEP = 1e-10
 INFEAS_RES_TOL = 1e-9
 INFEAS_VAL_TOL = 1e-9
+REFINEMENT_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,6 @@ class SdpProblem:
     def order(self) -> int:
         return self.lmi.order
 
-    @property
-    def variable_count(self) -> int:
-        return self.lmi.variable_count
-
 
 @dataclass(frozen=True)
 class SdpSolution:
@@ -118,41 +116,101 @@ class SdpSolution:
 
 
 class _KypCone:
-    """The KYP block's slack -M(xi) over the design's x = (a, certificate),
-    in its delay-chain structure."""
+    """The KYP block's slack S = -M(a; P) over the design's x = (a, P),
+    with the dual restricted to the subspace the certificate leaves free.
+
+    The certificate rows of the dual condition F*(Z) = c + G x read
+    Z[1:P+1, 1:P+1] = Z[:P, :P]: Z has a Toeplitz top-left (P+1) block and a
+    free last row, a (2P+3)-dimensional space (Vandenberghe, Balakrishnan,
+    Wallin, Hansson & Roh, LNCIS 312, 2005).  ``basis`` holds it as
+    orthonormal matrices: the diagonals +-k of the Toeplitz block, then the
+    entries (j, P+1) with their mirrors.  ``coeff_map`` projects the
+    coefficients' placements F_a(e_k) onto it.  The certificate never enters
+    the iteration; ``certificate`` reads it off a slack.
+    """
 
     def __init__(self, lmi: LmiSystem):
+        p, n = lmi.order, lmi.dimension
         self.lmi = lmi
-        self.size = lmi.dimension
-        self.nvar = lmi.variable_count
-        self.f0 = -lmi.evaluate(np.zeros(self.nvar))
+        self.size = n
+        self.f0 = -lmi.evaluate(np.zeros(lmi.variable_count))
+        basis = np.zeros((2 * p + 3, n, n))
+        for k in range(p + 1):
+            i = np.arange(p + 1 - k)
+            basis[k, i, i + k] = basis[k, i + k, i] = 1.0
+        j = np.arange(n)
+        basis[p + 1 + j, j, n - 1] = basis[p + 1 + j, n - 1, j] = 1.0
+        self.basis = basis / np.sqrt(np.sum(basis**2, axis=(1, 2)))[:, None, None]
+        no_cert = np.zeros(lmi.variable_count - p)
+        placements = [-lmi.linear(np.concatenate((e, no_cert))) for e in np.eye(p)]
+        self.coeff_map = np.tensordot(self.basis, placements, ([1, 2], [1, 2]))
 
-    def linear(self, x):
-        return -self.lmi.linear(x)
+    def project(self, mat):
+        return np.tensordot(self.basis, mat)
 
-    def adjoint(self, mat):
-        return -self.lmi.adjoint(mat)
+    def lift(self, y):
+        return np.tensordot(y, self.basis, 1)
 
-    def add_schur(self, r, h):
-        """h_ij += tr(G_i G_j), G_i = R F_i R^T, on the lower triangle, from
-        inner products of R's columns (``LmiSystem.gram_*``).  The basis
-        matrices are -M_i, so the signs cancel in every product."""
+    def certificate(self, s):
+        """The P x P certificate of a slack S = -M(a; P).  Only the shifts
+        of P reach M's top-left P x P block, so P[i, j] = P[i-1, j-1] + S[i, j]
+        along its diagonals; the result is symmetrized, and whatever of S
+        lies off the LMI's range is left out."""
         p = self.lmi.order
-        rows = self.lmi.gram_coefficients(r)
-        h[:p, :p] += rows[:, :p]
-        h[p:, :p] += rows[:, p:].T
-        self.lmi.gram_certificate(r, h[p:, p:])
+        pm = s[:p, :p].copy()
+        for i in range(1, p):
+            pm[i, 1:] += pm[i - 1, :-1]
+        return 0.5 * (pm + pm.T)
 
 
-def _newton_matrix(cone: _KypCone, r, quadratic):
-    """Newton-system matrix: the block's Schur complement tr(G_i G_j) under
-    the NT scaling R (``r_inv``) plus the objective's quadratic G on its
-    leading variables.  Only the lower triangle is complete."""
-    h = np.zeros((cone.nvar, cone.nvar))
-    cone.add_schur(r, h)
-    k = quadratic.shape[0]
-    h[:k, :k] += quadratic
-    return h
+def _newton_system(cone: _KypCone, r, quadratic):
+    """Newton step solver at the NT scaling R (W = R R^T).
+
+    With dZ = lift(dy) and g_k = R^T B_k R, the scaled linearization
+    R^-1 dS R^-T + R^T dZ R = K, projected onto the dual subspace, and the
+    dual equation give
+
+        [g g^T   C ] [dy]   [g.K - r_p]
+        [C^T    -G ] [da] = [   r_d   ],
+
+    solved by eliminating dy with Cholesky factors of g g^T (plus 1e-14 of
+    its mean diagonal) and of G + C^T (g g^T)^-1 C.  dS is formed in the
+    scaled space, R (K - sum dy_k g_k) R^T.  Two refinement passes against
+    the unregularized system apply g g^T as g (g^T dy), as dS does, so they
+    shrink the primal residual the step leaves: near gamma = 1 the
+    coefficients sit above the bound by about that residual.
+
+    Returns ``step(kmat, res_p, res_d) -> (da, dy, ds, dz_scaled)``, with
+    ``res_p`` the projected primal residual and dz_scaled = R^T dZ R.
+    """
+    n = cone.size
+    g = np.matmul(r.T, np.matmul(cone.basis, r)).reshape(-1, n * n)
+    h = g @ g.T
+    h[np.diag_indices_from(h)] += 1e-14 * np.trace(h) / h.shape[0]
+    chol_h = np.linalg.cholesky(h)
+    cmap = cone.coeff_map
+    u = solve_triangular(chol_h, cmap, lower=True, check_finite=False)
+    schur = cho_factor(quadratic + u.T @ u, lower=True, check_finite=False)
+
+    def solve(rhs_y, rhs_a):
+        w = solve_triangular(chol_h, rhs_y, lower=True, check_finite=False)
+        da = cho_solve(schur, u.T @ w - rhs_a, check_finite=False)
+        dy = solve_triangular(chol_h, w - u @ da, lower=True, trans="T",
+                              check_finite=False)
+        return dy, da
+
+    def step(kmat, res_p, res_d):
+        rhs_y = g @ kmat.ravel() - res_p
+        dy, da = solve(rhs_y, res_d)
+        for _ in range(REFINEMENT_PASSES):
+            ey, ea = solve(rhs_y - g @ (dy @ g) - cmap @ da,
+                           res_d - cmap.T @ dy + quadratic @ da)
+            dy, da = dy + ey, da + ea
+        dz_scaled = (dy @ g).reshape(n, n)
+        ds = r @ (kmat - dz_scaled) @ r.T
+        return da, dy, 0.5 * (ds + ds.T), dz_scaled
+
+    return step
 
 
 def _max_step(chol_lower, direction):
@@ -178,50 +236,50 @@ def _nt_scaling(ls, lz):
 
 def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
                 quadratic, constant: float):
-    """Mehrotra predictor-corrector for min c.x + x_G^T G x_G / 2 + constant
-    over the PSD block S = F0 + F(x) >= 0, with G = ``quadratic`` (PSD)
-    acting on the leading entries x_G of x.
+    """Mehrotra predictor-corrector for min c.a + a^T G a / 2 + constant
+    over x = (a, P) with the KYP slack S = F0 + F(x) >= 0 (G = ``quadratic``).
 
-    The cone supplies its constant ``f0``, ``size``, variable count ``nvar``,
-    the linear map ``linear(x)``, its ``adjoint(mat)`` and ``add_schur(r, h)``,
-    which adds its Schur complement under the NT scaling R.  The dual is
-    max -<F0, Z> - x_G^T G x_G / 2 + constant with F*(Z) = c + G x.  G enters
-    the Newton matrix and the dual residual; since it couples x and Z, the
-    primal and dual take one step length.
-    Returns (x, status, info).  The start x0 need not be strictly feasible;
-    the slack is shifted onto the identity when F(x0) is not PD and the
-    residual is driven out by the iteration.  The duality gap <S, Z> is judged
-    relative to the whole objective (floored at 1e-12).
+    The dual is max -<F0, Z> - a^T G a / 2 + constant with F*(Z) = (c + Ga, 0).
+    Its certificate part confines Z to the cone's (2P+3)-dimensional
+    subspace, so the iteration carries (a, S, y) with Z = lift(y) and never
+    the certificate: the primal residual is projected onto that subspace,
+    the Newton system (``_newton_system``) has order 3P+3, and P is read off
+    the final S.  G couples a and Z, so both sides take one step length.
+    Returns (x, status, info) with x in the (a, packed P) layout.  The start
+    x0 need not be strictly feasible; the slack is shifted onto the identity
+    when F(x0) is not PD and the residual is driven out by the iteration.
+    The duality gap <S, Z> is judged relative to the whole objective
+    (floored at 1e-12).
     """
     t_start = time.perf_counter()
-    k = quadratic.shape[0]
-    x = np.asarray(x0, dtype=float).copy()
-    f0 = cone.f0
+    p = quadratic.shape[0]
+    a = np.asarray(x0, dtype=float)[:p].copy()
+    f0_proj = cone.project(cone.f0)
 
-    s = f0 + cone.linear(x)
+    s = -cone.lmi.evaluate(x0)
     lam_min = float(np.linalg.eigvalsh(s)[0])
     if lam_min < 1e-8:
         s = s + (abs(lam_min) * 1.5 + 1.0) * np.eye(cone.size)
-    z = np.eye(cone.size)
-    f0_scale = 1.0 + float(np.max(np.abs(f0)))
+    y = cone.project(np.eye(cone.size))
+    z = cone.lift(y)
+    f0_scale = 1.0 + float(np.max(np.abs(cone.f0)))
     c_scale = 1.0 + float(np.max(np.abs(c)))
 
     status = "max_iterations"
     iters = 0
     info = {}
     for iters in range(1, settings.max_iter + 1):
-        res_primal = f0 + cone.linear(x) - s
-        gx = np.zeros(c.size)
-        gx[:k] = quadratic @ x[:k]
-        res_dual = c + gx - cone.adjoint(z)
+        res_primal = f0_proj + cone.coeff_map @ a - cone.project(s)
+        ga = quadratic @ a
+        res_dual = c + ga - cone.coeff_map.T @ y
         gap = float(np.tensordot(s, z))
         mu = gap / cone.size
-        half_xgx = 0.5 * float(x @ gx)
-        pobj = float(c @ x) + half_xgx + constant
-        dobj = -float(np.tensordot(f0, z)) - half_xgx + constant
+        half_aga = 0.5 * float(a @ ga)
+        pobj = float(c @ a) + half_aga + constant
+        dobj = -float(f0_proj @ y) - half_aga + constant
         denom = max(1e-12, abs(pobj), abs(dobj))
         rel_gap = gap / denom
-        rp_norm = float(np.max(np.abs(res_primal))) / f0_scale
+        rp_norm = float(np.max(np.abs(cone.lift(res_primal)))) / f0_scale
         rd_norm = float(np.max(np.abs(res_dual))) / c_scale
         log.debug("iter %3d gap %.3e rp %.3e rd %.3e mu %.3e",
                   iters, rel_gap, rp_norm, rd_norm, mu)
@@ -233,68 +291,53 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             status = "optimal"
             break
 
-        # primal infeasibility certificate: adjoint(Z) ~ 0 with <F0, Z> < 0
-        z_hat = z / max(1e-300, float(np.max(np.abs(z))))
-        if float(np.max(np.abs(cone.adjoint(z_hat)))) <= INFEAS_RES_TOL \
-                and float(np.tensordot(f0, z_hat)) < -INFEAS_VAL_TOL:
+        # primal infeasibility certificate: F*(Z) ~ 0 with <F0, Z> < 0
+        y_hat = y / max(1e-300, float(np.max(np.abs(z))))
+        if float(np.max(np.abs(cone.coeff_map.T @ y_hat))) <= INFEAS_RES_TOL \
+                and float(f0_proj @ y_hat) < -INFEAS_VAL_TOL:
             status = "infeasible"
             break
 
         try:
             chol_s = np.linalg.cholesky(s)
             chol_z = np.linalg.cholesky(z)
+            r, _, lam = _nt_scaling(chol_s, chol_z)
+            newton_step = _newton_system(cone, r, quadratic)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        r, r_inv, lam = _nt_scaling(chol_s, chol_z)
-
-        h = _newton_matrix(cone, r_inv, quadratic)
-        h[np.diag_indices(cone.nvar)] += 1e-14 * np.trace(h) / cone.nvar
-        try:
-            # h.T is Fortran-ordered and its upper triangle is h's lower one,
-            # so LAPACK factors it in place instead of copying h
-            h_factor = cho_factor(h.T, lower=False, overwrite_a=True,
-                                  check_finite=False)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-
-        def newton_step(kmat):
-            mat = r_inv.T @ (kmat - r_inv @ res_primal @ r_inv.T) @ r_inv
-            dx = cho_solve(h_factor, cone.adjoint(mat) - res_dual,
-                           check_finite=False)
-            ds = cone.linear(dx) + res_primal
-            dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
-            return dx, ds, 0.5 * (dz + dz.T)
 
         def step_length(ds, dz):
             return min(1.0, STEP_FRACTION * _max_step(chol_s, ds),
                        STEP_FRACTION * _max_step(chol_z, dz))
 
         # predictor (affine scaling) direction
-        _, ds_a, dz_a = newton_step(np.diag(-lam))
+        k_aff = np.diag(-lam)
+        _, dy_a, ds_a, dz_t = newton_step(k_aff, res_primal, res_dual)
+        dz_a = cone.lift(dy_a)
         alpha = step_length(ds_a, dz_a)
         gap_aff = float(np.tensordot(s + alpha * ds_a, z + alpha * dz_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # corrector with Mehrotra second-order term
-        ds_t = r_inv @ ds_a @ r_inv.T
-        dz_t = r.T @ dz_a @ r
+        ds_t = k_aff - dz_t
         theta = sigma * mu * np.eye(lam.size) - np.diag(lam * lam) \
             - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
-        dx, ds, dz = newton_step(2.0 * theta / (lam[:, None] + lam[None, :]))
-        alpha = step_length(ds, dz)
+        da, dy, ds, _ = newton_step(2.0 * theta / (lam[:, None] + lam[None, :]),
+                                    res_primal, res_dual)
+        alpha = step_length(ds, cone.lift(dy))
         if alpha < STALL_STEP:
             status = "numerical_failure"
             break
-        x += alpha * dx
+        a += alpha * da
         s = s + alpha * ds
-        z = z + alpha * dz
+        y = y + alpha * dy
+        z = cone.lift(y)
         log.debug("iter %3d step %.3f sigma %.3f", iters, alpha, sigma)
 
     info["runtime_seconds"] = time.perf_counter() - t_start
     info["iterations"] = iters
-    return x, status, info
+    return np.concatenate((a, pack_certificate(cone.certificate(s)))), status, info
 
 
 def _interior_start(problem: SdpProblem):
@@ -323,10 +366,9 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
                     float(np.max(np.abs(problem.quadratic))),
                     float(np.max(np.abs(problem.linear))) if p else 0.0,
                     1e-300)
-    c = np.zeros(problem.variable_count)
-    c[:p] = problem.linear / obj_scale
     x, status, info = solve_conic(
-        _KypCone(problem.lmi), c, _interior_start(problem), settings,
+        _KypCone(problem.lmi), problem.linear / obj_scale,
+        _interior_start(problem), settings,
         quadratic=2.0 * problem.quadratic / obj_scale,
         constant=problem.constant / obj_scale)
 

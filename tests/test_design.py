@@ -9,7 +9,12 @@ import pytest
 
 import ntfforge.design as design
 from ntfforge.cli import main
-from ntfforge.design import DesignSpec, evaluate_ntf, run_design
+from ntfforge.design import (
+    MAX_FIR_ORDER,
+    DesignSpec,
+    evaluate_ntf,
+    run_design,
+)
 from ntfforge.errors import BoundViolationError, SolverError
 from ntfforge.filters import FilterSpec
 from ntfforge.kyp import verify_bounded_real
@@ -186,6 +191,54 @@ class TestRankDeficientObjective:
         assert loose.sigma2_h == pytest.approx(exact.sigma2_h, rel=1e-6)
         for result in (loose, exact):
             assert verify_bounded_real(result.ntf.coeffs, spec.gamma).feasible
+
+
+ORDER_LIMIT_NEAR_UNIT_GAMMA = {
+    "bandpass": {"fs_hz": 51200.0,
+                 "filter": {"kind": "bandpass_butterworth", "order": 8,
+                            "bands_hz": [[800.0, 1200.0]]},
+                 "fir_order": MAX_FIR_ORDER, "gamma": 1.02},
+    "lowpass": {"fs_hz": 2.048e6,
+                "filter": {"kind": "lowpass_butterworth", "order": 1,
+                           "bands_hz": [[0.0, 2000.0]]},
+                "fir_order": MAX_FIR_ORDER, "gamma": 1.001},
+}
+
+
+VERIFIED_DESIGN_IN_CHILD = """
+import json, sys
+from ntfforge.design import DesignSpec, run_design
+from ntfforge.kyp import verify_bounded_real
+spec = DesignSpec.from_json_dict(json.loads(sys.argv[1]))
+result = run_design(spec)
+print(json.dumps({"status": result.solution.status,
+                  "feasible": result.certificate.feasible,
+                  "verified": verify_bounded_real(result.ntf.coeffs,
+                                                  spec.gamma).feasible}))
+"""
+
+
+class TestOrderLimitNearUnitGamma:
+    # The largest order with gamma close to 1: the design sits on a bound
+    # the interior start clears by only (gamma^2 - 1) / 2, and the witness
+    # built from the coefficients alone must still certify it.  That witness
+    # is sensitive to the last primal residual, whose rounding differs
+    # between one and two BLAS threads, so each runs in its own process.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(ORDER_LIMIT_NEAR_UNIT_GAMMA))
+    def test_optimal_and_certified(self, name, threads):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            design.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", VERIFIED_DESIGN_IN_CHILD,
+             json.dumps(ORDER_LIMIT_NEAR_UNIT_GAMMA[name])],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out == {"status": "optimal", "feasible": True,
+                       "verified": True}
 
 
 class TestSolverErrorMessage:

@@ -216,45 +216,88 @@ def assert_close(got, want, rtol=1e-12):
     assert float(np.max(np.abs(got - want))) <= rtol * scale
 
 
-def check_against_dense(cone, f0, fmat, rng):
-    """The cone's affine map, adjoint and Schur complement against the dense
-    block F0 + sum x_i F_i: <F_i, M> and, under the NT scaling R of random S
-    and Z, tr(G_k G_l)."""
-    nvar = fmat.shape[0]
-    assert cone.nvar == nvar
-    x = rng.normal(size=nvar)
-    assert_close(cone.f0 + cone.linear(x), f0 + np.tensordot(x, fmat, 1))
-    m = rng.normal(size=f0.shape)
-    m = m + m.T
-    assert_close(cone.adjoint(m), np.einsum("nab,ab->n", fmat, m))
-    r = random_scaling(rng, f0.shape[0])
-    got = np.zeros((nvar, nvar))
-    cone.add_schur(r, got)
-    # the Newton system reads the lower triangle only
-    assert_close(np.tril(got), np.tril(dense_gram(fmat, r)))
+def random_kyp_point(rng, order_p, gamma):
+    """The cone, the dense block F0 + sum x_i F_i (F_i = -M_i) and a random
+    x = (a, packed certificate)."""
+    cone = sdp._KypCone(assemble_lmi(order_p, gamma))
+    m0, basis = dense_kyp_basis(order_p, gamma)
+    return cone, -m0, -basis, rng.normal(size=basis.shape[0])
 
 
-class TestStructuredOperators:
+def symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return m + m.T
+
+
+class TestDualSubspace:
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_design_layout_matches_dense(self, order_p, gamma, seed):
-        # x = (a, certificate); the block is -M(a; P)
+    def test_basis_spans_the_certificate_null_space(self, order_p, gamma,
+                                                    seed):
+        # Z with <F_v, Z> = 0 for every certificate direction F_v is exactly
+        # the span of the cone's 2P+3 orthonormal basis matrices
         rng = np.random.default_rng(seed)
-        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
-        m0, basis = dense_kyp_basis(order_p, gamma)
-        check_against_dense(cone, -m0, -basis, rng)
+        cone, f0, fmat, x = random_kyp_point(rng, order_p, gamma)
+        n = order_p + 2
+        cert = fmat[order_p:]
+        v_only = np.concatenate((np.zeros(order_p), x[order_p:]))
+        assert_close(cone.project(np.tensordot(v_only, fmat, 1)),
+                     np.zeros(2 * order_p + 3))
+        flat = cone.basis.reshape(-1, n * n)
+        assert_close(flat @ flat.T, np.eye(2 * order_p + 3))
+        assert_close(cert.reshape(-1, n * n) @ flat.T,
+                     np.zeros((cert.shape[0], flat.shape[0])))
+        rows, cols = np.triu_indices(n)
+        sym = np.zeros((rows.size, n, n))
+        sym[np.arange(rows.size), rows, cols] = 1.0
+        sym[np.arange(rows.size), cols, rows] = 1.0
+        adjoint = np.einsum("vab,sab->vs", cert, sym)
+        rank = np.linalg.matrix_rank(adjoint)
+        assert rows.size - rank == 2 * order_p + 3
 
-    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1.0]))
     @settings(max_examples=40, deadline=None)
-    def test_newton_matrix_is_gram_plus_quadratic(self, order_p, gamma, seed):
-        # the objective's quadratic G adds to the a-block of the Gram matrix
+    def test_newton_step_matches_dense_full_step(self, order_p, gamma, seed,
+                                                 residual):
+        # at S = F0 + F(x) - E (E = 0 or a random primal residual) and
+        # Z = lift(y), the reduced step equals the full Newton step over
+        # x = (a, certificate) with matrix tr(G_k G_l) + G, G_k = R^-1 F_k R^-T
         rng = np.random.default_rng(seed)
+        cone, f0, fmat, x = random_kyp_point(rng, order_p, gamma)
+        n = order_p + 2
         half = rng.normal(size=(order_p, order_p))
         quad = half @ half.T
-        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
-        _, basis = dense_kyp_basis(order_p, gamma)
-        r = random_scaling(rng, order_p + 2)
-        want = dense_gram(-basis, r)
-        want[:order_p, :order_p] += quad
-        assert_close(np.tril(sdp._newton_matrix(cone, r, quad)),
-                     np.tril(want))
+        c = rng.normal(size=order_p)
+        s = f0 + np.tensordot(x, fmat, 1) - residual * symmetric(rng, n)
+        z = cone.lift(rng.normal(size=2 * order_p + 3))
+        kmat = symmetric(rng, n)
+        r_inv = random_scaling(rng, n)
+
+        res_p = f0 + np.tensordot(x, fmat, 1) - s
+        res_d = -np.einsum("nab,ab->n", fmat, z)
+        res_d[:order_p] += c + quad @ x[:order_p]
+        h = dense_gram(fmat, r_inv)
+        h[:order_p, :order_p] += quad
+        mat = r_inv.T @ (kmat - r_inv @ res_p @ r_inv.T) @ r_inv
+        dx = np.linalg.solve(h, np.einsum("nab,ab->n", fmat, mat) - res_d)
+        ds = np.tensordot(dx, fmat, 1) + res_p
+        dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
+
+        step = sdp._newton_system(cone, np.linalg.inv(r_inv), quad)
+        da, dy, ds_got, _ = step(kmat, cone.project(res_p), res_d[:order_p])
+        assert_close(da, dx[:order_p], rtol=1e-10)
+        assert_close(ds_got, ds, rtol=1e-10)
+        assert_close(cone.lift(dy), dz, rtol=1e-10)
+
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_reproduces_the_slack(self, order_p, gamma, seed):
+        rng = np.random.default_rng(seed)
+        cone, f0, fmat, x = random_kyp_point(rng, order_p, gamma)
+        s = f0 + np.tensordot(x, fmat, 1)
+        a = x[:order_p]
+        got = bounded_real_matrix(
+            canonical_realization(np.concatenate(([1.0], a))),
+            cone.certificate(s), gamma)
+        assert_close(got, -s)
