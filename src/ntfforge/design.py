@@ -27,7 +27,6 @@ from .kyp import (
     bounded_real_certificate,
     grid_gain_max,
     require_certified,
-    unpack_certificate,
 )
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
 from .objective import NoiseBudget, build_q_matrix, reduce_objective
@@ -131,13 +130,12 @@ class DesignResult:
         }
 
 
-def certificate_from_solution(solution: SdpSolution, order_p: int,
+def certificate_from_solution(solution: SdpSolution,
                               gamma: float) -> BoundedRealCertificate:
     """The gain-bound certificate of the solver's own coefficients and
     certificate matrix."""
-    return bounded_real_certificate(
-        extract_ntf(solution, order_p),
-        unpack_certificate(solution.xi[order_p:], order_p), gamma)
+    return bounded_real_certificate(extract_ntf(solution), solution.p_matrix,
+                                    gamma)
 
 
 def run_design(spec: DesignSpec) -> DesignResult:
@@ -147,8 +145,7 @@ def run_design(spec: DesignSpec) -> DesignResult:
     the gain bound, or the dense grid sees the gain above gamma.
     """
     filt = design_filter(spec.filter_spec)
-    h = impulse_response(filt, energy_tol=spec.energy_tol,
-                         source=spec.filter_spec)
+    h = impulse_response(filt, energy_tol=spec.energy_tol)
     q = build_q_matrix(h, spec.fir_order)
     reduced = reduce_objective(q)
     lmi = assemble_lmi(spec.fir_order, spec.gamma)
@@ -162,10 +159,9 @@ def run_design(spec: DesignSpec) -> DesignResult:
             f"{solution.iterations} iterations: relative gap {res['gap']:.3e}, "
             f"primal residual {res['primal']:.3e}, "
             f"dual residual {res['dual']:.3e}")
-    coeffs = extract_ntf(solution, spec.fir_order)
+    coeffs = extract_ntf(solution)
     sigma2 = spec.budget.sigma2_eps * solution.objective_value
-    cert = require_certified(
-        certificate_from_solution(solution, spec.fir_order, spec.gamma))
+    cert = require_certified(certificate_from_solution(solution, spec.gamma))
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
              solution.runtime_seconds)

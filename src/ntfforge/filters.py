@@ -232,7 +232,6 @@ class ImpulseResponse:
     samples: np.ndarray
     tail_energy_fraction: float
     energy_tol: float
-    source: FilterSpec | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -333,7 +332,6 @@ def impulse_response(
     filt: RationalFilter,
     energy_tol: float = DEFAULT_ENERGY_TOL,
     hard_cap: int = TRUNCATION_HARD_CAP,
-    source: FilterSpec | None = None,
 ) -> ImpulseResponse:
     """Truncate the impulse response at the smallest M whose discarded tail
     energy is at most energy_tol times the total energy.
@@ -353,7 +351,7 @@ def impulse_response(
         total = float(np.dot(h, h))
         if total == 0.0:
             return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0,
-                                   energy_tol=energy_tol, source=source)
+                                   energy_tol=energy_tol)
         # energy beyond the window, bounded by the geometric decay of the tail
         if radius == 0.0:
             beyond = 0.0
@@ -371,7 +369,6 @@ def impulse_response(
                     samples=h[: m + 1],
                     tail_energy_fraction=float(tail[m] / total),
                     energy_tol=energy_tol,
-                    source=source,
                 )
         if n >= hard_cap:
             raise TruncationOverflowError(

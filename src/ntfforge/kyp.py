@@ -1,15 +1,17 @@
 """Bounded-real LMI machinery for FIR noise transfer functions.
 
 The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
-as negative semidefiniteness of an affine symmetric matrix built on the
-delay-chain state-space realization of the FIR filter, together with a
-positive definite certificate matrix.  The affine map (from the delay-chain
-structure), the judgement of a witness against the LMI and a dense frequency
-grid, and the Schur-complement equivalence used as a test oracle all live
-here.  The design solver never handles the certificate entries one by one:
-its dual lives on the subspace they leave free (``sdp._KypCone``).  A fixed
-filter's witness needs no SDP: it is the observability Gramian of the
-filter's lossless extension (``sdp.solve_gain_feasibility``).
+as negative semidefiniteness of an affine symmetric matrix M(a; P) built on
+the delay-chain state-space realization of the FIR filter, in the
+coefficients a and a certificate matrix P.  ``LmiSystem.evaluate`` is the one
+builder of that matrix: the design solver takes its constant and coefficient
+placements from it, and the judgement of a witness against the LMI and a
+dense frequency grid rebuilds it the same way.  The dense realization and
+the Schur-complement equivalence stay here as test oracles.  The design
+solver never handles the certificate entries one by one: its dual lives on
+the subspace they leave free (``sdp._KypCone``).  A fixed filter's witness
+needs no SDP: it is the observability Gramian of the filter's lossless
+extension (``sdp.solve_gain_feasibility``).
 """
 
 from __future__ import annotations
@@ -56,19 +58,17 @@ class CanonicalRealization:
 
 @dataclass(frozen=True)
 class LmiSystem:
-    """Affine symmetric-matrix map M(xi) = M0 + sum_i xi_i M_i.
+    """The bounded-real matrix M(a; P) of order P and gain bound gamma, affine
+    in the coefficients a = (a_1..a_P) and the P x P certificate P.
 
-    Variables are ordered as the P filter coefficients a_1..a_P followed by
-    the P(P+1)/2 upper-triangle entries of the certificate matrix (row-major,
-    diagonal first within each row).  The basis matrices M_i are never
-    stored: from the delay-chain identity [A B] = [0 I], the top-left
-    (P+1)x(P+1) part of the block matrix is [A B]^T P [A B] - [I 0]^T P [I 0],
-    so a certificate entry enters as sym(E_ij) one step down the diagonal
-    (rows U = 1..P) minus sym(E_ij) in place (rows V = 0..P-1).  The output
-    row C = (a_P, .., a_1) puts a_k at (P-k, P+1).  ``bounded_real_matrix``
-    is the formula this map reproduces.  The top-left P x P block of M holds
-    the shifts alone, so P[i, j] = P[i-1, j-1] - M[i, j] reads a certificate
-    back off a block (``sdp._KypCone.certificate``).
+    No basis matrices are stored: from the delay-chain identity
+    [A B] = [0 I], the top-left (P+1)x(P+1) part of the block matrix is
+    [A B]^T P [A B] - [I 0]^T P [I 0], so P enters one step down the diagonal
+    (rows 1..P) and is subtracted in place (rows 0..P-1).  The output row
+    C = (a_P, .., a_1) puts a_k at (P-k, P+1).  ``bounded_real_matrix`` is
+    the formula this map reproduces.  The top-left P x P block of M holds the
+    shifts alone, so P[i, j] = P[i-1, j-1] - M[i, j] reads a certificate back
+    off a block (``sdp._KypCone.certificate``).
     """
 
     order: int
@@ -78,35 +78,24 @@ class LmiSystem:
     def dimension(self) -> int:
         return self.order + 2
 
-    @property
-    def variable_count(self) -> int:
+    def evaluate(self, a, p_matrix) -> np.ndarray:
         p = self.order
-        return p + p * (p + 1) // 2
-
-    def evaluate(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.size != self.variable_count:
+        a = np.asarray(a, dtype=float)
+        pm = np.asarray(p_matrix, dtype=float)
+        if a.shape != (p,) or pm.shape != (p, p):
             raise InvalidSpecError(
-                f"expected {self.variable_count} variables, got {xi.size}"
+                f"expected {p} coefficients and a {p}x{p} certificate, got "
+                f"shapes {a.shape} and {pm.shape}"
             )
-        p = self.order
-        out = self.linear(xi)
+        rows = p - np.arange(1, p + 1)  # a_1..a_P in the output column
+        out = np.zeros((p + 2, p + 2))
+        out[rows, p + 1] = out[p + 1, rows] = a
+        out[1:p + 1, 1:p + 1] += pm
+        out[:p, :p] -= pm
         out[p, p] -= self.gamma**2
         out[p, p + 1] += 1.0  # D
         out[p + 1, p] += 1.0
         out[p + 1, p + 1] -= 1.0
-        return out
-
-    def linear(self, xi) -> np.ndarray:
-        """sum_i xi_i M_i: the coefficients placed in the output column and
-        the certificate shifted one step down minus in place."""
-        p = self.order
-        rows = p - np.arange(1, p + 1)  # a_1..a_P in the output column
-        out = np.zeros((p + 2, p + 2))
-        out[rows, p + 1] = out[p + 1, rows] = xi[:p]
-        pm = unpack_certificate(xi[p:], p)
-        out[1:p + 1, 1:p + 1] += pm
-        out[:p, :p] -= pm
         return out
 
 
@@ -138,29 +127,20 @@ class BoundedRealCertificate:
         }
 
 
-def pack_certificate(p_matrix) -> np.ndarray:
-    """Upper triangle of a symmetric certificate as the LMI variable layout:
-    row-major, diagonal first within each row."""
-    pm = np.asarray(p_matrix, dtype=float)
-    return pm[np.triu_indices(pm.shape[0])]
-
-
-def unpack_certificate(packed, order_p: int) -> np.ndarray:
-    """Symmetric P x P certificate from its packed upper triangle."""
-    rows, cols = np.triu_indices(order_p)
-    pm = np.zeros((order_p, order_p))
-    pm[rows, cols] = packed
-    pm[cols, rows] = packed
-    return pm
+def _monic_coefficients(coeffs) -> np.ndarray:
+    """The coefficients a_0..a_P of an FIR NTF as floats, checked for the
+    unit leading coefficient every NTF here carries."""
+    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    if a.size == 0 or a[0] != 1.0:
+        raise InvalidSpecError("leading coefficient must be exactly 1")
+    return a
 
 
 def canonical_realization(coeffs) -> CanonicalRealization:
     """Delay-chain realization of an FIR filter with coefficients a_0..a_P."""
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    a = _monic_coefficients(coeffs)
     if a.size < 2:
         raise InvalidSpecError("FIR order must be >= 1")
-    if a[0] != 1.0:
-        raise InvalidSpecError("leading coefficient must be exactly 1")
     p = a.size - 1
     amat = np.zeros((p, p))
     amat[np.arange(p - 1), np.arange(1, p)] = 1.0
@@ -215,7 +195,8 @@ def schur_reduced_matrix(realization: CanonicalRealization, p_matrix,
 
 
 def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
-    """The affine map xi -> bounded-real block matrix for order P and gamma.
+    """The affine map (a, P) -> bounded-real block matrix for order P and
+    gamma.
 
     The map is kept in the delay-chain structure ``LmiSystem`` describes.
     """
@@ -255,9 +236,9 @@ def bounded_real_certificate(coeffs, p_matrix,
     """The gain-bound certificate of an FIR filter with witness P: the top
     eigenvalue of the bounded-real block matrix, the bottom one of P and the
     dense-grid gain maximum.  ``require_certified`` judges it."""
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    a = _monic_coefficients(coeffs)
     pm = np.asarray(p_matrix, dtype=float)
-    big = bounded_real_matrix(canonical_realization(a), pm, gamma)
+    big = assemble_lmi(a.size - 1, gamma).evaluate(a[1:], pm)
     return BoundedRealCertificate(
         p_matrix=pm,
         gamma=float(gamma),
@@ -276,23 +257,23 @@ def verify_bounded_real(coeffs, gamma: float,
     lossless extension (``sdp.solve_gain_feasibility``), judged the same way.
     Both the LMI and a dense-grid gain check must hold, else this raises.
     """
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    a = _monic_coefficients(coeffs)
     if gamma <= 0:
         raise InvalidSpecError("gamma must be positive")
     if a.size == 1:
-        # zero-order filter: the bound is plain |a_0| <= gamma and the block
-        # matrix degenerates to [[-gamma^2, a_0], [a_0, -1]]
-        gmax = abs(float(a[0]))
-        if gmax > gamma * (1.0 + GRID_SLACK):
+        # zero-order NTF: unit gain, and the block matrix degenerates to the
+        # corner [[-gamma^2, 1], [1, -1]]
+        if 1.0 > gamma * (1.0 + GRID_SLACK):
             raise BoundViolationError(
-                f"gain bound violated: |a_0| = {gmax:.6f} > gamma {gamma}",
-                grid_max=gmax,
+                f"gain bound violated: |a_0| = 1 > gamma {gamma}",
+                grid_max=1.0,
             )
-        corner = np.array([[-gamma**2, a[0]], [a[0], -1.0]])
+        no_cert = np.zeros((0, 0))
+        corner = LmiSystem(order=0, gamma=gamma).evaluate(a[1:], no_cert)
         return BoundedRealCertificate(
-            p_matrix=np.zeros((0, 0)), gamma=float(gamma),
+            p_matrix=no_cert, gamma=float(gamma),
             max_eigenvalue_big=float(np.linalg.eigvalsh(corner)[-1]),
-            min_eigenvalue_p=0.0, grid_max=gmax,
+            min_eigenvalue_p=0.0, grid_max=1.0,
         )
     if p_matrix is None:
         from .sdp import solve_gain_feasibility

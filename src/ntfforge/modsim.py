@@ -97,15 +97,6 @@ class SnrReport:
     amplitude: float
     method: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "signal_power": self.signal_power,
-            "noise_power": self.noise_power,
-            "snr_db": self.snr_db,
-            "amplitude": self.amplitude,
-            "method": self.method,
-        }
-
 
 def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None,
              n_discard: int | None = None) -> ModTrace:

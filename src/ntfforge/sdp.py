@@ -5,9 +5,10 @@ where x_G is the leading part of x the PSD matrix G acts on, with a Mehrotra
 predictor-corrector iteration under Nesterov-Todd scaling.  The NTF design
 problem is posed directly in this form: its objective, the Toeplitz noise
 power, is the quadratic in the coefficients a, and the one PSD block is the
-(negated) gain-bound LMI over x = (a, certificate).  As in cone QP solvers
-(CVXOPT's ``coneqp``), G enters the Newton system next to the block's Schur
-complement, so the objective needs no epigraph variable or cone of its own.
+(negated) gain-bound LMI M(a; P) in the coefficients and the certificate.
+As in cone QP solvers (CVXOPT's ``coneqp``), G enters the Newton system next
+to the block's Schur complement, so the objective needs no epigraph variable
+or cone of its own.
 No separate certificate cone is needed either: the LMI gives
 P - A^T P A >= C^T C >= 0 and the delay-chain A is nilpotent, so
 P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
@@ -40,7 +41,6 @@ from .kyp import (
     LmiSystem,
     assemble_lmi,  # unused here; perfbench/tracing.py wraps it by name
     bounded_real_certificate,
-    pack_certificate,
 )
 
 log = logging.getLogger("ntfforge.sdp")
@@ -104,9 +104,11 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: design variables, objective and convergence diagnostics."""
+    """Solver output: the coefficients a_1..a_P, the P x P certificate, the
+    objective and convergence diagnostics."""
 
-    xi: np.ndarray
+    coeffs: np.ndarray
+    p_matrix: np.ndarray
     objective_value: float
     duality_gap: float
     iterations: int
@@ -116,8 +118,8 @@ class SdpSolution:
 
 
 class _KypCone:
-    """The KYP block's slack S = -M(a; P) over the design's x = (a, P),
-    with the dual restricted to the subspace the certificate leaves free.
+    """The KYP block's slack S = -M(a; P), with the dual restricted to the
+    subspace the certificate leaves free.
 
     The certificate rows of the dual condition F*(Z) = c + G x read
     Z[1:P+1, 1:P+1] = Z[:P, :P]: Z has a Toeplitz top-left (P+1) block and a
@@ -133,7 +135,9 @@ class _KypCone:
         p, n = lmi.order, lmi.dimension
         self.lmi = lmi
         self.size = n
-        self.f0 = -lmi.evaluate(np.zeros(lmi.variable_count))
+        no_cert = np.zeros((p, p))
+        flat = lmi.evaluate(np.zeros(p), no_cert)
+        self.f0 = -flat
         basis = np.zeros((2 * p + 3, n, n))
         for k in range(p + 1):
             i = np.arange(p + 1 - k)
@@ -141,8 +145,9 @@ class _KypCone:
         j = np.arange(n)
         basis[p + 1 + j, j, n - 1] = basis[p + 1 + j, n - 1, j] = 1.0
         self.basis = basis / np.sqrt(np.sum(basis**2, axis=(1, 2)))[:, None, None]
-        no_cert = np.zeros(lmi.variable_count - p)
-        placements = [-lmi.linear(np.concatenate((e, no_cert))) for e in np.eye(p)]
+        # a_k's entries never meet the constant corner, so M(e_k; 0) - M(0; 0)
+        # is exactly its placement
+        placements = [-(lmi.evaluate(e, no_cert) - flat) for e in np.eye(p)]
         self.coeff_map = np.tensordot(self.basis, placements, ([1, 2], [1, 2]))
 
     def project(self, mat):
@@ -237,7 +242,7 @@ def _nt_scaling(ls, lz):
 def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
                 quadratic, constant: float):
     """Mehrotra predictor-corrector for min c.a + a^T G a / 2 + constant
-    over x = (a, P) with the KYP slack S = F0 + F(x) >= 0 (G = ``quadratic``).
+    over x = (a, P) with the KYP slack S = -M(a; P) >= 0 (G = ``quadratic``).
 
     The dual is max -<F0, Z> - a^T G a / 2 + constant with F*(Z) = (c + Ga, 0).
     Its certificate part confines Z to the cone's (2P+3)-dimensional
@@ -245,18 +250,17 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     the certificate: the primal residual is projected onto that subspace,
     the Newton system (``_newton_system``) has order 3P+3, and P is read off
     the final S.  G couples a and Z, so both sides take one step length.
-    Returns (x, status, info) with x in the (a, packed P) layout.  The start
-    x0 need not be strictly feasible; the slack is shifted onto the identity
-    when F(x0) is not PD and the residual is driven out by the iteration.
+    Returns ((a, P), status, info).  The start x0 = (a, P) need not be
+    strictly feasible; the slack is shifted onto the identity when -M(x0) is
+    not PD and the residual is driven out by the iteration.
     The duality gap <S, Z> is judged relative to the whole objective
     (floored at 1e-12).
     """
     t_start = time.perf_counter()
-    p = quadratic.shape[0]
-    a = np.asarray(x0, dtype=float)[:p].copy()
+    a = np.array(x0[0], dtype=float)
     f0_proj = cone.project(cone.f0)
 
-    s = -cone.lmi.evaluate(x0)
+    s = -cone.lmi.evaluate(*x0)
     lam_min = float(np.linalg.eigvalsh(s)[0])
     if lam_min < 1e-8:
         s = s + (abs(lam_min) * 1.5 + 1.0) * np.eye(cone.size)
@@ -337,23 +341,22 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
     info["runtime_seconds"] = time.perf_counter() - t_start
     info["iterations"] = iters
-    return np.concatenate((a, pack_certificate(cone.certificate(s)))), status, info
+    return (a, cone.certificate(s)), status, info
 
 
 def _interior_start(problem: SdpProblem):
-    """Strictly interior start: zero coefficients and a ramped diagonal
-    certificate (strict feasibility needs gamma > 1)."""
+    """Strictly interior start (a, P): zero coefficients and a ramped
+    diagonal certificate (strict feasibility needs gamma > 1)."""
     p = problem.order
     gamma = problem.lmi.gamma
     margin = max(gamma * gamma - 1.0, 1e-6) / 2.0
-    diag = margin * (np.arange(1, p + 1) / (p + 1.0))
-    return np.concatenate((np.zeros(p), pack_certificate(np.diag(diag))))
+    return np.zeros(p), np.diag(margin * (np.arange(1, p + 1) / (p + 1.0)))
 
 
 def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:
     """Design solve: the objective as the solver's quadratic and linear terms
-    over x = (a, certificate), on the KYP block alone (which already implies
-    the certificate is PSD).
+    in the coefficients, on the KYP block alone (which already implies the
+    certificate is PSD).
 
     The objective data is divided by its largest entry so the solver sees an
     O(1) objective; the reported duality gap is relative to the whole
@@ -366,19 +369,19 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
                     float(np.max(np.abs(problem.quadratic))),
                     float(np.max(np.abs(problem.linear))) if p else 0.0,
                     1e-300)
-    x, status, info = solve_conic(
+    (coeffs, p_matrix), status, info = solve_conic(
         _KypCone(problem.lmi), problem.linear / obj_scale,
         _interior_start(problem), settings,
         quadratic=2.0 * problem.quadratic / obj_scale,
         constant=problem.constant / obj_scale)
 
-    coeffs = x[:p]
     objective = float(
         problem.constant + problem.linear @ coeffs
         + coeffs @ problem.quadratic @ coeffs
     )
     sol = SdpSolution(
-        xi=x,
+        coeffs=coeffs,
+        p_matrix=p_matrix,
         objective_value=objective,
         duality_gap=info.get("rel_gap", np.inf),
         iterations=info.get("iterations", 0),
@@ -396,13 +399,11 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     return sol
 
 
-def extract_ntf(solution: SdpSolution, order_p: int) -> np.ndarray:
+def extract_ntf(solution: SdpSolution) -> np.ndarray:
     """Coefficient vector a_0..a_P of the designed NTF (a_0 = 1 exactly)."""
     if solution.status != "optimal":
         raise SolverError(f"cannot extract NTF from status {solution.status!r}")
-    if solution.xi.size < order_p:
-        raise SolverError("solution does not carry enough variables")
-    return np.concatenate(([1.0], solution.xi[:order_p]))
+    return np.concatenate(([1.0], solution.coeffs))
 
 
 # perfbench/tracing.py wraps this by name; it moves to kyp with the next

@@ -337,6 +337,32 @@ class TestVerify:
         code = main(["verify", "--ntf", str(ntf_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("coeffs, code", [
+        ([0.5], 2), ([0.5, 0.0], 2), ([1.0], 0),
+    ])
+    def test_leading_coefficient_checked_at_every_order(self, tmp_path,
+                                                        coeffs, code):
+        # [0.5] and [0.5, 0.0] are the same NTF
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": coeffs, "gamma": 1.5}))
+        assert main(["verify", "--ntf", str(ntf_path)]) == code
+
+    def test_non_unit_leading_with_stored_certificate_exits_2(
+            self, tmp_path, monkeypatch):
+        import ntfforge.sdp as sdp
+
+        def no_phase_one(*args, **kwargs):
+            raise AssertionError("verify fell back to another witness")
+
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({
+            "a": [0.5, 0.1, 0.0], "gamma": 1.5,
+            "certificate": {"gamma": 1.5,
+                            "p_matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        }))
+        assert main(["verify", "--ntf", str(ntf_path)]) == 2
+
     def test_osr_spec_resolves_sample_rate(self, tmp_path):
         spec = {
             "osr": 64,

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +254,28 @@ class TestSolverErrorMessage:
         for name in ("relative gap", "primal residual", "dual residual"):
             value = msg.split(name + " ")[1].split(",")[0]
             assert np.isfinite(float(value))
+
+
+class TestBenchmarkTracingTargets:
+    # the benchmark's tracer wraps pipeline functions by name and reads
+    # solve_conic's (x, status, info); a rename or a changed return shape
+    # would silently drop its spans.  The tracer is loaded by path: importing
+    # the perfbench package would pin every BLAS to one thread for the session
+    def test_every_target_resolves_and_solve_conic_is_noted(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            assert tracer.absent == []
+            with tracer.operation(0, "probe"):
+                design.run_design(lowpass_spec(fir_order=6))
+        finally:
+            tracer.uninstall()
+        conic = [s for s in tracer.spans if s["name"] == "sdp.solve_conic"]
+        assert len(conic) == 1
+        assert conic[0]["status"] == "optimal"
+        assert conic[0]["iterations"] > 0
+        assert not any(s.get("note_error") for s in tracer.spans)

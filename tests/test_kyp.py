@@ -10,9 +10,7 @@ from ntfforge.kyp import (
     bounded_real_matrix,
     canonical_realization,
     grid_gain_max,
-    pack_certificate,
     schur_equivalence_check,
-    unpack_certificate,
     verify_bounded_real,
 )
 
@@ -80,7 +78,7 @@ class TestAssembleLmi:
     def test_first_order_hand_expansion(self):
         lmi = assemble_lmi(1, 1.5)
         a1, p11 = 0.7, 0.3
-        got = lmi.evaluate(np.array([a1, p11]))
+        got = lmi.evaluate(np.array([a1]), np.array([[p11]]))
         expected = np.array([
             [-p11, 0.0, a1],
             [0.0, p11 - 2.25, 1.0],
@@ -88,19 +86,32 @@ class TestAssembleLmi:
         ])
         assert np.allclose(got, expected, rtol=1e-15)
 
-    def test_variable_count(self):
+    def test_shape(self):
         for order_p in (1, 2, 5, 12):
             lmi = assemble_lmi(order_p, 1.5)
-            assert lmi.variable_count == order_p + order_p * (order_p + 1) // 2
-            mat = lmi.evaluate(np.zeros(lmi.variable_count))
+            mat = lmi.evaluate(np.zeros(order_p), np.zeros((order_p, order_p)))
             assert mat.shape == (order_p + 2, order_p + 2)
 
+    @pytest.mark.parametrize("a_shape, p_shape", [
+        ((3,), (2, 2)), ((2,), (2, 3)), ((2,), (3, 3)), ((2, 1), (2, 2)),
+        ((5,), (5,)),
+    ])
+    def test_rejects_wrong_shapes(self, a_shape, p_shape):
+        with pytest.raises(InvalidSpecError):
+            assemble_lmi(2, 1.5).evaluate(np.zeros(a_shape), np.zeros(p_shape))
+
     def test_basis_matrices_symmetric(self):
-        # M_0 = M(0) and M_i = M(e_i) - M(0)
-        lmi = assemble_lmi(4, 2.0)
-        for xi in np.vstack((np.zeros(lmi.variable_count),
-                             np.eye(lmi.variable_count))):
-            mat = lmi.evaluate(xi)
+        # M_0 = M(0; 0) and the unit directions of a and of symmetric P
+        order_p = 4
+        lmi = assemble_lmi(order_p, 2.0)
+        zero_a, zero_p = np.zeros(order_p), np.zeros((order_p, order_p))
+        points = [(zero_a, zero_p)] + [(e, zero_p) for e in np.eye(order_p)]
+        for i, j in zip(*np.triu_indices(order_p)):
+            pm = zero_p.copy()
+            pm[i, j] = pm[j, i] = 1.0
+            points.append((zero_a, pm))
+        for a, pm in points:
+            mat = lmi.evaluate(a, pm)
             assert np.array_equal(mat, mat.T)
 
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -110,15 +121,22 @@ class TestAssembleLmi:
         # identity holds bit for bit
         rng = np.random.default_rng(seed)
         lmi = assemble_lmi(order_p, 1.5)
-        xi = rng.integers(-1024, 1025, lmi.variable_count) / 64.0
-        eta = rng.integers(-1024, 1025, lmi.variable_count) / 64.0
-        lhs = lmi.evaluate(xi + eta) - lmi.evaluate(xi) - lmi.evaluate(eta) \
-            + lmi.evaluate(np.zeros(lmi.variable_count))
+
+        def dyadic(shape):
+            return rng.integers(-1024, 1025, shape) / 64.0
+
+        a, b = dyadic(order_p), dyadic(order_p)
+        pm, qm = (m + m.T for m in (dyadic((order_p, order_p)),
+                                     dyadic((order_p, order_p))))
+        lhs = lmi.evaluate(a + b, pm + qm) - lmi.evaluate(a, pm) \
+            - lmi.evaluate(b, qm) \
+            + lmi.evaluate(np.zeros(order_p), np.zeros((order_p, order_p)))
         assert np.max(np.abs(lhs)) == 0.0
 
     def test_flat_ntf_feasible_point(self):
         lmi = assemble_lmi(1, 1.5)
-        eigs = np.linalg.eigvalsh(lmi.evaluate(np.array([0.0, 1.0])))
+        eigs = np.linalg.eigvalsh(lmi.evaluate(np.array([0.0]),
+                                               np.array([[1.0]])))
         assert np.all(eigs <= 1e-12)
 
     def test_evaluate_matches_block_formula(self):
@@ -127,36 +145,23 @@ class TestAssembleLmi:
         lmi = assemble_lmi(order_p, 1.7)
         coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
         pm = random_psd(rng, order_p)
-        xi = np.concatenate((coeffs[1:], pack_certificate(pm)))
         direct = bounded_real_matrix(canonical_realization(coeffs), pm, 1.7)
-        assert np.allclose(lmi.evaluate(xi), direct, rtol=1e-14)
+        assert np.allclose(lmi.evaluate(coeffs[1:], pm), direct, rtol=1e-14)
 
     @given(st.integers(1, 8), st.floats(0.5, 8.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_basis_reproduces_block_formula_bit_for_bit(self, order_p, gamma,
-                                                         seed):
+    def test_basis_reproduces_block_formula_bit_for_bit(self, order_p,
+                                                         gamma, seed):
         # dyadic coefficients and certificate entries keep the formula's
-        # matrix products exact, so the shift-built basis must agree exactly
+        # matrix products exact, so the shift-built map must agree exactly
         rng = np.random.default_rng(seed)
         coeffs = np.concatenate(
             ([1.0], rng.integers(-1024, 1025, order_p) / 64.0))
         half = rng.integers(-1024, 1025, (order_p, order_p)) / 64.0
         pm = half + half.T
         lmi = assemble_lmi(order_p, gamma)
-        xi = np.concatenate((coeffs[1:], pack_certificate(pm)))
         direct = bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
-        assert np.array_equal(lmi.evaluate(xi), direct)
-
-
-class TestCertificatePacking:
-    def test_row_major_upper_triangle_order(self):
-        pm = np.array([[1.0, 2.0, 3.0],
-                       [2.0, 4.0, 5.0],
-                       [3.0, 5.0, 6.0]])
-        # (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
-        assert pack_certificate(pm).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        assert np.array_equal(
-            unpack_certificate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3), pm)
+        assert np.array_equal(lmi.evaluate(coeffs[1:], pm), direct)
 
 
 class TestVerifyBoundedReal:

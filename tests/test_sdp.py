@@ -9,10 +9,10 @@ from ntfforge import sdp
 from ntfforge.errors import InvalidSpecError, SolverError
 from ntfforge.kyp import (
     assemble_lmi,
+    bounded_real_certificate,
     bounded_real_matrix,
     canonical_realization,
     grid_gain_max,
-    unpack_certificate,
 )
 from ntfforge.sdp import (
     SdpProblem,
@@ -36,8 +36,8 @@ class TestSolve:
     def test_unconstrained_stationary_point(self):
         sol = solve(toy_problem(), TIGHT)
         assert sol.status == "optimal"
-        assert sol.xi[0] == pytest.approx(-0.5, abs=1e-6)
-        assert sol.xi[1] == pytest.approx(0.0, abs=1e-6)
+        assert sol.coeffs[0] == pytest.approx(-0.5, abs=1e-6)
+        assert sol.coeffs[1] == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [1.02, 1.5, 4.0])
     def test_identity_objective_gives_flat_ntf(self, gamma):
@@ -45,12 +45,12 @@ class TestSolve:
                           lmi=assemble_lmi(4, gamma), constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        assert np.max(np.abs(sol.xi[:4])) < 1e-6
+        assert np.max(np.abs(sol.coeffs)) < 1e-6
 
     def test_objective_value_consistency(self):
         prob = toy_problem()
         sol = solve(prob, TIGHT)
-        coeffs = sol.xi[:2]
+        coeffs = sol.coeffs
         recomputed = prob.constant + prob.linear @ coeffs \
             + coeffs @ prob.quadratic @ coeffs
         assert sol.objective_value == pytest.approx(recomputed, rel=1e-9)
@@ -65,7 +65,8 @@ class TestSolve:
         s1 = solve(toy_problem(), TIGHT)
         s2 = solve(toy_problem(), TIGHT)
         assert s1.iterations == s2.iterations
-        assert np.array_equal(s1.xi, s2.xi)
+        assert np.array_equal(s1.coeffs, s2.coeffs)
+        assert np.array_equal(s1.p_matrix, s2.p_matrix)
 
     def test_active_gain_constraint_binds(self):
         # a first-order objective pulling toward a_1 = -1 (a differentiator
@@ -76,7 +77,7 @@ class TestSolve:
                           lmi=assemble_lmi(1, 1.5), constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        gmax = grid_gain_max(extract_ntf(sol, 1))
+        gmax = grid_gain_max(extract_ntf(sol))
         assert gmax == pytest.approx(1.5, abs=1e-6)
 
     def test_objective_may_go_negative(self):
@@ -86,7 +87,7 @@ class TestSolve:
                           lmi=assemble_lmi(2, 100.0))
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        assert sol.xi[:2] == pytest.approx([-1.0, 0.0], abs=1e-6)
+        assert sol.coeffs == pytest.approx([-1.0, 0.0], abs=1e-6)
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
     def test_infeasible_gamma_below_unity_detected(self):
@@ -115,10 +116,40 @@ class TestSolve:
             assert lo <= hi * (1.0 + 2e-7)
 
 
+class TestFirstOrderClosedForm:
+    # P=1: |1 + a_1 e^{-iw}| peaks at 1 + |a_1|, so the optimum of the convex
+    # quadratic q0 (1 + a_1^2) + 2 q1 a_1 is its stationary point clipped to
+    # |a_1| <= gamma - 1.  |q1| stops at 0.9 q0: as |q1| -> q0 the optimum
+    # q0 (1 - a_1^2) + ... tends to 0, TIGHT's relative gap asks for an
+    # absolute one near double precision, and where the stationary point
+    # also sits on the bound the solver ends in numerical_failure (from
+    # |q1| = 0.99 q0; see ROADMAP item 6)
+    @given(st.floats(1e-3, 1e3), st.floats(-0.9, 0.9), st.floats(1.001, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_clipped_stationary_point(self, q0, ratio, gamma):
+        q1 = ratio * q0
+        prob = SdpProblem(quadratic=[[q0]], linear=[2.0 * q1],
+                          lmi=assemble_lmi(1, gamma), constant=q0)
+        sol = solve(prob, TIGHT)
+        assert sol.status == "optimal"
+        a1 = float(np.clip(-ratio, 1.0 - gamma, gamma - 1.0))
+        want = q0 * (1.0 + a1 * a1) + 2.0 * q1 * a1
+        assert abs(sol.objective_value - want) <= 1e-7 * want
+        # where the stationary point sits on the bound, strict
+        # complementarity fails and a_1 is fixed only through the objective:
+        # q0 (a - a_1)^2 <= f(a) - f* <= gap_tol f*
+        tol = 1e-7
+        if abs(abs(ratio) - (gamma - 1.0)) < 1e-3:
+            tol = max(tol, np.sqrt(TIGHT.gap_tol * want / q0))
+        assert abs(sol.coeffs[0] - a1) <= tol
+        assert bounded_real_certificate(extract_ntf(sol), sol.p_matrix,
+                                        gamma).feasible
+
+
 class TestExtractNtf:
     def test_prepends_unit_leading_coefficient(self):
         sol = solve(toy_problem(), TIGHT)
-        coeffs = extract_ntf(sol, 2)
+        coeffs = extract_ntf(sol)
         assert coeffs[0] == 1.0
         assert coeffs.size == 3
 
@@ -126,7 +157,7 @@ class TestExtractNtf:
         sol = solve(toy_problem(), SolverSettings(max_iter=1))
         assert sol.status != "optimal"
         with pytest.raises(SolverError):
-            extract_ntf(sol, 2)
+            extract_ntf(sol)
 
 
 class TestGainFeasibility:
@@ -181,16 +212,18 @@ class TestProblemValidation:
 
 
 def dense_kyp_basis(order_p, gamma):
-    """M(0) and M_i = M(e_i) - M(0), rebuilt from the block formula."""
-    count = assemble_lmi(order_p, gamma).variable_count
+    """M(0) and M_i = M(e_i) - M(0), rebuilt from the block formula, over
+    x = (a_1..a_P, the upper triangle of P row by row)."""
+    rows, cols = np.triu_indices(order_p)
 
-    def formula(xi):
-        coeffs = np.concatenate(([1.0], xi[:order_p]))
-        pm = unpack_certificate(xi[order_p:], order_p)
+    def formula(x):
+        coeffs = np.concatenate(([1.0], x[:order_p]))
+        pm = np.zeros((order_p, order_p))
+        pm[rows, cols] = pm[cols, rows] = x[order_p:]
         return bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
 
-    m0 = formula(np.zeros(count))
-    return m0, np.array([formula(e) - m0 for e in np.eye(count)])
+    m0 = formula(np.zeros(order_p + rows.size))
+    return m0, np.array([formula(e) - m0 for e in np.eye(order_p + rows.size)])
 
 
 def random_spd(rng, n):
@@ -218,7 +251,7 @@ def assert_close(got, want, rtol=1e-12):
 
 def random_kyp_point(rng, order_p, gamma):
     """The cone, the dense block F0 + sum x_i F_i (F_i = -M_i) and a random
-    x = (a, packed certificate)."""
+    x in ``dense_kyp_basis``'s layout."""
     cone = sdp._KypCone(assemble_lmi(order_p, gamma))
     m0, basis = dense_kyp_basis(order_p, gamma)
     return cone, -m0, -basis, rng.normal(size=basis.shape[0])
