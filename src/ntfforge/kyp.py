@@ -4,14 +4,14 @@ The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix M(a; P) built on
 the delay-chain state-space realization of the FIR filter, in the
 coefficients a and a certificate matrix P.  ``LmiSystem.evaluate`` is the one
-builder of that matrix: the design solver takes its constant and coefficient
-placements from it, and the judgement of a witness against the LMI and a
-dense frequency grid rebuilds it the same way.  The dense realization and
-the Schur-complement equivalence stay here as test oracles.  The design
-solver never handles the certificate entries one by one: its dual lives on
-the subspace they leave free (``sdp._KypCone``).  A fixed filter's witness
-needs no SDP: it is the observability Gramian of the filter's lossless
-extension (``sdp.solve_gain_feasibility``).
+place that builds that matrix: the design solver takes its constant and
+coefficient placements from it, and the judgement of a witness against the
+LMI and a dense frequency grid rebuilds it the same way.  The dense
+realization and the Schur-complement equivalence stay here as test oracles.
+The design solver never handles the certificate entries one by one: its dual
+lives on the subspace they leave free (``sdp._KypCone``).  A fixed filter's
+witness needs no SDP: it is the observability Gramian of the filter's
+lossless extension (``sdp.solve_gain_feasibility``).
 """
 
 from __future__ import annotations

@@ -260,7 +260,7 @@ class TestBenchmarkTracingTargets:
     # the benchmark's tracer wraps pipeline functions by name and reads
     # solve_conic's (x, status, info); a rename or a changed return shape
     # would silently drop its spans.  The tracer is loaded by path: importing
-    # the perfbench package would pin every BLAS to one thread for the session
+    # the perfbench package would pin every BLAS to one thread for the run
     def test_every_target_resolves_and_solve_conic_is_noted(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("bench_tracing", path)

@@ -120,10 +120,10 @@ class TestFirstOrderClosedForm:
     # P=1: |1 + a_1 e^{-iw}| peaks at 1 + |a_1|, so the optimum of the convex
     # quadratic q0 (1 + a_1^2) + 2 q1 a_1 is its stationary point clipped to
     # |a_1| <= gamma - 1.  |q1| stops at 0.9 q0: as |q1| -> q0 the optimum
-    # q0 (1 - a_1^2) + ... tends to 0, TIGHT's relative gap asks for an
-    # absolute one near double precision, and where the stationary point
-    # also sits on the bound the solver ends in numerical_failure (from
-    # |q1| = 0.99 q0; see ROADMAP item 6)
+    # q0 (1 - a_1^2) tends to 0, so its float value loses the 1e-7 relative
+    # accuracy asked of it, and where the stationary point also sits on the
+    # bound the solver ends in numerical_failure at TIGHT from |q1| = 0.99 q0
+    # (ROADMAP item 6)
     @given(st.floats(1e-3, 1e3), st.floats(-0.9, 0.9), st.floats(1.001, 4.0))
     @settings(max_examples=40, deadline=None)
     def test_clipped_stationary_point(self, q0, ratio, gamma):
