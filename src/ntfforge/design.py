@@ -63,13 +63,11 @@ class DesignSpec:
         if self.fs_hz <= 0:
             raise InvalidSpecError("sample rate must be positive")
         object.__setattr__(self, "quantizer_levels",
-                           tuple(float(v) for v in self.quantizer_levels))
+                           Quantizer(levels=self.quantizer_levels).levels)
 
     @property
     def quantizer(self) -> Quantizer:
-        lv = self.quantizer_levels
-        delta = (lv[-1] - lv[0]) / (len(lv) - 1)
-        return Quantizer(levels=lv, delta=delta)
+        return Quantizer(levels=self.quantizer_levels)
 
     @property
     def budget(self) -> NoiseBudget:

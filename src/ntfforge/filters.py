@@ -1,11 +1,11 @@
 """Discrete-time filter construction, impulse responses and frequency responses.
 
-Filters are stored both as flat numerator/denominator coefficient lists (powers
-of z^-1, used for serialization and reporting) and as parallel branches of
-cascaded low-order sections, which are the numerical ground truth.  Narrowband
-high-order designs are unusable in flat polynomial form in double precision
-(their computed polynomial roots scatter off the unit disk), so every numeric
-operation here runs section-wise.
+A filter is held only as parallel branches of cascaded low-order sections
+(coefficients in powers of z^-1); explicit filters are one-section filters.
+Narrowband high-order designs are unusable as one flat numerator/denominator
+pair in double precision (their computed polynomial roots scatter off the unit
+disk), so every numeric operation here runs section-wise and no flat form is
+built.
 """
 
 from __future__ import annotations
@@ -137,37 +137,26 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class RationalFilter:
-    """A stable rational filter H(z) = num(z^-1)/den(z^-1).
+    """A stable rational filter H(z) held as cascaded sections.
 
     ``branches`` is a tuple of parallel branches; each branch is a tuple of
-    (b, a) cascade sections stored as coefficient tuples.  The filter response
-    is the sum of the branch responses.  num/den are the exactly-combined
-    coefficients and always carry a unit leading denominator coefficient.
+    (b, a) cascade sections, coefficient tuples in powers of z^-1.  H(z) is the
+    sum over branches of the product of b(z^-1)/a(z^-1) over the sections.
+    A section's denominator need not be monic: every use divides by it.
     """
 
-    num: tuple
-    den: tuple
+    branches: tuple
     fs_hz: float
-    branches: tuple = ()
 
     def __post_init__(self):
-        num = tuple(float(c) for c in self.num)
-        den = tuple(float(c) for c in self.den)
-        if not den or den[0] == 0.0:
+        branches = tuple(
+            tuple((tuple(float(c) for c in b), tuple(float(c) for c in a))
+                  for b, a in branch)
+            for branch in self.branches
+        )
+        if any(not a or a[0] == 0.0 for branch in branches for _, a in branch):
             raise InvalidSpecError("denominator leading coefficient must be nonzero")
-        if den[0] != 1.0:
-            num = tuple(c / den[0] for c in num)
-            den = tuple(c / den[0] for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        if not self.branches:
-            object.__setattr__(self, "branches", (((num, den),),))
-        else:
-            object.__setattr__(
-                self,
-                "branches",
-                tuple(tuple((tuple(b), tuple(a)) for b, a in br) for br in self.branches),
-            )
+        object.__setattr__(self, "branches", branches)
         if self.fs_hz <= 0:
             raise InvalidSpecError("sample rate must be positive")
         radius = self.max_pole_radius()
@@ -175,6 +164,11 @@ class RationalFilter:
             raise ConditioningError(
                 f"pole radius {radius:.15f} at or beyond the stability margin"
             )
+
+    @classmethod
+    def from_polynomials(cls, num, den, fs_hz: float) -> "RationalFilter":
+        """The one-section filter num(z^-1)/den(z^-1)."""
+        return cls(branches=(((num, den),),), fs_hz=fs_hz)
 
     def poles(self) -> np.ndarray:
         """Poles gathered section-wise (well-conditioned per low-order section)."""
@@ -192,20 +186,11 @@ class RationalFilter:
 
     def response(self, grid: FrequencyGrid) -> np.ndarray:
         """H(e^{i omega}) on the grid, evaluated branch/section-wise."""
-        zinv = np.exp(-1j * grid.omegas)
-        total = np.zeros_like(zinv)
+        total = np.zeros(grid.count, dtype=complex)
         for branch in self.branches:
-            acc = np.ones_like(zinv)
+            acc = np.ones(grid.count, dtype=complex)
             for b, a in branch:
-                numv = _polyval_zinv(b, zinv)
-                denv = _polyval_zinv(a, zinv)
-                bad = np.abs(denv) < 1e-14
-                if np.any(bad):
-                    w_bad = grid.omegas[np.argmax(bad)]
-                    raise EvaluationError(
-                        f"denominator vanished at omega={w_bad:.6g}"
-                    )
-                acc *= numv / denv
+                acc *= frequency_response(b, a, grid)
             total += acc
         return total
 
@@ -222,7 +207,7 @@ class RationalFilter:
 
     @classmethod
     def identity(cls, fs_hz: float) -> "RationalFilter":
-        return cls(num=(1.0,), den=(1.0,), fs_hz=fs_hz)
+        return cls.from_polynomials((1.0,), (1.0,), fs_hz)
 
 
 @dataclass(frozen=True)
@@ -269,43 +254,15 @@ def _band_branch(order: int, lo: float, hi: float, fs_hz: float):
             raise InvalidSpecError("bandpass butterworth order must be even")
         sos = spsig.butter(order // 2, [lo, hi], btype="bandpass", fs=fs_hz,
                            output="sos")
-    return tuple((tuple(row[:3]), tuple(row[3:])) for row in sos)
-
-
-def _trim(coeffs):
-    arr = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    return arr if arr.size else np.zeros(1)
-
-
-def _combine_branches(branches):
-    """Exact flat num/den of a parallel sum of cascades (reporting only)."""
-    nums, dens = [], []
-    for branch in branches:
-        bn, bd = np.array([1.0]), np.array([1.0])
-        for b, a in branch:
-            bn = np.convolve(bn, _trim(b))
-            bd = np.convolve(bd, _trim(a))
-        nums.append(bn)
-        dens.append(bd)
-    num, den = nums[0], dens[0]
-    for bn, bd in zip(nums[1:], dens[1:]):
-        L = max(len(num) + len(bd), len(bn) + len(den)) - 1
-        merged = np.zeros(L)
-        t1 = np.convolve(num, bd)
-        t2 = np.convolve(bn, den)
-        merged[: t1.size] += t1
-        merged[: t2.size] += t2
-        num = merged
-        den = np.convolve(den, bd)
-    return tuple(num), tuple(den)
+    return tuple((row[:3], row[3:]) for row in sos)
 
 
 def design_filter(spec: FilterSpec) -> RationalFilter:
     """Build the stable rational filter described by a FilterSpec."""
     if spec.kind == "explicit_rational":
-        return RationalFilter(num=spec.num, den=spec.den, fs_hz=spec.fs_hz)
+        return RationalFilter.from_polynomials(spec.num, spec.den, spec.fs_hz)
     if spec.kind == "explicit_impulse":
-        return RationalFilter(num=spec.impulse, den=(1.0,), fs_hz=spec.fs_hz)
+        return RationalFilter.from_polynomials(spec.impulse, (1.0,), spec.fs_hz)
     if spec.kind == "lowpass_butterworth":
         if len(spec.bands_hz) != 1:
             raise InvalidSpecError("lowpass spec takes exactly one band")
@@ -324,8 +281,7 @@ def design_filter(spec: FilterSpec) -> RationalFilter:
         branches = tuple(
             _band_branch(spec.order, lo, hi, spec.fs_hz) for lo, hi in spec.bands_hz
         )
-    num, den = _combine_branches(branches)
-    return RationalFilter(num=num, den=den, fs_hz=spec.fs_hz, branches=branches)
+    return RationalFilter(branches=branches, fs_hz=spec.fs_hz)
 
 
 def impulse_response(
@@ -337,39 +293,42 @@ def impulse_response(
     energy is at most energy_tol times the total energy.
 
     Samples come from the exact section recursion; the simulation window is
-    extended until the geometric pole-radius bound certifies that the energy
-    beyond the window is negligible against the tolerance.
+    extended until it passes every numerator tap and the geometric pole-radius
+    bound certifies that the energy beyond it is negligible against the tolerance.
     """
     if not (0.0 < energy_tol < 1.0):
         raise InvalidSpecError("energy_tol must be in (0, 1)")
     radius = filt.max_pole_radius()
+    # the 16-sample tail probe says nothing until it lies past every numerator tap
+    reach = max(sum(len(b) - 1 for b, _ in branch) for branch in filt.branches)
     n = 1024
     while True:
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        h = filt.filter_signal(impulse)
-        total = float(np.dot(h, h))
-        if total == 0.0:
-            return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0,
-                                   energy_tol=energy_tol)
-        # energy beyond the window, bounded by the geometric decay of the tail
-        if radius == 0.0:
-            beyond = 0.0
-        else:
-            r2 = radius * radius
-            tail_amp = float(np.max(np.abs(h[-16:])))
-            beyond = tail_amp * tail_amp * r2 / (1.0 - r2) * 16.0
-        if beyond <= 0.01 * energy_tol * total:
-            tail = np.concatenate((np.cumsum(h[::-1] ** 2)[::-1][1:], [0.0]))
-            tail += beyond
-            ok = np.nonzero(tail <= energy_tol * total)[0]
-            if ok.size:
-                m = int(ok[0])
-                return ImpulseResponse(
-                    samples=h[: m + 1],
-                    tail_energy_fraction=float(tail[m] / total),
-                    energy_tol=energy_tol,
-                )
+        if n > reach + 16:
+            impulse = np.zeros(n)
+            impulse[0] = 1.0
+            h = filt.filter_signal(impulse)
+            total = float(np.dot(h, h))
+            if total == 0.0:
+                return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0,
+                                       energy_tol=energy_tol)
+            # energy beyond the window, bounded by the geometric decay of the tail
+            if radius == 0.0:
+                beyond = 0.0
+            else:
+                r2 = radius * radius
+                tail_amp = float(np.max(np.abs(h[-16:])))
+                beyond = tail_amp * tail_amp * r2 / (1.0 - r2) * 16.0
+            if beyond <= 0.01 * energy_tol * total:
+                tail = np.concatenate((np.cumsum(h[::-1] ** 2)[::-1][1:], [0.0]))
+                tail += beyond
+                ok = np.nonzero(tail <= energy_tol * total)[0]
+                if ok.size:
+                    m = int(ok[0])
+                    return ImpulseResponse(
+                        samples=h[: m + 1],
+                        tail_energy_fraction=float(tail[m] / total),
+                        energy_tol=energy_tol,
+                    )
         if n >= hard_cap:
             raise TruncationOverflowError(
                 f"truncation needs more than {hard_cap} samples"

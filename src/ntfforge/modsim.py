@@ -50,7 +50,6 @@ class Quantizer:
     """
 
     levels: tuple = (-1.0, 1.0)
-    delta: float = 2.0
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.levels)
@@ -58,9 +57,12 @@ class Quantizer:
             raise InvalidSpecError("need at least two quantizer levels")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise InvalidSpecError("levels must be strictly increasing")
-        if self.delta <= 0:
-            raise InvalidSpecError("step must be positive")
         object.__setattr__(self, "levels", levels)
+
+    @property
+    def delta(self) -> float:
+        """Step between levels, the full span over the number of steps."""
+        return (self.levels[-1] - self.levels[0]) / (len(self.levels) - 1)
 
     def quantize(self, value: float) -> float:
         """Nearest level; midpoints round toward the higher level."""

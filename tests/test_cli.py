@@ -86,6 +86,21 @@ class TestDesign:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_single_quantizer_level_is_validation_error(self, tmp_path):
+        spec = {
+            "fs_hz": FS,
+            "filter": {"kind": "lowpass_butterworth", "order": 1,
+                       "bands_hz": [[0.0, 2000.0]]},
+            "fir_order": 4,
+            "quantizer_levels": [1.0],
+        }
+        path = tmp_path / "one_level.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.json"
+        code = main(["design", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_solver_cap_is_solver_failure(self, tmp_path):
         spec = {
             "fs_hz": FS,
@@ -241,10 +256,10 @@ class TestVerify:
 
         ntf_path = run_design(spec_path, tmp_path)
 
-        def no_phase_one(*args, **kwargs):
-            raise AssertionError("verify re-solved the phase-1 SDP")
+        def no_gramian_witness(*args, **kwargs):
+            raise AssertionError("verify built the lossless-extension Gramian witness")
 
-        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_gramian_witness)
         cert_out = tmp_path / "cert.json"
         code = main(["verify", "--ntf", str(ntf_path),
                      "--out", str(cert_out)])
@@ -266,8 +281,8 @@ class TestVerify:
         code = main(["verify", "--ntf", str(ntf_path)])
         assert code == 4
 
-    def test_shrunk_tail_falls_back_to_phase_one(self, spec_path, tmp_path,
-                                                 monkeypatch):
+    def test_shrunk_tail_falls_back_to_gramian_witness(
+            self, spec_path, tmp_path, monkeypatch):
         # (1 - e) H + e has gain <= (1 - e) gamma + e <= gamma, so the edited
         # NTF meets the bound, but the design sits on the LMI boundary and
         # the stored certificate no longer fits it
@@ -307,15 +322,15 @@ class TestVerify:
                                    "gamma": stored["gamma"]}
         ntf_path.write_text(json.dumps(artifact))
 
-        def no_phase_one(*args, **kwargs):
-            raise AssertionError("verify re-solved the phase-1 SDP")
+        def no_gramian_witness(*args, **kwargs):
+            raise AssertionError("verify built the lossless-extension Gramian witness")
 
-        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_gramian_witness)
         code = main(["verify", "--ntf", str(ntf_path)])
         assert code == 0
 
-    def test_gamma_override_solves_phase_one(self, spec_path, tmp_path,
-                                             monkeypatch):
+    def test_gamma_override_builds_gramian_witness(
+            self, spec_path, tmp_path, monkeypatch):
         import ntfforge.sdp as sdp
 
         ntf_path = run_design(spec_path, tmp_path)
@@ -351,10 +366,10 @@ class TestVerify:
             self, tmp_path, monkeypatch):
         import ntfforge.sdp as sdp
 
-        def no_phase_one(*args, **kwargs):
+        def no_gramian_witness(*args, **kwargs):
             raise AssertionError("verify fell back to another witness")
 
-        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_phase_one)
+        monkeypatch.setattr(sdp, "solve_gain_feasibility", no_gramian_witness)
         ntf_path = tmp_path / "ntf.json"
         ntf_path.write_text(json.dumps({
             "a": [0.5, 0.1, 0.0], "gamma": 1.5,

@@ -39,7 +39,8 @@ class TestDesignFilter:
         assert poles.size == 1
         assert poles[0].real == pytest.approx(pole_expected, abs=1e-12)
         assert pole_expected == pytest.approx(0.99388, abs=5e-6)
-        zeros = np.roots(filt.num)
+        (b, _), = filt.branches[0]
+        zeros = np.roots(np.trim_zeros(b, "b"))
         assert zeros.size == 1
         assert zeros[0].real == pytest.approx(-1.0, abs=1e-9)
 
@@ -105,7 +106,27 @@ class TestDesignFilter:
 
     def test_unstable_explicit_rational_rejected(self):
         with pytest.raises(ConditioningError):
-            RationalFilter(num=(1.0,), den=(1.0, -1.0), fs_hz=1.0)
+            RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -1.0), fs_hz=1.0)
+
+    def test_zero_leading_denominator_in_branch_section_rejected(self):
+        sections = ((((1.0,), (1.0, -0.5)),), (((1.0,), (0.0, 1.0, -0.5)),))
+        with pytest.raises(InvalidSpecError):
+            RationalFilter(branches=sections, fs_hz=1.0)
+
+    def test_multiband_response_is_sum_of_branch_sosfreqz(self):
+        from scipy.signal import sosfreqz
+
+        fs = 2 * 64 * 4400.0
+        spec = FilterSpec(kind="multiband_butterworth", fs_hz=fs, order=4,
+                          bands_hz=((800.0, 1200.0), (8000.0, 12000.0)))
+        filt = design_filter(spec)
+        grid = FrequencyGrid.uniform(4096)
+        expected = np.zeros(grid.count, dtype=complex)
+        for branch in filt.branches:
+            sos = np.array([b + a for b, a in branch])
+            expected += sosfreqz(sos, worN=grid.omegas)[1]
+        assert len(filt.branches) == 2
+        np.testing.assert_allclose(filt.response(grid), expected, rtol=1e-12)
 
 
 class TestImpulseResponse:
@@ -118,7 +139,7 @@ class TestImpulseResponse:
     def test_geometric_series_truncation(self):
         # H = 1/(1 - 0.5 z^-1): h_i = 0.5^i, tail(M)/E = 0.25^(M+1), so the
         # smallest M with tail <= 1e-12 E is 19
-        filt = RationalFilter(num=(1.0,), den=(1.0, -0.5), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5), fs_hz=1.0)
         resp = impulse_response(filt, 1e-12)
         assert resp.truncation_index == 19
         expected = 0.5 ** np.arange(20)
@@ -148,6 +169,30 @@ class TestImpulseResponse:
         impulse[0] = 1.0
         full = filt.filter_signal(impulse)
         assert resp.energy == pytest.approx(np.dot(full, full), rel=1e-9)
+
+    def test_fir_taps_beyond_first_window_are_kept(self):
+        taps = np.zeros(3000)
+        taps[0] = taps[2000] = 1.0
+        spec = FilterSpec(kind="explicit_impulse", fs_hz=1.0,
+                          impulse=tuple(taps))
+        resp = impulse_response(design_filter(spec), 1e-12)
+        assert resp.truncation_index == 2000
+        assert resp.energy == 2.0
+
+    def test_numerator_tap_beyond_first_window_is_kept(self):
+        # h_i = 0.5^i + 0.5^(i - 1100) for i >= 1100; tail(M) falls below
+        # 1e-12 of the energy first at M = 1119, as for the i = 0 copy at 19
+        num = np.zeros(1101)
+        num[0] = num[1100] = 1.0
+        filt = RationalFilter.from_polynomials(num=tuple(num), den=(1.0, -0.5),
+                                               fs_hz=1.0)
+        resp = impulse_response(filt, 1e-12)
+        impulse = np.zeros(4096)
+        impulse[0] = 1.0
+        h = filt.filter_signal(impulse)
+        assert resp.truncation_index == 1119
+        assert np.array_equal(resp.samples, h[:1120])
+        assert resp.energy == pytest.approx(np.dot(h, h), rel=1e-12)
 
     def test_tolerance_validation(self):
         filt = RationalFilter.identity(1.0)
@@ -282,7 +327,7 @@ class TestSerialization:
             json.loads(json.dumps(spec.to_json_dict())))
         assert again == spec
         filt = design_filter(spec)
-        assert filt.den == (1.0,)
+        assert filt.branches == ((((1.0, 0.5, 0.25), (1.0,)),),)
 
 
 def test_stability_invariant_for_random_designed_filters():

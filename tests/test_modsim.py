@@ -37,7 +37,8 @@ class TestQuantizer:
     def test_midpoint_rounds_up(self):
         q = Quantizer()
         assert q.quantize(0.0) == 1.0
-        q4 = Quantizer(levels=(-3.0, -1.0, 1.0, 3.0), delta=2.0)
+        q4 = Quantizer(levels=(-3.0, -1.0, 1.0, 3.0))
+        assert q4.delta == 2.0
         assert q4.quantize(-2.0) == -1.0
         assert q4.quantize(2.0) == 3.0
         assert q4.quantize(-2.1) == -3.0
@@ -130,7 +131,7 @@ class TestMeasureSnr:
             measure_snr(trace, RationalFilter.identity(1.0))
 
     def test_too_short_trace_rejected(self):
-        filt = RationalFilter(num=(1.0,), den=(1.0, -0.999), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.999), fs_hz=1.0)
         trace = ModTrace(input_w=np.ones(64), output_x=np.ones(64),
                          quant_error_e=np.zeros(64), overloaded=False,
                          transient_discard=4)
