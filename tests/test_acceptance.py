@@ -289,14 +289,15 @@ class TestCriterion7ParsevalOracle:
             pole = rng.uniform(-0.85, 0.85)
             zero = rng.uniform(-1.2, 1.2)
             gain = rng.uniform(0.2, 2.0)
-            filt = RationalFilter.from_polynomials(num=(gain, -gain * zero),
-                                  den=(1.0, -pole), fs_hz=1.0)
+            filt = RationalFilter.from_polynomials(
+                num=(gain, -gain * zero), den=(1.0, -pole), fs_hz=1.0)
             h = impulse_response(filt, 1e-12)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
             algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
-            fir = RationalFilter.from_polynomials(num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
+            fir = RationalFilter.from_polynomials(
+                num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,
                                   FrequencyGrid.uniform(4096))
             worst = max(worst, abs(quadrature - algebraic)

@@ -92,8 +92,8 @@ class TestQMatrix:
             order_p = int(rng.integers(1, 21))
             pole = rng.uniform(-0.9, 0.9)
             zero = rng.uniform(-1.5, 1.5)
-            filt = RationalFilter.from_polynomials(num=(1.0, -zero), den=(1.0, -pole),
-                                  fs_hz=1.0)
+            filt = RationalFilter.from_polynomials(
+                num=(1.0, -zero), den=(1.0, -pole), fs_hz=1.0)
             h = impulse_response(filt, 1e-10)
             q = build_q_matrix(h, order_p)
             assert q.min_eigenvalue() >= -1e-9 * np.trace(q.entries)
@@ -159,21 +159,23 @@ class TestSigma2H:
         rng = np.random.default_rng(23)
         for _ in range(10):
             pole = rng.uniform(-0.85, 0.85)
-            filt = RationalFilter.from_polynomials(num=(1.0, rng.normal()),
-                                  den=(1.0, -pole), fs_hz=1.0)
+            filt = RationalFilter.from_polynomials(
+                num=(1.0, rng.normal()), den=(1.0, -pole), fs_hz=1.0)
             h = impulse_response(filt, 1e-12)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
             algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
-            fir = RationalFilter.from_polynomials(num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
+            fir = RationalFilter.from_polynomials(
+                num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,
                                   FrequencyGrid.uniform(4096))
             assert quadrature == pytest.approx(algebraic, rel=1e-6, abs=1e-12)
 
     def test_warns_when_grid_too_coarse(self):
         # a sharp resonance cannot be resolved by a handful of points
-        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -1.6, 0.9801), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(
+            num=(1.0,), den=(1.0, -1.6, 0.9801), fs_hz=1.0)
         with pytest.warns(RuntimeWarning):
             sigma2_h((1.0,), (1.0,), filt, BINARY, FrequencyGrid.uniform(16))
 
