@@ -22,7 +22,6 @@ FS = 2.048e6
 
 def spec(order=12, gamma=1.5):
     return DesignSpec(
-        fs_hz=FS,
         filter_spec=FilterSpec(kind="lowpass_butterworth", fs_hz=FS, order=1,
                                bands_hz=((0.0, 2000.0),)),
         fir_order=order,

@@ -24,7 +24,6 @@ FS = 2 * 64 * (4000.0 + 400.0)
 
 def spec(order=50, order_per_band=4):
     return DesignSpec(
-        fs_hz=FS,
         filter_spec=FilterSpec(kind="multiband_butterworth", fs_hz=FS,
                                order=order_per_band,
                                bands_hz=((800.0, 1200.0),

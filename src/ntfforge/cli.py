@@ -25,9 +25,8 @@ from .design import (
     sweep_orders,
 )
 from .errors import BoundViolationError, InvalidSpecError, NtfForgeError, SolverError
-from .filters import FrequencyGrid, design_filter
+from .filters import FrequencyGrid, design_filter, frequency_response
 from .kyp import verify_bounded_real
-from .modsim import NtfFir
 from .objective import merit_integrand
 
 EXIT_OK = 0
@@ -71,10 +70,24 @@ def load_ntf(path: str):
 
 
 def ntf_from_artifact(d: dict):
-    """FIR coefficients become an NtfFir; rational ones a (num, den) pair."""
+    """The artifact's NTF as a (num, den) pair; FIR coefficients 'a' get
+    den = (1.0,)."""
     if "a" in d:
-        return NtfFir(coeffs=np.asarray(d["a"], dtype=float))
-    return (np.asarray(d["num"], dtype=float), np.asarray(d["den"], dtype=float))
+        return np.asarray(d["a"], dtype=float), (1.0,)
+    return np.asarray(d["num"], dtype=float), np.asarray(d["den"], dtype=float)
+
+
+def write_curve(path: str, header: str, grid: FrequencyGrid, fs_hz: float,
+                values):
+    """CSV of one value per grid point, against frequency in Hz."""
+    freq_hz = grid.omegas * fs_hz / (2.0 * np.pi)
+    lines = [f"freq_hz,{header}"]
+    lines += [f"{f:.10g},{v:.12e}" for f, v in zip(freq_hz, values)]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def magnitude_db(response) -> np.ndarray:
+    return 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
 
 
 def cmd_design(args) -> int:
@@ -121,26 +134,22 @@ def _parse_signal(text: str):
 def cmd_evaluate(args) -> int:
     spec = load_design_spec(args.config)
     artifact = load_ntf(args.ntf)
-    ntf = ntf_from_artifact(artifact)
+    num, den = ntf_from_artifact(artifact)
     if args.signal:
         kind, freqs = _parse_signal(args.signal)
     else:
         kind, freqs = ("sine", default_tone_freqs(spec)[:1])
         if len(default_tone_freqs(spec)) > 1:
             kind, freqs = "multitone", default_tone_freqs(spec)
-    report = evaluate_ntf(ntf, spec, args.amplitude, signal_kind=kind,
+    report = evaluate_ntf((num, den), spec, args.amplitude, signal_kind=kind,
                           freqs_hz=freqs,
                           certificate=artifact.get("certificate"))
     atomic_write(args.out, dump_json(report.to_json_dict()))
     base, _ = os.path.splitext(args.out)
     grid = FrequencyGrid.uniform(args.grid or spec.grid_points)
     filt = design_filter(spec.filter_spec)
-    num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
-    integrand = merit_integrand(num, den, filt, grid)
-    freq_hz = grid.omegas * spec.fs_hz / (2.0 * np.pi)
-    lines = ["freq_hz,integrand_linear"]
-    lines += [f"{f:.10g},{v:.12e}" for f, v in zip(freq_hz, integrand)]
-    atomic_write(base + "_integrand.csv", "\n".join(lines) + "\n")
+    write_curve(base + "_integrand.csv", "integrand_linear", grid, spec.fs_hz,
+                merit_integrand(num, den, filt, grid))
     print(f"expected {report.expected_snr_db:.2f} dB, "
           f"simulated {report.simulated_snr_db:.2f} dB, "
           f"grid max {report.grid_max_ntf:.6f}"
@@ -153,30 +162,19 @@ def cmd_evaluate(args) -> int:
 def cmd_curves(args) -> int:
     spec = load_design_spec(args.config)
     grid = FrequencyGrid.uniform(args.grid or spec.grid_points)
-    freq_hz = grid.omegas * spec.fs_hz / (2.0 * np.pi)
     filt = design_filter(spec.filter_spec)
     if args.what == "filter":
-        mag = np.abs(filt.response(grid))
-        header = "freq_hz,magnitude_db"
-        values = 20.0 * np.log10(np.maximum(mag, 1e-300))
-    elif args.what == "ntf":
-        from .filters import frequency_response
-
-        ntf = ntf_from_artifact(load_ntf(args.ntf))
-        num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
-        mag = np.abs(frequency_response(num, den, grid))
-        header = "freq_hz,magnitude_db"
-        values = 20.0 * np.log10(np.maximum(mag, 1e-300))
-    elif args.what == "integrand":
-        ntf = ntf_from_artifact(load_ntf(args.ntf))
-        num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
-        header = "freq_hz,integrand_linear"
-        values = merit_integrand(num, den, filt, grid)
+        header, values = "magnitude_db", magnitude_db(filt.response(grid))
     else:
-        raise InvalidSpecError(f"unknown curve kind {args.what!r}")
-    lines = [header]
-    lines += [f"{f:.10g},{v:.12e}" for f, v in zip(freq_hz, values)]
-    atomic_write(args.out, "\n".join(lines) + "\n")
+        if args.ntf is None:
+            raise InvalidSpecError(f"curves --what {args.what} needs --ntf")
+        num, den = ntf_from_artifact(load_ntf(args.ntf))
+        if args.what == "ntf":
+            header = "magnitude_db"
+            values = magnitude_db(frequency_response(num, den, grid))
+        else:
+            header, values = "integrand_linear", merit_integrand(num, den, filt, grid)
+    write_curve(args.out, header, grid, spec.fs_hz, values)
     print(f"{args.what} curve ({grid.count} points) -> {args.out}")
     return EXIT_OK
 

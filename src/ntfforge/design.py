@@ -40,9 +40,9 @@ DEFAULT_SIM_SAMPLES = 2**16
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Complete description of one NTF design task."""
+    """Complete description of one NTF design task; the sample rate is the
+    filter's."""
 
-    fs_hz: float
     filter_spec: FilterSpec
     fir_order: int
     gamma: float = 1.5
@@ -60,10 +60,12 @@ class DesignSpec:
             raise InvalidSpecError(
                 "gamma must exceed 1 (a flat NTF already has unit peak gain)"
             )
-        if self.fs_hz <= 0:
-            raise InvalidSpecError("sample rate must be positive")
         object.__setattr__(self, "quantizer_levels",
                            Quantizer(levels=self.quantizer_levels).levels)
+
+    @property
+    def fs_hz(self) -> float:
+        return self.filter_spec.fs_hz
 
     @property
     def quantizer(self) -> Quantizer:
@@ -75,30 +77,38 @@ class DesignSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DesignSpec":
-        if "filter" not in d:
-            raise InvalidSpecError("design spec needs a 'filter' object")
-        fdict = dict(d["filter"])
-        fs = d.get("fs_hz")
-        if fs is None:
-            osr = d.get("osr")
-            if osr is None:
-                raise InvalidSpecError("give either fs_hz or osr")
-            bands = fdict.get("bands_hz", ())
-            width = sum(hi - lo for lo, hi in bands)
-            if width <= 0:
-                raise InvalidSpecError("osr needs band edges with positive width")
-            fs = 2.0 * float(osr) * width
-        fdict.setdefault("fs_hz", fs)
-        return cls(
-            fs_hz=float(fs),
-            filter_spec=FilterSpec.from_json_dict(fdict),
-            fir_order=int(d.get("fir_order", 0)),
-            gamma=float(d.get("gamma", 1.5)),
-            quantizer_levels=tuple(d.get("quantizer_levels", (-1.0, 1.0))),
-            solver=SolverSettings.from_json_dict(d.get("solver", {})),
-            grid_points=int(d.get("grid_points", DEFAULT_GRID_POINTS)),
-            energy_tol=float(d.get("energy_tol", DEFAULT_ENERGY_TOL)),
-        )
+        """The top level gives the rate as ``fs_hz`` or as ``osr`` over the
+        total band width; a filter-level ``fs_hz`` must equal it."""
+        try:
+            if "filter" not in d:
+                raise InvalidSpecError("design spec needs a 'filter' object")
+            fdict = dict(d["filter"])
+            fs = d.get("fs_hz")
+            if fs is None:
+                osr = d.get("osr")
+                if osr is None:
+                    raise InvalidSpecError("give either fs_hz or osr")
+                bands = fdict.get("bands_hz", ())
+                width = sum(hi - lo for lo, hi in bands)
+                if width <= 0:
+                    raise InvalidSpecError("osr needs band edges with positive width")
+                fs = 2.0 * float(osr) * width
+            fs = float(fs)
+            if float(fdict.setdefault("fs_hz", fs)) != fs:
+                raise InvalidSpecError(
+                    f"filter fs_hz {fdict['fs_hz']} differs from the design's "
+                    f"sample rate {fs}")
+            return cls(
+                filter_spec=FilterSpec.from_json_dict(fdict),
+                fir_order=int(d.get("fir_order", 0)),
+                gamma=float(d.get("gamma", 1.5)),
+                quantizer_levels=d.get("quantizer_levels", (-1.0, 1.0)),
+                solver=SolverSettings.from_json_dict(d.get("solver", {})),
+                grid_points=int(d.get("grid_points", DEFAULT_GRID_POINTS)),
+                energy_tol=float(d.get("energy_tol", DEFAULT_ENERGY_TOL)),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"malformed design spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -222,8 +232,8 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
                  certificate: dict | None = None) -> EvaluationReport:
     """Score an NTF against a design spec: noise power, SNRs, gain check.
 
-    ``ntf`` is either an NtfFir or a (num, den) pair for externally supplied
-    rational designs.  FIR noise powers go through the autocorrelation form
+    ``ntf`` is either an NtfFir or a (num, den) pair; a pair whose den is
+    (1.0,) is an FIR NTF.  FIR noise powers go through the autocorrelation form
     (exactly reproducing the design-time value); rational ones are scored by
     quadrature.  Time-domain simulation runs for FIR NTFs only.
     """
@@ -231,14 +241,9 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
 
     t0 = time.perf_counter()
     filt = design_filter(spec.filter_spec)
-    if isinstance(ntf, NtfFir):
-        num, den = ntf.coeffs, (1.0,)
-        fir = ntf
-    else:
-        num, den = (np.asarray(ntf[0], dtype=float),
-                    np.asarray(ntf[1], dtype=float))
-        is_fir = den.size == 1 and den[0] == 1.0
-        fir = NtfFir(coeffs=num) if is_fir else None
+    num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    fir = NtfFir(coeffs=num) if den.size == 1 and den[0] == 1.0 else None
     if sigma2_h_value is None:
         if fir is not None:
             h = impulse_response(filt, energy_tol=spec.energy_tol)

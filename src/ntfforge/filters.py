@@ -67,8 +67,11 @@ class FrequencyGrid:
 class FilterSpec:
     """Declarative description of an output/reconstruction filter.
 
-    ``order`` is the order of each band's Butterworth section; ``bands_hz``
-    holds (low, high) edges per band, with low = 0 meaning lowpass.
+    ``order`` is the order of each band's Butterworth branch; ``bands_hz``
+    holds (low, high) edges per band, with low = 0 meaning lowpass.  A
+    lowpass spec has one band at dc, a bandpass spec one band off dc, and a
+    multiband spec two or more disjoint bands; a band off dc needs an even
+    order.  ``fs_hz`` is the one sample rate of a design.
     """
 
     kind: str
@@ -105,6 +108,17 @@ class FilterSpec:
             for (l0, h0), (l1, h1) in zip(spans, spans[1:]):
                 if h0 > l1:
                     raise InvalidSpecError("multiband bands must be disjoint")
+            if self.kind == "multiband_butterworth":
+                if len(self.bands_hz) < 2:
+                    raise InvalidSpecError("multiband spec needs at least two bands")
+            elif len(self.bands_hz) != 1:
+                raise InvalidSpecError(f"{self.kind} spec takes exactly one band")
+            elif self.kind == "lowpass_butterworth" and self.bands_hz[0][0] != 0.0:
+                raise InvalidSpecError("lowpass band must start at 0 Hz")
+            elif self.kind == "bandpass_butterworth" and self.bands_hz[0][0] == 0.0:
+                raise InvalidSpecError("bandpass band must not start at dc")
+            if self.order % 2 and any(lo > 0.0 for lo, _ in self.bands_hz):
+                raise InvalidSpecError("a band off dc needs an even butterworth order")
         elif self.kind == "explicit_rational":
             if not self.num or not self.den:
                 raise InvalidSpecError("explicit_rational needs num and den")
@@ -125,14 +139,17 @@ class FilterSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FilterSpec":
-        kind = d.get("kind")
-        if kind == "explicit_rational":
-            return cls(kind=kind, fs_hz=d["fs_hz"], num=tuple(d["num"]),
-                       den=tuple(d["den"]))
-        if kind == "explicit_impulse":
-            return cls(kind=kind, fs_hz=d["fs_hz"], impulse=tuple(d["h"]))
-        return cls(kind=kind, fs_hz=d["fs_hz"], order=int(d.get("order", 0)),
-                   bands_hz=tuple(tuple(b) for b in d.get("bands_hz", ())))
+        try:
+            kind = d.get("kind")
+            if kind == "explicit_rational":
+                return cls(kind=kind, fs_hz=float(d["fs_hz"]), num=d["num"],
+                           den=d["den"])
+            if kind == "explicit_impulse":
+                return cls(kind=kind, fs_hz=float(d["fs_hz"]), impulse=d["h"])
+            return cls(kind=kind, fs_hz=float(d["fs_hz"]), order=int(d.get("order", 0)),
+                       bands_hz=d.get("bands_hz", ()))
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"malformed filter spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -146,9 +163,10 @@ class RationalFilter:
     """
 
     branches: tuple
-    fs_hz: float
 
     def __post_init__(self):
+        if not self.branches:
+            raise InvalidSpecError("a filter needs at least one branch")
         branches = tuple(
             tuple((tuple(float(c) for c in b), tuple(float(c) for c in a))
                   for b, a in branch)
@@ -157,8 +175,6 @@ class RationalFilter:
         if any(not a or a[0] == 0.0 for branch in branches for _, a in branch):
             raise InvalidSpecError("denominator leading coefficient must be nonzero")
         object.__setattr__(self, "branches", branches)
-        if self.fs_hz <= 0:
-            raise InvalidSpecError("sample rate must be positive")
         radius = self.max_pole_radius()
         if radius >= 1.0 - _STABILITY_MARGIN:
             raise ConditioningError(
@@ -166,9 +182,9 @@ class RationalFilter:
             )
 
     @classmethod
-    def from_polynomials(cls, num, den, fs_hz: float) -> "RationalFilter":
+    def from_polynomials(cls, num, den) -> "RationalFilter":
         """The one-section filter num(z^-1)/den(z^-1)."""
-        return cls(branches=(((num, den),),), fs_hz=fs_hz)
+        return cls(branches=(((num, den),),))
 
     def poles(self) -> np.ndarray:
         """Poles gathered section-wise (well-conditioned per low-order section)."""
@@ -206,8 +222,8 @@ class RationalFilter:
         return out
 
     @classmethod
-    def identity(cls, fs_hz: float) -> "RationalFilter":
-        return cls.from_polynomials((1.0,), (1.0,), fs_hz)
+    def identity(cls) -> "RationalFilter":
+        return cls.from_polynomials((1.0,), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -246,48 +262,30 @@ def _polyval_zinv(coeffs, zinv):
 
 
 def _band_branch(order: int, lo: float, hi: float, fs_hz: float):
-    """One Butterworth branch as a biquad cascade (prewarped bilinear)."""
-    if lo <= 0.0:
+    """One Butterworth branch as a biquad cascade (prewarped bilinear): a
+    lowpass for a band at dc, else a bandpass of the same total order."""
+    if lo == 0.0:
         sos = spsig.butter(order, hi, btype="lowpass", fs=fs_hz, output="sos")
     else:
-        if order % 2:
-            raise InvalidSpecError("bandpass butterworth order must be even")
         sos = spsig.butter(order // 2, [lo, hi], btype="bandpass", fs=fs_hz,
                            output="sos")
     return tuple((row[:3], row[3:]) for row in sos)
 
 
 def design_filter(spec: FilterSpec) -> RationalFilter:
-    """Build the stable rational filter described by a FilterSpec."""
+    """Build the stable rational filter described by a FilterSpec: one
+    Butterworth branch per band, or one section for an explicit filter."""
     if spec.kind == "explicit_rational":
-        return RationalFilter.from_polynomials(spec.num, spec.den, spec.fs_hz)
+        return RationalFilter.from_polynomials(spec.num, spec.den)
     if spec.kind == "explicit_impulse":
-        return RationalFilter.from_polynomials(spec.impulse, (1.0,), spec.fs_hz)
-    if spec.kind == "lowpass_butterworth":
-        if len(spec.bands_hz) != 1:
-            raise InvalidSpecError("lowpass spec takes exactly one band")
-        lo, hi = spec.bands_hz[0]
-        branches = (_band_branch(spec.order, 0.0, hi, spec.fs_hz),)
-    elif spec.kind == "bandpass_butterworth":
-        if len(spec.bands_hz) != 1:
-            raise InvalidSpecError("bandpass spec takes exactly one band")
-        lo, hi = spec.bands_hz[0]
-        if lo <= 0.0:
-            raise InvalidSpecError("bandpass band must not start at dc")
-        branches = (_band_branch(spec.order, lo, hi, spec.fs_hz),)
-    else:  # multiband_butterworth
-        if len(spec.bands_hz) < 2:
-            raise InvalidSpecError("multiband spec needs at least two bands")
-        branches = tuple(
-            _band_branch(spec.order, lo, hi, spec.fs_hz) for lo, hi in spec.bands_hz
-        )
-    return RationalFilter(branches=branches, fs_hz=spec.fs_hz)
+        return RationalFilter.from_polynomials(spec.impulse, (1.0,))
+    return RationalFilter(branches=tuple(
+        _band_branch(spec.order, lo, hi, spec.fs_hz) for lo, hi in spec.bands_hz))
 
 
 def impulse_response(
     filt: RationalFilter,
     energy_tol: float = DEFAULT_ENERGY_TOL,
-    hard_cap: int = TRUNCATION_HARD_CAP,
 ) -> ImpulseResponse:
     """Truncate the impulse response at the smallest M whose discarded tail
     energy is at most energy_tol times the total energy.
@@ -329,11 +327,11 @@ def impulse_response(
                         tail_energy_fraction=float(tail[m] / total),
                         energy_tol=energy_tol,
                     )
-        if n >= hard_cap:
+        if n >= TRUNCATION_HARD_CAP:
             raise TruncationOverflowError(
-                f"truncation needs more than {hard_cap} samples"
+                f"truncation needs more than {TRUNCATION_HARD_CAP} samples"
             )
-        n = min(4 * n, hard_cap)
+        n = min(4 * n, TRUNCATION_HARD_CAP)
 
 
 def frequency_response(num, den, grid: FrequencyGrid) -> np.ndarray:
@@ -369,12 +367,12 @@ def polynomial_roots(coeffs) -> np.ndarray:
     return roots
 
 
-def settling_length(filt: RationalFilter, energy_fraction: float = 0.99) -> int:
-    """Samples after which the impulse response holds energy_fraction of its energy."""
-    h = impulse_response(filt, energy_tol=min(1e-6, (1 - energy_fraction) * 1e-2)).samples
+def settling_length(filt: RationalFilter) -> int:
+    """Samples after which the impulse response holds 99% of its energy."""
+    h = impulse_response(filt, energy_tol=1e-6).samples
     energy = np.cumsum(h * h)
     total = energy[-1]
     if total == 0.0:
         return 1
-    idx = int(np.searchsorted(energy, energy_fraction * total))
+    idx = int(np.searchsorted(energy, 0.99 * total))
     return max(1, idx)

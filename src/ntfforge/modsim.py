@@ -100,22 +100,21 @@ class SnrReport:
     method: str
 
 
-def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None,
-             n_discard: int | None = None) -> ModTrace:
+def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTrace:
     """Run the error-feedback loop over the input sequence.
 
     Recursion: y(n) = w(n) + sum_k a_k e(n-k), x(n) = quantize(y(n)),
     e(n) = x(n) - y(n).  The stored error satisfies x - w = conv(a, e)
     exactly, so the injected error is shaped by the designed NTF with a
-    unity signal path.
+    unity signal path.  The first 4P samples are the loop's transient; the
+    overload check starts after them.
     """
     w = np.asarray(input_w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise InvalidSpecError("input contains non-finite samples")
     quantizer = quantizer or Quantizer()
     p = ntf.order
-    if n_discard is None:
-        n_discard = 4 * p
+    n_discard = 4 * p
     tail = ntf.coeffs[1:]
     n = w.size
     x = np.empty(n)
@@ -146,22 +145,21 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None,
     overloaded = bool(post.size and
                       np.max(np.abs(post)) > quantizer.delta / 2 + OVERLOAD_EPS)
     return ModTrace(input_w=w, output_x=x, quant_error_e=e,
-                    overloaded=overloaded, transient_discard=int(n_discard))
+                    overloaded=overloaded, transient_discard=n_discard)
 
 
-def measure_snr(trace: ModTrace, filt: RationalFilter,
-                settle: int | None = None) -> SnrReport:
+def measure_snr(trace: ModTrace, filt: RationalFilter) -> SnrReport:
     """SNR through the output filter.
 
     Signal power is the mean square of the filtered input alone; noise power
     is the mean square of the filtered difference between input and modulator
-    output.  Both discard the same settling prefix.
+    output.  Both discard the same prefix: the longer of the filter's
+    settling length and the loop's transient.
     """
     w = trace.input_w
     x = trace.output_x
     settle_len = settling_length(filt)
-    if settle is None:
-        settle = max(settle_len, trace.transient_discard)
+    settle = max(settle_len, trace.transient_discard)
     n_post = w.size - settle
     if n_post < 8 * settle_len:
         raise InvalidSpecError(

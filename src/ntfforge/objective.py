@@ -169,9 +169,8 @@ def sigma2_h(ntf_num, ntf_den, filt: RationalFilter, budget: NoiseBudget,
     return float(value)
 
 
-def sigma2_inband(ntf_num, ntf_den, bands, budget: NoiseBudget,
-                  points_per_band: int = 8193) -> float:
-    """Noise power of the NTF alone over a union of omega-intervals."""
+def sigma2_inband(ntf_num, ntf_den, bands, budget: NoiseBudget) -> float:
+    """Noise power of the NTF alone over omega-intervals, 8193 points each."""
     bands = [(float(lo), float(hi)) for lo, hi in bands]
     if not bands:
         raise InvalidSpecError("band set must be nonempty")
@@ -180,7 +179,7 @@ def sigma2_inband(ntf_num, ntf_den, bands, budget: NoiseBudget,
             raise InvalidSpecError("bands must be within [0, pi] and increasing")
     total = 0.0
     for lo, hi in bands:
-        om = np.linspace(lo, hi, points_per_band)
+        om = np.linspace(lo, hi, 8193)
         zinv = np.exp(-1j * om)
         numv = _polyval_zinv(ntf_num, zinv)
         denv = _polyval_zinv(ntf_den, zinv)

@@ -230,13 +230,11 @@ def _max_step(chol_lower, direction):
 
 def _nt_scaling(ls, lz):
     """NT scaling point from the Cholesky factors of s and z:
-    (r, r_inv, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
-    u, sing, vt = np.linalg.svd(lz.T @ ls)
-    lam = sing
-    d = 1.0 / np.sqrt(sing)
-    r_inv = d[:, None] * (u.T @ lz.T)
+    (r, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
+    _, lam, vt = np.linalg.svd(lz.T @ ls)
+    d = 1.0 / np.sqrt(lam)
     r = (ls @ vt.T) * d[None, :]
-    return r, r_inv, lam
+    return r, lam
 
 
 def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
@@ -305,7 +303,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         try:
             chol_s = np.linalg.cholesky(s)
             chol_z = np.linalg.cholesky(z)
-            r, _, lam = _nt_scaling(chol_s, chol_z)
+            r, lam = _nt_scaling(chol_s, chol_z)
             newton_step = _newton_system(cone, r, quadratic)
         except np.linalg.LinAlgError:
             status = "numerical_failure"

@@ -58,7 +58,6 @@ def report(criterion, passed, detail):
 
 def va_spec(gamma=1.5, fir_order=12):
     return DesignSpec(
-        fs_hz=2.048e6,
         filter_spec=FilterSpec(kind="lowpass_butterworth", fs_hz=2.048e6,
                                order=1, bands_hz=((0.0, 2000.0),)),
         fir_order=fir_order,
@@ -69,7 +68,6 @@ def va_spec(gamma=1.5, fir_order=12):
 def vb_spec():
     fs = 2 * 64 * 400.0
     return DesignSpec(
-        fs_hz=fs,
         filter_spec=FilterSpec(kind="bandpass_butterworth", fs_hz=fs,
                                order=8, bands_hz=((800.0, 1200.0),)),
         fir_order=49,
@@ -83,7 +81,6 @@ def vc_spec():
     # SNR (62 dB) and A=0.45 divergence are far outside every target below
     fs = 2 * 64 * (4000.0 + 400.0)
     return DesignSpec(
-        fs_hz=fs,
         filter_spec=FilterSpec(kind="multiband_butterworth", fs_hz=fs,
                                order=4, bands_hz=((800.0, 1200.0),
                                                   (8000.0, 12000.0))),
@@ -290,14 +287,14 @@ class TestCriterion7ParsevalOracle:
             zero = rng.uniform(-1.2, 1.2)
             gain = rng.uniform(0.2, 2.0)
             filt = RationalFilter.from_polynomials(
-                num=(gain, -gain * zero), den=(1.0, -pole), fs_hz=1.0)
+                num=(gain, -gain * zero), den=(1.0, -pole))
             h = impulse_response(filt, 1e-12)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
             algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
             fir = RationalFilter.from_polynomials(
-                num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
+                num=tuple(h.samples), den=(1.0,))
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,
                                   FrequencyGrid.uniform(4096))
             worst = max(worst, abs(quadrature - algebraic)
@@ -429,7 +426,6 @@ class TestSupplementaryReproduction:
 class TestCriterion10IdentityFilter:
     def test_flat_ntf(self):
         spec = DesignSpec(
-            fs_hz=1.0e6,
             filter_spec=FilterSpec(kind="explicit_rational", fs_hz=1.0e6,
                                    num=(1.0,), den=(1.0,)),
             fir_order=5,

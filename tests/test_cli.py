@@ -101,6 +101,45 @@ class TestDesign:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("quantizer_levels", 1.0),
+        ("filter", {"kind": "lowpass_butterworth", "order": "x",
+                    "bands_hz": [[0.0, 2000.0]]}),
+    ])
+    def test_malformed_value_is_validation_error(self, tmp_path, field, value):
+        spec = {
+            "fs_hz": FS,
+            "filter": {"kind": "lowpass_butterworth", "order": 1,
+                       "bands_hz": [[0.0, 2000.0]]},
+            "fir_order": 4,
+            field: value,
+        }
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.json"
+        code = main(["design", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_filter_rate_mismatch_exits_2_before_any_solve(self, tmp_path,
+                                                           monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("design solved a spec with two sample rates")
+
+        monkeypatch.setattr("ntfforge.design.solve", no_solve)
+        spec = {
+            "fs_hz": 51200.0,
+            "filter": {"kind": "bandpass_butterworth", "order": 8,
+                       "bands_hz": [[800.0, 1200.0]], "fs_hz": 102400.0},
+            "fir_order": 4,
+        }
+        path = tmp_path / "two_rates.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.json"
+        code = main(["design", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_solver_cap_is_solver_failure(self, tmp_path):
         spec = {
             "fs_hz": FS,
@@ -233,6 +272,15 @@ class TestCurves:
         freq, value = last.split(",")
         assert float(freq) == pytest.approx(FS / 2.0, rel=1e-9)
         assert float(value) == pytest.approx(20 * np.log10(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("what", ["ntf", "integrand"])
+    def test_ntf_curve_without_ntf_is_validation_error(self, spec_path,
+                                                       tmp_path, what):
+        out = tmp_path / "x.csv"
+        code = main(["curves", "--what", what, "--config", str(spec_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_kind_rejected(self, spec_path, tmp_path):
         with pytest.raises(SystemExit):

@@ -28,7 +28,6 @@ FS = 256000.0
 
 def lowpass_spec(fir_order=4, gamma=1.5):
     return DesignSpec(
-        fs_hz=FS,
         filter_spec=FilterSpec(kind="lowpass_butterworth", fs_hz=FS, order=1,
                                bands_hz=((0.0, 2000.0),)),
         fir_order=fir_order,
@@ -115,7 +114,6 @@ class TestExpectedSnrPerSignalKind:
         # the default tones are one per band; dc must still get one level
         fs = 2 * 64 * 4400.0
         spec = DesignSpec(
-            fs_hz=fs,
             filter_spec=FilterSpec(kind="multiband_butterworth", fs_hz=fs,
                                    order=4, bands_hz=((800.0, 1200.0),
                                                       (8000.0, 12000.0))),
@@ -279,3 +277,18 @@ class TestBenchmarkTracingTargets:
         assert conic[0]["status"] == "optimal"
         assert conic[0]["iterations"] > 0
         assert not any(s.get("note_error") for s in tracer.spans)
+
+
+class TestStudyScripts:
+    # the study scripts build their specs through the DesignSpec and
+    # FilterSpec constructors; each is loaded by path and nothing is solved
+    @pytest.mark.parametrize("name", ["lowpass_study", "bandpass_study",
+                                      "multiband_study"])
+    def test_spec_builds(self, name):
+        path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+        module_spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        spec = module.spec()
+        assert isinstance(spec, DesignSpec)
+        assert spec.fs_hz == module.FS

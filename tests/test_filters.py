@@ -104,14 +104,33 @@ class TestDesignFilter:
             FilterSpec(kind="multiband_butterworth", fs_hz=100000.0, order=4,
                        bands_hz=((800.0, 1200.0), (1100.0, 2000.0)))
 
+    @pytest.mark.parametrize("kind, order, bands", [
+        ("lowpass_butterworth", 1, ((500.0, 2000.0),)),
+        ("lowpass_butterworth", 1, ((0.0, 1000.0), (3000.0, 4000.0))),
+        ("bandpass_butterworth", 8, ((800.0, 1200.0), (3000.0, 4000.0))),
+        ("bandpass_butterworth", 8, ((0.0, 1200.0),)),
+        ("bandpass_butterworth", 7, ((800.0, 1200.0),)),
+        ("multiband_butterworth", 4, ((800.0, 1200.0),)),
+        ("multiband_butterworth", 3, ((800.0, 1200.0), (3000.0, 4000.0))),
+    ])
+    def test_per_kind_band_rules_rejected_at_spec(self, kind, order, bands):
+        # lowpass: one band at dc; bandpass: one band off dc; multiband: two
+        # or more; a band off dc needs an even order
+        with pytest.raises(InvalidSpecError):
+            FilterSpec(kind=kind, fs_hz=51200.0, order=order, bands_hz=bands)
+
+    def test_empty_filter_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            RationalFilter(branches=())
+
     def test_unstable_explicit_rational_rejected(self):
         with pytest.raises(ConditioningError):
-            RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -1.0), fs_hz=1.0)
+            RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -1.0))
 
     def test_zero_leading_denominator_in_branch_section_rejected(self):
         sections = ((((1.0,), (1.0, -0.5)),), (((1.0,), (0.0, 1.0, -0.5)),))
         with pytest.raises(InvalidSpecError):
-            RationalFilter(branches=sections, fs_hz=1.0)
+            RationalFilter(branches=sections)
 
     def test_multiband_response_is_sum_of_branch_sosfreqz(self):
         from scipy.signal import sosfreqz
@@ -131,7 +150,7 @@ class TestDesignFilter:
 
 class TestImpulseResponse:
     def test_identity(self):
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         resp = impulse_response(filt, 1e-12)
         assert resp.truncation_index == 0
         assert resp.samples.tolist() == [1.0]
@@ -139,7 +158,7 @@ class TestImpulseResponse:
     def test_geometric_series_truncation(self):
         # H = 1/(1 - 0.5 z^-1): h_i = 0.5^i, tail(M)/E = 0.25^(M+1), so the
         # smallest M with tail <= 1e-12 E is 19
-        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5))
         resp = impulse_response(filt, 1e-12)
         assert resp.truncation_index == 19
         expected = 0.5 ** np.arange(20)
@@ -184,8 +203,7 @@ class TestImpulseResponse:
         # 1e-12 of the energy first at M = 1119, as for the i = 0 copy at 19
         num = np.zeros(1101)
         num[0] = num[1100] = 1.0
-        filt = RationalFilter.from_polynomials(num=tuple(num), den=(1.0, -0.5),
-                                               fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=tuple(num), den=(1.0, -0.5))
         resp = impulse_response(filt, 1e-12)
         impulse = np.zeros(4096)
         impulse[0] = 1.0
@@ -195,7 +213,7 @@ class TestImpulseResponse:
         assert resp.energy == pytest.approx(np.dot(h, h), rel=1e-12)
 
     def test_tolerance_validation(self):
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         with pytest.raises(InvalidSpecError):
             impulse_response(filt, 0.0)
         with pytest.raises(InvalidSpecError):

@@ -118,7 +118,7 @@ class TestMeasureSnr:
         trace = ModTrace(input_w=w, output_x=w.copy(),
                          quant_error_e=np.zeros_like(w), overloaded=False,
                          transient_discard=16)
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         report = measure_snr(trace, filt)
         assert report.noise_power == 0.0
         assert report.snr_db == 300.0
@@ -128,10 +128,10 @@ class TestMeasureSnr:
                          quant_error_e=np.zeros(4096), overloaded=False,
                          transient_discard=16)
         with pytest.raises(NtfForgeError):
-            measure_snr(trace, RationalFilter.identity(1.0))
+            measure_snr(trace, RationalFilter.identity())
 
     def test_too_short_trace_rejected(self):
-        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.999), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.999))
         trace = ModTrace(input_w=np.ones(64), output_x=np.ones(64),
                          quant_error_e=np.zeros(64), overloaded=False,
                          transient_discard=4)
@@ -145,7 +145,7 @@ class TestMeasureSnr:
         trace = ModTrace(input_w=w, output_x=w + noise,
                          quant_error_e=noise, overloaded=False,
                          transient_discard=8)
-        report = measure_snr(trace, RationalFilter.identity(1.0))
+        report = measure_snr(trace, RationalFilter.identity())
         expected = 10 * math.log10(np.mean(w[8:]**2) / np.mean(noise[8:]**2))
         assert report.snr_db == pytest.approx(expected, abs=0.2)
 

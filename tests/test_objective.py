@@ -93,7 +93,7 @@ class TestQMatrix:
             pole = rng.uniform(-0.9, 0.9)
             zero = rng.uniform(-1.5, 1.5)
             filt = RationalFilter.from_polynomials(
-                num=(1.0, -zero), den=(1.0, -pole), fs_hz=1.0)
+                num=(1.0, -zero), den=(1.0, -pole))
             h = impulse_response(filt, 1e-10)
             q = build_q_matrix(h, order_p)
             assert q.min_eigenvalue() >= -1e-9 * np.trace(q.entries)
@@ -143,14 +143,14 @@ class TestReducedObjective:
 
 class TestSigma2H:
     def test_flat_ntf_flat_filter(self):
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         val = sigma2_h((1.0,), (1.0,), filt, BINARY, FrequencyGrid.uniform(257))
         assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_one_pole_filter_closed_form(self):
         # H = 1/(1 - 0.5 z^-1): integral of |H|^2 over [0, pi] is
         # pi * sum h_i^2 = pi / (1 - 0.25)
-        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5), fs_hz=1.0)
+        filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5))
         val = sigma2_h((1.0,), (1.0,), filt, BINARY,
                        FrequencyGrid.uniform(4096))
         assert val == pytest.approx((1.0 / 3.0) * (4.0 / 3.0), rel=1e-9)
@@ -160,14 +160,14 @@ class TestSigma2H:
         for _ in range(10):
             pole = rng.uniform(-0.85, 0.85)
             filt = RationalFilter.from_polynomials(
-                num=(1.0, rng.normal()), den=(1.0, -pole), fs_hz=1.0)
+                num=(1.0, rng.normal()), den=(1.0, -pole))
             h = impulse_response(filt, 1e-12)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
             algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
             fir = RationalFilter.from_polynomials(
-                num=tuple(h.samples), den=(1.0,), fs_hz=1.0)
+                num=tuple(h.samples), den=(1.0,))
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,
                                   FrequencyGrid.uniform(4096))
             assert quadrature == pytest.approx(algebraic, rel=1e-6, abs=1e-12)
@@ -175,7 +175,7 @@ class TestSigma2H:
     def test_warns_when_grid_too_coarse(self):
         # a sharp resonance cannot be resolved by a handful of points
         filt = RationalFilter.from_polynomials(
-            num=(1.0,), den=(1.0, -1.6, 0.9801), fs_hz=1.0)
+            num=(1.0,), den=(1.0, -1.6, 0.9801))
         with pytest.warns(RuntimeWarning):
             sigma2_h((1.0,), (1.0,), filt, BINARY, FrequencyGrid.uniform(16))
 
@@ -210,12 +210,12 @@ class TestSigma2Inband:
 
 class TestMeritIntegrand:
     def test_all_ones_for_flat_everything(self):
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         vals = merit_integrand((1.0,), (1.0,), filt, FrequencyGrid.uniform(65))
         assert np.allclose(vals, 1.0)
 
     def test_differentiator_peak_at_pi(self):
-        filt = RationalFilter.identity(1.0)
+        filt = RationalFilter.identity()
         grid = FrequencyGrid(np.array([0.0, np.pi]))
         vals = merit_integrand((1.0, -1.0), (1.0,), filt, grid)
         assert vals[-1] == pytest.approx(4.0, rel=1e-12)

@@ -232,9 +232,9 @@ def random_spd(rng, n):
 
 
 def random_scaling(rng, n):
-    """The NT scaling R (``r_inv``) of a random pair of SPD matrices."""
-    _, r, _ = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, n)),
-                              np.linalg.cholesky(random_spd(rng, n)))
+    """The NT scaling R of a random pair of SPD matrices."""
+    r, _ = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, n)),
+                           np.linalg.cholesky(random_spd(rng, n)))
     return r
 
 
@@ -305,7 +305,8 @@ class TestDualSubspace:
         s = f0 + np.tensordot(x, fmat, 1) - residual * symmetric(rng, n)
         z = cone.lift(rng.normal(size=2 * order_p + 3))
         kmat = symmetric(rng, n)
-        r_inv = random_scaling(rng, n)
+        r = random_scaling(rng, n)
+        r_inv = np.linalg.inv(r)
 
         res_p = f0 + np.tensordot(x, fmat, 1) - s
         res_d = -np.einsum("nab,ab->n", fmat, z)
@@ -317,7 +318,7 @@ class TestDualSubspace:
         ds = np.tensordot(dx, fmat, 1) + res_p
         dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
 
-        step = sdp._newton_system(cone, np.linalg.inv(r_inv), quad)
+        step = sdp._newton_system(cone, r, quad)
         da, dy, ds_got, _ = step(kmat, cone.project(res_p), res_d[:order_p])
         assert_close(da, dx[:order_p], rtol=1e-10)
         assert_close(ds_got, ds, rtol=1e-10)
