@@ -141,13 +141,13 @@ def cmd_evaluate(args) -> int:
         kind, freqs = ("sine", default_tone_freqs(spec)[:1])
         if len(default_tone_freqs(spec)) > 1:
             kind, freqs = "multitone", default_tone_freqs(spec)
+    filt = design_filter(spec.filter_spec)
     report = evaluate_ntf((num, den), spec, args.amplitude, signal_kind=kind,
                           freqs_hz=freqs,
-                          certificate=artifact.get("certificate"))
+                          certificate=artifact.get("certificate"), filt=filt)
     atomic_write(args.out, dump_json(report.to_json_dict()))
     base, _ = os.path.splitext(args.out)
     grid = FrequencyGrid.uniform(args.grid or spec.grid_points)
-    filt = design_filter(spec.filter_spec)
     write_curve(base + "_integrand.csv", "integrand_linear", grid, spec.fs_hz,
                 merit_integrand(num, den, filt, grid))
     print(f"expected {report.expected_snr_db:.2f} dB, "

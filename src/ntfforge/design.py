@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError, SolverError
+from .errors import InvalidSpecError, SolverError, spec_int
 from .filters import (
     DEFAULT_ENERGY_TOL,
     DEFAULT_GRID_POINTS,
@@ -100,11 +100,12 @@ class DesignSpec:
                     f"sample rate {fs}")
             return cls(
                 filter_spec=FilterSpec.from_json_dict(fdict),
-                fir_order=int(d.get("fir_order", 0)),
+                fir_order=spec_int(d.get("fir_order", 0), "fir_order"),
                 gamma=float(d.get("gamma", 1.5)),
                 quantizer_levels=d.get("quantizer_levels", (-1.0, 1.0)),
                 solver=SolverSettings.from_json_dict(d.get("solver", {})),
-                grid_points=int(d.get("grid_points", DEFAULT_GRID_POINTS)),
+                grid_points=spec_int(d.get("grid_points", DEFAULT_GRID_POINTS),
+                                     "grid_points"),
                 energy_tol=float(d.get("energy_tol", DEFAULT_ENERGY_TOL)),
             )
         except (AttributeError, TypeError, ValueError) as exc:
@@ -229,24 +230,29 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
                  signal_kind: str = "sine", freqs_hz=None,
                  n_samples: int = DEFAULT_SIM_SAMPLES,
                  sigma2_h_value: float | None = None,
-                 certificate: dict | None = None) -> EvaluationReport:
+                 certificate: dict | None = None,
+                 filt: RationalFilter | None = None) -> EvaluationReport:
     """Score an NTF against a design spec: noise power, SNRs, gain check.
 
     ``ntf`` is either an NtfFir or a (num, den) pair; a pair whose den is
     (1.0,) is an FIR NTF.  FIR noise powers go through the autocorrelation form
     (exactly reproducing the design-time value); rational ones are scored by
-    quadrature.  Time-domain simulation runs for FIR NTFs only.
+    quadrature.  Time-domain simulation runs for FIR NTFs only, and shares
+    the one truncated impulse response with the noise power.  ``filt`` is
+    the spec's filter when the caller has already designed it.
     """
     from .objective import sigma2_h as quad_sigma2_h
 
     t0 = time.perf_counter()
-    filt = design_filter(spec.filter_spec)
+    if filt is None:
+        filt = design_filter(spec.filter_spec)
     num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     fir = NtfFir(coeffs=num) if den.size == 1 and den[0] == 1.0 else None
+    if fir is not None:
+        h = impulse_response(filt, energy_tol=spec.energy_tol)
     if sigma2_h_value is None:
         if fir is not None:
-            h = impulse_response(filt, energy_tol=spec.energy_tol)
             q = build_q_matrix(h, max(1, fir.order))
             coeffs = np.zeros(q.order + 1)
             coeffs[: fir.coeffs.size] = fir.coeffs
@@ -268,7 +274,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         amps = (amplitude,) * len(freqs)
         w = make_test_signal(signal_kind, freqs, amps, spec.fs_hz, n_samples)
         trace = simulate(fir, w, spec.quantizer)
-        sim_rep = measure_snr(trace, filt)
+        sim_rep = measure_snr(trace, filt, h)
         simulated_db = sim_rep.snr_db
         overloaded = trace.overloaded
     zeros = polynomial_roots(num)

@@ -35,3 +35,11 @@ class BoundViolationError(NtfForgeError):
 
 class SolverError(NtfForgeError):
     """The SDP solver failed to produce a usable solution."""
+
+
+def spec_int(value, name: str) -> int:
+    """An integer field of a JSON spec.  A fractional number is rejected,
+    not truncated; 12.0 reads as 12."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, NtfForgeError
-from .filters import RationalFilter, settling_length
+from .filters import (
+    ImpulseResponse,
+    RationalFilter,
+    impulse_response,
+    settling_length,
+)
 
 SNR_DB_CAP = 300.0
 OVERLOAD_EPS = 1e-12
@@ -148,17 +153,22 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
                     overloaded=overloaded, transient_discard=n_discard)
 
 
-def measure_snr(trace: ModTrace, filt: RationalFilter) -> SnrReport:
+def measure_snr(trace: ModTrace, filt: RationalFilter,
+                response: ImpulseResponse | None = None) -> SnrReport:
     """SNR through the output filter.
 
     Signal power is the mean square of the filtered input alone; noise power
     is the mean square of the filtered difference between input and modulator
-    output.  Both discard the same prefix: the longer of the filter's
-    settling length and the loop's transient.
+    output, both filtered in one pass.  Both discard the same prefix: the
+    longer of the filter's settling length (from ``response``, the filter's
+    truncated impulse response, computed when not given) and the loop's
+    transient.
     """
     w = trace.input_w
     x = trace.output_x
-    settle_len = settling_length(filt)
+    if response is None:
+        response = impulse_response(filt)
+    settle_len = settling_length(response)
     settle = max(settle_len, trace.transient_discard)
     n_post = w.size - settle
     if n_post < 8 * settle_len:
@@ -166,10 +176,8 @@ def measure_snr(trace: ModTrace, filt: RationalFilter) -> SnrReport:
             "trace too short: need at least 8 filter settling lengths after "
             "the discarded prefix"
         )
-    sig = filt.filter_signal(w)[settle:]
-    noi = filt.filter_signal(w - x)[settle:]
-    signal_power = float(np.mean(sig**2))
-    noise_power = float(np.mean(noi**2))
+    filtered = filt.filter_signal(np.stack((w, w - x), axis=1))[settle:]
+    signal_power, noise_power = (float(v) for v in np.mean(filtered**2, axis=0))
     if signal_power == 0.0:
         raise NtfForgeError("signal power is zero; SNR undefined")
     if noise_power == 0.0:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DegenerateFilterError, EvaluationError, InvalidSpecError
 from .filters import FrequencyGrid, RationalFilter, _polyval_zinv, frequency_response
@@ -60,7 +59,8 @@ class QMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        return toeplitz(self.first_row)
+        lags = np.arange(self.first_row.size)
+        return self.first_row[np.abs(lags[:, None] - lags[None, :])]
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])

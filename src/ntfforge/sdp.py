@@ -19,7 +19,8 @@ block and a free last row; the dual KYP reduction of Vandenberghe et al.,
 LNCIS 312, 2005, and the trace parameterization of Dumitrescu, Positive
 Trigonometric Polynomials and Signal Processing Applications, 2007), so the
 iteration carries the coefficients, the slack and Z's coordinates there.
-Each Newton system has order 3P+3 and takes two small Cholesky factors;
+Each Newton system has order 3P+3 and takes two small Cholesky factors,
+each inverted once per iteration (numpy is the only numerical dependency);
 the certificate is read off the final slack by the delay-chain recursion.
 
 Fixed coefficients need no solve: ``solve_gain_feasibility`` builds their
@@ -28,15 +29,13 @@ witness in closed form from a spectral factor.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .errors import InvalidSpecError, SolverError
+from .errors import InvalidSpecError, SolverError, spec_int
 from .kyp import (
     LmiSystem,
     assemble_lmi,  # unused here; perfbench/tracing.py wraps it by name
@@ -72,8 +71,10 @@ class SolverSettings:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SolverSettings":
-        return cls(**{f.name: type(f.default)(d.get(f.name, f.default))
-                      for f in dataclasses.fields(cls)})
+        return cls(gap_tol=float(d.get("gap_tol", cls.gap_tol)),
+                   feas_tol=float(d.get("feas_tol", cls.feas_tol)),
+                   max_iter=spec_int(d.get("max_iter", cls.max_iter),
+                                     "max_iter"))
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,9 @@ def _newton_system(cone: _KypCone, r, quadratic):
         [C^T    -G ] [da] = [   r_d   ],
 
     solved by eliminating dy with Cholesky factors of g g^T (plus 1e-14 of
-    its mean diagonal) and of G + C^T (g g^T)^-1 C.  dS is formed in the
-    scaled space, R (K - sum dy_k g_k) R^T.  Two refinement passes against
+    its mean diagonal) and of G + C^T (g g^T)^-1 C.  Both factors are
+    inverted once, so every solve below is matrix products.  dS is formed
+    in the scaled space, R (K - sum dy_k g_k) R^T.  Two refinement passes against
     the unregularized system apply g g^T as g (g^T dy), as dS does, so they
     shrink the primal residual the step leaves: near gamma = 1 the
     coefficients sit above the bound by about that residual.
@@ -192,16 +194,15 @@ def _newton_system(cone: _KypCone, r, quadratic):
     g = np.matmul(r.T, np.matmul(cone.basis, r)).reshape(-1, n * n)
     h = g @ g.T
     h[np.diag_indices_from(h)] += 1e-14 * np.trace(h) / h.shape[0]
-    chol_h = np.linalg.cholesky(h)
+    inv_h = _inverse_factor(h)
     cmap = cone.coeff_map
-    u = solve_triangular(chol_h, cmap, lower=True, check_finite=False)
-    schur = cho_factor(quadratic + u.T @ u, lower=True, check_finite=False)
+    u = inv_h @ cmap
+    inv_schur = _inverse_factor(quadratic + u.T @ u)
 
     def solve(rhs_y, rhs_a):
-        w = solve_triangular(chol_h, rhs_y, lower=True, check_finite=False)
-        da = cho_solve(schur, u.T @ w - rhs_a, check_finite=False)
-        dy = solve_triangular(chol_h, w - u @ da, lower=True, trans="T",
-                              check_finite=False)
+        w = inv_h @ rhs_y
+        da = inv_schur.T @ (inv_schur @ (u.T @ w - rhs_a))
+        dy = inv_h.T @ (w - u @ da)
         return dy, da
 
     def step(kmat, res_p, res_d):
@@ -218,10 +219,26 @@ def _newton_system(cone: _KypCone, r, quadratic):
     return step
 
 
-def _max_step(chol_lower, direction):
-    """Largest alpha with X + alpha*D > 0, given X = L L^T."""
-    w = solve_triangular(chol_lower, direction, lower=True, check_finite=False)
-    w = solve_triangular(chol_lower, w.T, lower=True, check_finite=False).T
+def _inverse_factor(mat):
+    """L^-1 for the Cholesky factor L L^T = mat; raises LinAlgError when mat
+    is not positive definite."""
+    return _inverse_lower(np.linalg.cholesky(mat))
+
+
+def _inverse_lower(lower):
+    """Inverse of a lower-triangular matrix, column by column by forward
+    substitution.  numpy has no triangular solver, but reversing the rows
+    and columns makes the matrix upper triangular: LU with partial pivoting
+    then leaves it as it is and the inverse comes from back substitution
+    alone.  Inverting L directly lets LU pivot its rows, and products of
+    blockwise inverses lose accuracy too; the last iterations then end in
+    numerical failure on designs near the gain bound."""
+    return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+
+
+def _max_step(inv_lower, direction):
+    """Largest alpha with X + alpha*D > 0, given L^-1 for X = L L^T."""
+    w = inv_lower @ direction @ inv_lower.T
     lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam_min >= 0.0:
         return np.inf
@@ -305,13 +322,14 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             chol_z = np.linalg.cholesky(z)
             r, lam = _nt_scaling(chol_s, chol_z)
             newton_step = _newton_system(cone, r, quadratic)
+            inv_s, inv_z = _inverse_lower(chol_s), _inverse_lower(chol_z)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
         def step_length(ds, dz):
-            return min(1.0, STEP_FRACTION * _max_step(chol_s, ds),
-                       STEP_FRACTION * _max_step(chol_z, dz))
+            return min(1.0, STEP_FRACTION * _max_step(inv_s, ds),
+                       STEP_FRACTION * _max_step(inv_z, dz))
 
         # predictor (affine scaling) direction
         k_aff = np.diag(-lam)

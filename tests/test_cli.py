@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ntfforge
 from ntfforge.cli import main
 
 FS = 256000.0
@@ -105,6 +109,13 @@ class TestDesign:
         ("quantizer_levels", 1.0),
         ("filter", {"kind": "lowpass_butterworth", "order": "x",
                     "bands_hz": [[0.0, 2000.0]]}),
+        # fractional integer fields are rejected, not truncated
+        ("fir_order", 12.7),
+        ("filter", {"kind": "lowpass_butterworth", "order": 1.9,
+                    "bands_hz": [[0.0, 2000.0]]}),
+        ("grid_points", 2048.5),
+        ("solver", {"max_iter": 10.5}),
+        ("fir_order", float("inf")),
     ])
     def test_malformed_value_is_validation_error(self, tmp_path, field, value):
         spec = {
@@ -120,6 +131,20 @@ class TestDesign:
         code = main(["design", "--config", str(path), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    def test_integral_float_fields_are_accepted(self, tmp_path):
+        spec = {
+            "fs_hz": FS,
+            "filter": {"kind": "lowpass_butterworth", "order": 1.0,
+                       "bands_hz": [[0.0, 2000.0]]},
+            "fir_order": 4.0,
+            "solver": {"max_iter": 100.0},
+        }
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "x.json"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["a"]) == 5
 
     def test_filter_rate_mismatch_exits_2_before_any_solve(self, tmp_path,
                                                            monkeypatch):
@@ -440,3 +465,17 @@ class TestVerify:
 
         loaded = load_design_spec(str(path))
         assert loaded.fs_hz == pytest.approx(2 * 64 * 400.0)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # the package runs on numpy alone; scipy is a test-only oracle
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            ntfforge.__file__)))
+        code = ("import ntfforge.cli, sys; print(sorted(m for m in sys.modules"
+                " if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

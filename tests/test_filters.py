@@ -148,6 +148,93 @@ class TestDesignFilter:
         np.testing.assert_allclose(filt.response(grid), expected, rtol=1e-12)
 
 
+# The Butterworth filters of the tests and scripts: (order, band, rate)
+BUTTERWORTH_CASES = {
+    "lowpass-1": (1, (0.0, 2000.0), FS_LP),
+    "lowpass-3": (3, (0.0, 1000.0), 48000.0),
+    "bandpass-8": (8, (800.0, 1200.0), 2 * 64 * 400.0),
+    "two-band-4": (4, ((800.0, 1200.0), (8000.0, 12000.0)), 2 * 64 * 4400.0),
+}
+
+
+def butterworth_case(name):
+    order, bands, fs = BUTTERWORTH_CASES[name]
+    bands = bands if isinstance(bands[0], tuple) else (bands,)
+    kind = ("multiband_butterworth" if len(bands) > 1 else
+            "lowpass_butterworth" if bands[0][0] == 0.0 else
+            "bandpass_butterworth")
+    return design_filter(FilterSpec(kind=kind, fs_hz=fs, order=order,
+                                    bands_hz=bands))
+
+
+def lfilter_cascade(filt, x):
+    from scipy.signal import lfilter
+
+    out = np.zeros_like(x)
+    for branch in filt.branches:
+        y = x
+        for b, a in branch:
+            y = lfilter(b, a, y, axis=0)
+        out += y
+    return out
+
+
+class TestScipyOracle:
+    """The closed-form sections and the block filter against scipy.signal,
+    which the package itself no longer imports."""
+
+    @pytest.mark.parametrize("name", BUTTERWORTH_CASES)
+    def test_sections_match_butter(self, name):
+        from scipy.signal import butter
+
+        order, bands, fs = BUTTERWORTH_CASES[name]
+        bands = bands if isinstance(bands[0], tuple) else (bands,)
+        filt = butterworth_case(name)
+        for (lo, hi), branch in zip(bands, filt.branches):
+            expected = (butter(order, hi, fs=fs, output="sos") if lo == 0.0
+                        else butter(order // 2, (lo, hi), btype="bandpass",
+                                    fs=fs, output="sos"))
+            sos = np.array([b + a for b, a in branch])
+            assert sos.shape == expected.shape
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.max(np.abs(sos - expected) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["lowpass-1", "lowpass-3", "bandpass-8"])
+    def test_response_matches_sosfreqz(self, name):
+        from scipy.signal import sosfreqz
+
+        filt = butterworth_case(name)
+        grid = FrequencyGrid.uniform(4096)
+        sos = np.array([b + a for b, a in filt.branches[0]])
+        np.testing.assert_allclose(filt.response(grid),
+                                   sosfreqz(sos, worN=grid.omegas)[1],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("name", BUTTERWORTH_CASES)
+    def test_impulse_response_matches_lfilter(self, name):
+        filt = butterworth_case(name)
+        h = impulse_response(filt, 1e-12).samples
+        impulse = np.zeros(h.size)
+        impulse[0] = 1.0
+        expected = lfilter_cascade(filt, impulse)
+        assert np.max(np.abs(h - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", BUTTERWORTH_CASES)
+    def test_two_columns_match_lfilter_and_each_column(self, name):
+        filt = butterworth_case(name)
+        rng = np.random.default_rng(3)
+        x = np.stack((np.sign(rng.uniform(-1.0, 1.0, 2**13)),
+                      rng.uniform(-1.0, 1.0, 2**13)), axis=1)
+        y = filt.filter_signal(x)
+        expected = lfilter_cascade(filt, x)
+        peak = np.max(np.abs(expected))
+        assert y.shape == x.shape
+        assert np.max(np.abs(y - expected)) <= 1e-13 * peak
+        for j in range(2):
+            alone = filt.filter_signal(x[:, j])
+            assert np.max(np.abs(alone - y[:, j])) <= 1e-15 * peak
+
+
 class TestImpulseResponse:
     def test_identity(self):
         filt = RationalFilter.identity()

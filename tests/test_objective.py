@@ -86,6 +86,13 @@ class TestQMatrix:
             for k in range(7):
                 assert q.entries[j, k] == q.first_row[abs(j - k)]
 
+    def test_entries_equal_scipy_toeplitz_bit_for_bit(self):
+        from scipy.linalg import toeplitz
+
+        h = np.random.default_rng(7).normal(size=40)
+        q = build_q_matrix(h, 12)
+        assert np.array_equal(q.entries, toeplitz(q.first_row))
+
     def test_psd_for_random_stable_filters(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

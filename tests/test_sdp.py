@@ -185,6 +185,21 @@ class TestGainFeasibility:
             assert np.array_equal(sdp._observability(coeffs), np.array(rows))
 
 
+class TestNonPositiveDefiniteSchurComplement:
+    def test_ends_in_numerical_failure(self):
+        # G + u^T u is not PD when G is strongly negative definite: its
+        # Cholesky factor raises LinAlgError, which must end the solve with
+        # a status instead of escaping
+        order_p = 4
+        lmi = assemble_lmi(order_p, 1.5)
+        x0 = (np.zeros(order_p), 0.1 * np.eye(order_p))
+        _, status, info = sdp.solve_conic(
+            sdp._KypCone(lmi), np.zeros(order_p), x0, SolverSettings(),
+            quadratic=-1e6 * np.eye(order_p), constant=0.0)
+        assert status == "numerical_failure"
+        assert info["iterations"] == 1
+
+
 class TestSolverSettings:
     def test_json_roundtrip(self):
         settings = SolverSettings(gap_tol=1e-8, feas_tol=1e-9, max_iter=77)
