@@ -9,8 +9,9 @@ committed files are measured and no worktree is left registered in the
 repository), and ``perfbench/run.py`` runs from each export.  Pair k runs
 every workload of BENCHMARK.json once per side for its ``run_seconds``, with
 seed k + 1; odd pairs run the parent first, even pairs the change.  Then each
-side designs the bandpass P=49 and the two-band P=50 cases three times, each
-in a fresh process with BLAS pinned to one thread.
+side designs the bandpass P=49, the two-band P=50 and the bandpass P=64 (at
+gamma 1.5 and 1.02) cases three times, each in a fresh process with BLAS
+pinned to one thread.
 
 Writes ``BENCH_<label>.json`` in the repository root: per workload and side,
 the median and quartiles of every end-to-end metric with the runs behind
@@ -32,18 +33,22 @@ ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHANGE = "HEAD"
 DESIGN_REPEATS = 3
 
+BANDPASS = {"fs_hz": 2 * 64 * 400.0,
+            "filter": {"kind": "bandpass_butterworth", "order": 8,
+                       "bands_hz": [[800.0, 1200.0]]}}
+
 # The paper's bandpass case and its two-band case (4th-order branch per band),
-# as the acceptance tests define them.
+# as the acceptance tests define them, and the bandpass case at the largest
+# order, where the solver's per-iteration cost shows most.
 DESIGNS = {
-    "bandpass-p49": {"fs_hz": 2 * 64 * 400.0,
-                     "filter": {"kind": "bandpass_butterworth", "order": 8,
-                                "bands_hz": [[800.0, 1200.0]]},
-                     "fir_order": 49, "gamma": 1.5},
+    "bandpass-p49": {**BANDPASS, "fir_order": 49, "gamma": 1.5},
     "twoband-p50": {"fs_hz": 2 * 64 * 4400.0,
                     "filter": {"kind": "multiband_butterworth", "order": 4,
                                "bands_hz": [[800.0, 1200.0],
                                             [8000.0, 12000.0]]},
                     "fir_order": 50, "gamma": 1.5},
+    "bandpass-p64": {**BANDPASS, "fir_order": 64, "gamma": 1.5},
+    "bandpass-p64-g1.02": {**BANDPASS, "fir_order": 64, "gamma": 1.02},
 }
 
 DESIGN_SCRIPT = """

@@ -29,7 +29,7 @@ from .kyp import (
     require_certified,
 )
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
-from .objective import NoiseBudget, build_q_matrix, reduce_objective
+from .objective import NoiseBudget, build_q_matrix, noise_gain, reduce_objective
 from .sdp import SdpProblem, SdpSolution, SolverSettings, extract_ntf, solve
 
 log = logging.getLogger("ntfforge.design")
@@ -169,7 +169,7 @@ def run_design(spec: DesignSpec) -> DesignResult:
             f"primal residual {res['primal']:.3e}, "
             f"dual residual {res['dual']:.3e}")
     coeffs = extract_ntf(solution)
-    sigma2 = spec.budget.sigma2_eps * solution.objective_value
+    sigma2 = spec.budget.sigma2_eps * noise_gain(h, coeffs)
     cert = require_certified(certificate_from_solution(solution, spec.gamma))
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
@@ -235,11 +235,12 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     """Score an NTF against a design spec: noise power, SNRs, gain check.
 
     ``ntf`` is either an NtfFir or a (num, den) pair; a pair whose den is
-    (1.0,) is an FIR NTF.  FIR noise powers go through the autocorrelation form
-    (exactly reproducing the design-time value); rational ones are scored by
-    quadrature.  Time-domain simulation runs for FIR NTFs only, and shares
-    the one truncated impulse response with the noise power.  ``filt`` is
-    the spec's filter when the caller has already designed it.
+    (1.0,) is an FIR NTF.  FIR noise powers are the energy of h * a
+    (``noise_gain``, exactly reproducing the design-time value); rational
+    ones are scored by quadrature.  Time-domain simulation runs for FIR NTFs
+    only, and shares the one truncated impulse response with the noise
+    power.  ``filt`` is the spec's filter when the caller has already
+    designed it.
     """
     from .objective import sigma2_h as quad_sigma2_h
 
@@ -253,12 +254,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         h = impulse_response(filt, energy_tol=spec.energy_tol)
     if sigma2_h_value is None:
         if fir is not None:
-            q = build_q_matrix(h, max(1, fir.order))
-            coeffs = np.zeros(q.order + 1)
-            coeffs[: fir.coeffs.size] = fir.coeffs
-            sigma2_h_value = spec.budget.sigma2_eps * float(
-                coeffs @ q.entries @ coeffs
-            )
+            sigma2_h_value = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
         else:
             grid = FrequencyGrid.uniform(spec.grid_points)
             sigma2_h_value = quad_sigma2_h(num, den, filt, spec.budget, grid)

@@ -118,6 +118,22 @@ def build_q_matrix(h, order_p: int) -> QMatrix:
     return q
 
 
+def noise_gain(h, coeffs) -> float:
+    """a^T Q a for Q = ``build_q_matrix(h, P)``, as the energy of the
+    filtered noise h * a.
+
+    Q is exactly the autocorrelation of the truncated impulse response, so
+    the quadratic form is a sum of squares here.  Summed over Q's entries it
+    cancels: for the bandpass designs at gamma = 4 it is about 1e-10 of its
+    largest terms, and float64 leaves ~1e-6 relative rounding.
+    """
+    samples = np.asarray(getattr(h, "samples", h), dtype=float)
+    if samples.size == 0 or not np.any(samples):
+        raise DegenerateFilterError("impulse response is identically zero")
+    filtered = np.convolve(samples, np.asarray(coeffs, dtype=float))
+    return float(filtered @ filtered)
+
+
 def reduce_objective(q: QMatrix) -> ReducedObjective:
     """Split a^T Q a with a_0 = 1 into quadratic + linear + constant blocks."""
     m = q.entries

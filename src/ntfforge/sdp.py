@@ -22,6 +22,10 @@ iteration carries the coefficients, the slack and Z's coordinates there.
 Each Newton system has order 3P+3 and takes two small Cholesky factors,
 each inverted once per iteration (numpy is the only numerical dependency);
 the certificate is read off the final slack by the delay-chain recursion.
+The subspace's basis is sparse and Toeplitz, so the system's matrix comes
+from the scaling W = R R^T alone, through one 2-D FFT autocorrelation and
+Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever
+formed.
 
 Fixed coefficients need no solve: ``solve_gain_feasibility`` builds their
 witness in closed form from a spectral factor.
@@ -125,11 +129,15 @@ class _KypCone:
     The certificate rows of the dual condition F*(Z) = c + G x read
     Z[1:P+1, 1:P+1] = Z[:P, :P]: Z has a Toeplitz top-left (P+1) block and a
     free last row, a (2P+3)-dimensional space (Vandenberghe, Balakrishnan,
-    Wallin, Hansson & Roh, LNCIS 312, 2005).  ``basis`` holds it as
-    orthonormal matrices: the diagonals +-k of the Toeplitz block, then the
-    entries (j, P+1) with their mirrors.  ``coeff_map`` projects the
-    coefficients' placements F_a(e_k) onto it.  The certificate never enters
-    the iteration; ``certificate`` reads it off a slack.
+    Wallin, Hansson & Roh, LNCIS 312, 2005).  Its orthonormal basis B_k is
+    never stored: the diagonals +-k of the Toeplitz block come first, then
+    the entries (j, P+1) with their mirrors, and each entry of a
+    (P+2) x (P+2) matrix belongs to exactly one of them.  ``slot`` maps
+    entries to basis elements and ``norm`` holds each element's norm before
+    normalization, so ``project`` sums entries by slot and ``lift`` gathers
+    them back.  ``coeff_map`` projects the coefficients' placements F_a(e_k)
+    onto the subspace.  The certificate never enters the iteration;
+    ``certificate`` reads it off a slack.
     """
 
     def __init__(self, lmi: LmiSystem):
@@ -139,23 +147,63 @@ class _KypCone:
         no_cert = np.zeros((p, p))
         flat = lmi.evaluate(np.zeros(p), no_cert)
         self.f0 = -flat
-        basis = np.zeros((2 * p + 3, n, n))
-        for k in range(p + 1):
-            i = np.arange(p + 1 - k)
-            basis[k, i, i + k] = basis[k, i + k, i] = 1.0
-        j = np.arange(n)
-        basis[p + 1 + j, j, n - 1] = basis[p + 1 + j, n - 1, j] = 1.0
-        self.basis = basis / np.sqrt(np.sum(basis**2, axis=(1, 2)))[:, None, None]
+        row, col = np.indices((n, n))
+        self.slot = np.where(np.maximum(row, col) <= p, np.abs(row - col),
+                             p + 1 + np.minimum(row, col)).ravel()
+        self.norm = np.sqrt(np.bincount(self.slot))
+        # gram's D_0 and E_{P+1} count their entries twice
+        half = np.ones(2 * p + 3)
+        half[[0, -1]] = 0.5
+        self._gram_scale = 2.0 * np.outer(half / self.norm, half / self.norm)
+        # Toeplitz and Hankel matrices of a vector x_0..x_P, gathered from it
+        # with a zero appended at index P+1
+        lag = np.arange(p + 1)
+        self._toeplitz = np.where(lag[None, :] >= lag[:, None],
+                                  lag[None, :] - lag[:, None], p + 1)
+        self._hankel = np.minimum(lag[None, :] + lag[:, None], p + 1)
+        self._fft_shape = (2 * p + 2, 2 * p + 2)  # lags -P..P do not wrap
+        self._negative_lags = -lag % (2 * p + 2)
         # a_k's entries never meet the constant corner, so M(e_k; 0) - M(0; 0)
         # is exactly its placement
-        placements = [-(lmi.evaluate(e, no_cert) - flat) for e in np.eye(p)]
-        self.coeff_map = np.tensordot(self.basis, placements, ([1, 2], [1, 2]))
+        self.coeff_map = np.array(
+            [self.project(flat - lmi.evaluate(e, no_cert)) for e in np.eye(p)]
+        ).T
 
     def project(self, mat):
-        return np.tensordot(self.basis, mat)
+        """Coordinates <B_k, mat> of a matrix's part in the dual subspace."""
+        return np.bincount(self.slot, weights=np.ravel(mat),
+                           minlength=self.norm.size) / self.norm
 
     def lift(self, y):
-        return np.tensordot(y, self.basis, 1)
+        """The matrix sum_k y_k B_k."""
+        return (y / self.norm)[self.slot].reshape(self.size, self.size)
+
+    def gram(self, w):
+        """tr(B_j W B_k W) for every pair of basis elements, from a symmetric
+        W alone (the structured Hessian of Alkire & Vandenberghe, Math.
+        Program. 93 (2002) 331-359).
+
+        Take D_k = S_k + S_k^T with S_k the 0/1 pattern of the k-th
+        diagonal of the top-left block, E_j = e_j e_l^T + e_l e_j^T with
+        l = P+1, V = W[:P+1, :P+1] and w = W[:, l].  Then
+        tr(D_j W D_k W) = 2 (A(j, k) + A(j, -k)) with A the 2-D
+        autocorrelation of V, tr(E_i W E_j W) = 2 (w_i w_j + W[l, l] W_ij),
+        and tr(D_j W E_i W) = 2 ((T_w + H_w) W[:P+1, :])_ji with T_w and H_w
+        the Toeplitz and Hankel matrices of w_0..w_P.  D_0 and E_l count
+        their entries twice, so they are halved, and each element is divided
+        by its norm.
+        """
+        m = self.lmi.order + 1
+        v, col = w[:m, :m], w[:, -1]
+        spec = np.fft.rfft2(v, s=self._fft_shape)
+        acf = np.fft.irfft2(spec.real**2 + spec.imag**2, s=self._fft_shape)
+        out = np.empty_like(self._gram_scale)
+        out[:m, :m] = acf[:m, :m] + acf[:m, self._negative_lags]
+        out[m:, m:] = np.outer(col, col) + col[-1] * w
+        padded = np.append(col[:m], 0.0)
+        out[:m, m:] = (padded[self._toeplitz] + padded[self._hankel]) @ w[:m]
+        out[m:, :m] = out[:m, m:].T
+        return out * self._gram_scale
 
     def certificate(self, s):
         """The P x P certificate of a slack S = -M(a; P).  Only the shifts
@@ -172,27 +220,27 @@ class _KypCone:
 def _newton_system(cone: _KypCone, r, quadratic):
     """Newton step solver at the NT scaling R (W = R R^T).
 
-    With dZ = lift(dy) and g_k = R^T B_k R, the scaled linearization
-    R^-1 dS R^-T + R^T dZ R = K, projected onto the dual subspace, and the
-    dual equation give
+    With dZ = lift(dy), the scaled linearization R^-1 dS R^-T + R^T dZ R = K,
+    projected onto the dual subspace, and the dual equation give
 
-        [g g^T   C ] [dy]   [g.K - r_p]
-        [C^T    -G ] [da] = [   r_d   ],
+        [H    C ] [dy]   [project(R K R^T) - r_p]
+        [C^T -G ] [da] = [          r_d         ],
 
-    solved by eliminating dy with Cholesky factors of g g^T (plus 1e-14 of
-    its mean diagonal) and of G + C^T (g g^T)^-1 C.  Both factors are
-    inverted once, so every solve below is matrix products.  dS is formed
-    in the scaled space, R (K - sum dy_k g_k) R^T.  Two refinement passes against
-    the unregularized system apply g g^T as g (g^T dy), as dS does, so they
-    shrink the primal residual the step leaves: near gamma = 1 the
-    coefficients sit above the bound by about that residual.
+    where H_jk = tr(B_j W B_k W) comes from W alone (``_KypCone.gram``) and
+    H dy = project(W lift(dy) W).  It is solved by eliminating dy with
+    Cholesky factors of H (plus 1e-14 of its mean diagonal) and of
+    G + C^T H^-1 C.  Both factors are inverted once, so every solve below is
+    matrix products.  dS is formed in the scaled space,
+    R (K - R^T dZ R) R^T.  Two refinement passes against the unregularized
+    system apply H through the matrices, as dS does, so they shrink the
+    primal residual the step leaves: near gamma = 1 the coefficients sit
+    above the bound by about that residual.
 
     Returns ``step(kmat, res_p, res_d) -> (da, dy, ds, dz_scaled)``, with
     ``res_p`` the projected primal residual and dz_scaled = R^T dZ R.
     """
-    n = cone.size
-    g = np.matmul(r.T, np.matmul(cone.basis, r)).reshape(-1, n * n)
-    h = g @ g.T
+    w = r @ r.T
+    h = cone.gram(w)
     h[np.diag_indices_from(h)] += 1e-14 * np.trace(h) / h.shape[0]
     inv_h = _inverse_factor(h)
     cmap = cone.coeff_map
@@ -200,19 +248,20 @@ def _newton_system(cone: _KypCone, r, quadratic):
     inv_schur = _inverse_factor(quadratic + u.T @ u)
 
     def solve(rhs_y, rhs_a):
-        w = inv_h @ rhs_y
-        da = inv_schur.T @ (inv_schur @ (u.T @ w - rhs_a))
-        dy = inv_h.T @ (w - u @ da)
+        t = inv_h @ rhs_y
+        da = inv_schur.T @ (inv_schur @ (u.T @ t - rhs_a))
+        dy = inv_h.T @ (t - u @ da)
         return dy, da
 
     def step(kmat, res_p, res_d):
-        rhs_y = g @ kmat.ravel() - res_p
+        rhs_y = cone.project(r @ kmat @ r.T) - res_p
         dy, da = solve(rhs_y, res_d)
         for _ in range(REFINEMENT_PASSES):
-            ey, ea = solve(rhs_y - g @ (dy @ g) - cmap @ da,
+            ey, ea = solve(rhs_y - cone.project(w @ cone.lift(dy) @ w)
+                           - cmap @ da,
                            res_d - cmap.T @ dy + quadratic @ da)
             dy, da = dy + ey, da + ea
-        dz_scaled = (dy @ g).reshape(n, n)
+        dz_scaled = r.T @ cone.lift(dy) @ r
         ds = r @ (kmat - dz_scaled) @ r.T
         return da, dy, 0.5 * (ds + ds.T), dz_scaled
 
@@ -291,7 +340,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         res_primal = f0_proj + cone.coeff_map @ a - cone.project(s)
         ga = quadratic @ a
         res_dual = c + ga - cone.coeff_map.T @ y
-        gap = float(np.tensordot(s, z))
+        gap = float(np.vdot(s, z))
         mu = gap / cone.size
         half_aga = 0.5 * float(a @ ga)
         pobj = float(c @ a) + half_aga + constant
@@ -336,7 +385,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         _, dy_a, ds_a, dz_t = newton_step(k_aff, res_primal, res_dual)
         dz_a = cone.lift(dy_a)
         alpha = step_length(ds_a, dz_a)
-        gap_aff = float(np.tensordot(s + alpha * ds_a, z + alpha * dz_a))
+        gap_aff = float(np.vdot(s + alpha * ds_a, z + alpha * dz_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # corrector with Mehrotra second-order term

@@ -15,6 +15,7 @@ from ntfforge.objective import (
     NoiseBudget,
     build_q_matrix,
     merit_integrand,
+    noise_gain,
     reduce_objective,
     sigma2_h,
     sigma2_inband,
@@ -77,6 +78,16 @@ class TestQMatrix:
     def test_zero_response_rejected(self):
         with pytest.raises(DegenerateFilterError):
             build_q_matrix(np.zeros(5), 2)
+        with pytest.raises(DegenerateFilterError):
+            noise_gain(np.zeros(5), [1.0, 0.5])
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_noise_gain_is_the_quadratic_form(self, order_p, length, seed):
+        rng = np.random.default_rng(seed)
+        h, a = rng.normal(size=length), rng.normal(size=order_p + 1)
+        want = a @ brute_force_q(h, order_p) @ a
+        assert noise_gain(h, a) == pytest.approx(want, rel=1e-10)
 
     def test_toeplitz_closure_bit_exact(self):
         rng = np.random.default_rng(5)

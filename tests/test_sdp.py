@@ -277,6 +277,21 @@ def symmetric(rng, n):
     return m + m.T
 
 
+def dense_cone_basis(cone):
+    """The cone's 2P+3 basis matrices, lifted from the unit vectors."""
+    return np.array([cone.lift(e) for e in np.eye(cone.norm.size)])
+
+
+def assert_gram_matches_dense(order_p, seed):
+    # tr(B_j W B_k W) from W alone against g g^T with g_k = R^T B_k R
+    rng = np.random.default_rng(seed)
+    cone = sdp._KypCone(assemble_lmi(order_p, 1.5))
+    r = random_scaling(rng, order_p + 2)
+    want = dense_gram(dense_cone_basis(cone), r.T)
+    got = cone.gram(r @ r.T)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestDualSubspace:
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -291,7 +306,7 @@ class TestDualSubspace:
         v_only = np.concatenate((np.zeros(order_p), x[order_p:]))
         assert_close(cone.project(np.tensordot(v_only, fmat, 1)),
                      np.zeros(2 * order_p + 3))
-        flat = cone.basis.reshape(-1, n * n)
+        flat = dense_cone_basis(cone).reshape(-1, n * n)
         assert_close(flat @ flat.T, np.eye(2 * order_p + 3))
         assert_close(cert.reshape(-1, n * n) @ flat.T,
                      np.zeros((cert.shape[0], flat.shape[0])))
@@ -302,6 +317,26 @@ class TestDualSubspace:
         adjoint = np.einsum("vab,sab->vs", cert, sym)
         rank = np.linalg.matrix_rank(adjoint)
         assert rows.size - rank == 2 * order_p + 3
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_project_is_the_adjoint_of_lift(self, order_p, seed):
+        rng = np.random.default_rng(seed)
+        cone = sdp._KypCone(assemble_lmi(order_p, 1.5))
+        n = order_p + 2
+        y = rng.normal(size=2 * order_p + 3)
+        mat = rng.normal(size=(n, n))
+        assert np.vdot(cone.lift(y), mat) == pytest.approx(
+            y @ cone.project(mat), rel=1e-12, abs=1e-12)
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gram_matches_the_dense_basis(self, order_p, seed):
+        assert_gram_matches_dense(order_p, seed)
+
+    @pytest.mark.parametrize("order_p", [49, 64])
+    def test_gram_matches_the_dense_basis_at_high_order(self, order_p):
+        assert_gram_matches_dense(order_p, order_p)
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 1.0]))
