@@ -11,12 +11,15 @@ every workload of BENCHMARK.json once per side for its ``run_seconds``, with
 seed k + 1; odd pairs run the parent first, even pairs the change.  Then each
 side designs the bandpass P=49, the two-band P=50 and the bandpass P=64 (at
 gamma 1.5 and 1.02) cases three times, each in a fresh process with BLAS
-pinned to one thread.
+pinned to one thread.  Last, each side times ``simulate`` over 2^16 samples
+of the lowpass P=12, bandpass P=49 and bandpass P=64 designs at the
+benchmark's amplitudes, three fresh one-thread processes each.
 
 Writes ``BENCH_<label>.json`` in the repository root: per workload and side,
 the median and quartiles of every end-to-end metric with the runs behind
 them, failed/attempted counts and the pairs the change won; per design and
-side, the wall times, solver iterations and sigma2_h.
+side, the wall times, solver iterations and sigma2_h; per simulation and
+side, the wall times, the largest |e| and a hash of the output bits.
 """
 
 import argparse
@@ -51,6 +54,18 @@ DESIGNS = {
     "bandpass-p64-g1.02": {**BANDPASS, "fir_order": 64, "gamma": 1.02},
 }
 
+# The loop simulations of the paper's lowpass case at A = 0.4 and of the
+# bandpass cases at A = 0.75, the amplitudes perfbench evaluates them at:
+# (design config, amplitude).
+SIMULATIONS = {
+    "lowpass-p12": ({"fs_hz": 2.048e6,
+                     "filter": {"kind": "lowpass_butterworth", "order": 1,
+                                "bands_hz": [[0.0, 2000.0]]},
+                     "fir_order": 12, "gamma": 1.5}, 0.4),
+    "bandpass-p49": (DESIGNS["bandpass-p49"], 0.75),
+    "bandpass-p64": (DESIGNS["bandpass-p64"], 0.75),
+}
+
 DESIGN_SCRIPT = """
 import json, sys, time
 from ntfforge.design import DesignSpec, run_design
@@ -60,6 +75,24 @@ result = run_design(spec)
 print(json.dumps({"seconds": time.perf_counter() - start,
                   "iterations": result.solution.iterations,
                   "sigma2_h": result.sigma2_h}))
+"""
+
+SIMULATE_SCRIPT = """
+import hashlib, json, sys, time
+import numpy as np
+from ntfforge.design import DesignSpec, default_tone_freqs, run_design
+from ntfforge.modsim import make_test_signal, simulate
+spec = DesignSpec.from_json_dict(json.loads(sys.argv[1]))
+ntf = run_design(spec).ntf
+w = make_test_signal("sine", default_tone_freqs(spec)[:1],
+                     (float(sys.argv[2]),), spec.fs_hz, 2**16)
+start = time.perf_counter()
+trace = simulate(ntf, w, spec.quantizer)
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds,
+                  "max_abs_e": float(np.max(np.abs(trace.quant_error_e))),
+                  "output_sha256":
+                      hashlib.sha256(trace.output_x.tobytes()).hexdigest()}))
 """
 
 
@@ -91,16 +124,31 @@ def run_workload(checkout, workload, seed, seconds) -> dict:
                 "error": (proc.stderr or proc.stdout)[-2000:]}
 
 
-def run_design(checkout, config) -> dict:
+def run_one_thread(checkout, script, *args) -> dict:
+    """The JSON line that ``script`` prints, run with ``args`` in a fresh
+    process on ``checkout``'s package with BLAS pinned to one thread."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     env.update({name: "1" for name in ONE_THREAD})
-    proc = subprocess.run([sys.executable, "-c", DESIGN_SCRIPT,
-                           json.dumps(config)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           cwd=checkout, env=env, capture_output=True,
                           text=True, timeout=900)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip().splitlines()[-1:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def repeat(checkout, script, fields, config, *args) -> dict:
+    """DESIGN_REPEATS fresh runs of ``script``: their wall times and median,
+    the distinct values of each of ``fields``, and any errors."""
+    reps = [run_one_thread(checkout, script, json.dumps(config),
+                           *map(repr, args))
+            for _ in range(DESIGN_REPEATS)]
+    ok = [r for r in reps if "error" not in r]
+    seconds = [r["seconds"] for r in ok]
+    return {"seconds": seconds,
+            "median_s": statistics.median(seconds) if ok else None,
+            **{field: sorted({r[field] for r in ok}) for field in fields},
+            "errors": [r["error"] for r in reps if "error" in r]}
 
 
 def spread(values) -> dict:
@@ -168,23 +216,17 @@ def main(argv=None) -> int:
                       f"{json.dumps(result.get('metrics'))} "
                       f"failed {result.get('failed')}", flush=True)
 
-    designs = {}
-    for name, config in DESIGNS.items():
-        designs[name] = {}
-        for side in ("parent", "change"):
-            reps = [run_design(checkouts[side], config)
-                    for _ in range(DESIGN_REPEATS)]
-            ok = [r for r in reps if "error" not in r]
-            designs[name][side] = {
-                "seconds": [r["seconds"] for r in ok],
-                "median_s": statistics.median([r["seconds"] for r in ok])
-                if ok else None,
-                "iterations": sorted({r["iterations"] for r in ok}),
-                "sigma2_h": sorted({r["sigma2_h"] for r in ok}),
-                "errors": [r["error"] for r in reps if "error" in r],
-            }
-            print(f"design {name} {side}: {json.dumps(designs[name][side])}",
-                  flush=True)
+    designs = {name: {side: repeat(checkouts[side], DESIGN_SCRIPT,
+                                   ("iterations", "sigma2_h"), config)
+                      for side in ("parent", "change")}
+               for name, config in DESIGNS.items()}
+    print(f"designs: {json.dumps(designs)}", flush=True)
+    simulations = {
+        name: {side: repeat(checkouts[side], SIMULATE_SCRIPT,
+                            ("max_abs_e", "output_sha256"), config, amplitude)
+               for side in ("parent", "change")}
+        for name, (config, amplitude) in SIMULATIONS.items()}
+    print(f"simulations: {json.dumps(simulations)}", flush=True)
 
     report = {
         "label": args.label,
@@ -198,6 +240,7 @@ def main(argv=None) -> int:
         "wall_s": time.time() - started,
         "workloads": {w: summarize(runs[w], metrics) for w in workloads},
         "designs": designs,
+        "simulations": simulations,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

@@ -9,6 +9,7 @@ designed FIR shape and the signal passes through unchanged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ from .filters import (
 
 SNR_DB_CAP = 300.0
 OVERLOAD_EPS = 1e-12
+# A block of L samples looks its last sample's feedback up in a table with
+# one entry per pattern of the L - 1 earlier decisions: at most this many.
+BLOCK_TABLE_ENTRIES = 2**11
+# The block stops before the first tap of 1/A(z) above this.  The taps bound
+# the block's terms, so their rounding stays within ~1e3 eps of max |e|.
+BLOCK_MAX_TAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -69,18 +76,14 @@ class Quantizer:
         """Step between levels, the full span over the number of steps."""
         return (self.levels[-1] - self.levels[0]) / (len(self.levels) - 1)
 
+    @property
+    def midpoints(self) -> list:
+        """Decision thresholds, one between each pair of adjacent levels."""
+        return [0.5 * (lo + hi) for lo, hi in zip(self.levels, self.levels[1:])]
+
     def quantize(self, value: float) -> float:
         """Nearest level; midpoints round toward the higher level."""
-        lv = self.levels
-        lo, hi = 0, len(lv) - 1
-        # binary search over midpoints, ties go up
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value >= 0.5 * (lv[mid] + lv[mid + 1]):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lv[lo]
+        return self.levels[bisect_right(self.midpoints, value)]
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,52 @@ class SnrReport:
     method: str
 
 
+def _inverse_taps(coeffs: np.ndarray, nlev: int) -> np.ndarray:
+    """The first L taps of 1/A(z); their count is the block length L.
+
+    L is the largest length whose last lookup table, one entry per pattern
+    of nlev levels over L - 1 samples, has at most BLOCK_TABLE_ENTRIES
+    entries (12 for a binary quantizer), cut before the first tap above
+    BLOCK_MAX_TAP.  L = 1 leaves one sample per block.
+    """
+    length = 1
+    while nlev**length <= BLOCK_TABLE_ENTRIES:
+        length += 1
+    tail = coeffs[1:].tolist()
+    taps = [1.0]
+    while len(taps) < length:
+        tap = -sum(a * t for a, t in zip(tail, reversed(taps)))
+        if abs(tap) > BLOCK_MAX_TAP:
+            break
+        taps.append(tap)
+    return np.array(taps)
+
+
+def _level_indices(patterns: np.ndarray, nlev: int, length: int) -> np.ndarray:
+    """Rows d_0..d_{length-1} of each pattern sum_i d_i nlev^(length-1-i)."""
+    return patterns[:, None] // nlev ** np.arange(length - 1, -1, -1) % nlev
+
+
 def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTrace:
     """Run the error-feedback loop over the input sequence.
 
     Recursion: y(n) = w(n) + sum_k a_k e(n-k), x(n) = quantize(y(n)),
     e(n) = x(n) - y(n).  The stored error satisfies x - w = conv(a, e)
-    exactly, so the injected error is shaped by the designed NTF with a
+    to rounding, so the injected error is shaped by the designed NTF with a
     unity signal path.  The first 4P samples are the loop's transient; the
     overload check starts after them.
+
+    The loop runs by blocks of L samples (``_inverse_taps``).  With N the
+    strictly lower-triangular Toeplitz matrix of a_1..a_{L-1} and
+    M = (I + N)^-1, whose first column is the taps of 1/A(z), a block's
+    sums are y = M (w + F e_past) + (I - M) x: F feeds back the P errors
+    before the block, and I - M = M N the block's own decisions.  M w is
+    one matrix product over all blocks and M F e_past one per block.  Row j
+    of I - M is a table over every pattern of the j earlier decisions, so
+    each sample costs one lookup and one threshold search whatever P is.
+    The sums equal the per-sample recursion's to rounding, so the decisions
+    are the same unless a sum lies within that rounding of a threshold.
+    Decisions use ``Quantizer.midpoints``, ties going up, as ``quantize``.
     """
     w = np.asarray(input_w, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -120,32 +161,44 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     quantizer = quantizer or Quantizer()
     p = ntf.order
     n_discard = 4 * p
-    tail = ntf.coeffs[1:]
+    coeffs = ntf.coeffs
+    levels = np.array(quantizer.levels)
+    nlev = levels.size
+    taps = _inverse_taps(coeffs, nlev)
+    block = taps.size
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    m_inv = np.where(lag >= 0, taps[np.clip(lag, 0, None)], 0.0)
+    # F[j, i] = a_{P+j-i} feeds e(n0-P+i) into y(n0+j), for i >= j
+    lag_past = p + np.subtract.outer(np.arange(block), np.arange(p))
+    feed_past = m_inv @ np.where(lag_past <= p, coeffs[np.clip(lag_past, 0, p)],
+                                 0.0)
+    tables = [(levels[_level_indices(np.arange(nlev**j), nlev, j)]
+               @ -m_inv[j, :j]).tolist() for j in range(block)]
+
     n = w.size
-    x = np.empty(n)
-    e = np.empty(n)
-    buf = [0.0] * p  # buf[k] = e(n-1-k)
-    levels = quantizer.levels
-    nlev = len(levels)
-    binary = nlev == 2
-    lo_lv, hi_lv = levels[0], levels[-1]
-    mid0 = 0.5 * (lo_lv + hi_lv)
-    tail_list = tail.tolist()
-    w_list = w.tolist()
-    for i in range(n):
-        acc = w_list[i]
-        for k in range(p):
-            acc += tail_list[k] * buf[k]
-        if binary:
-            xi = hi_lv if acc >= mid0 else lo_lv
-        else:
-            xi = quantizer.quantize(acc)
-        ei = xi - acc
-        x[i] = xi
-        e[i] = ei
-        if p:
-            buf.pop()
-            buf.insert(0, ei)
+    n_blocks = -(-n // block)
+    w_blocks = np.zeros(n_blocks * block)
+    w_blocks[:n] = w
+    from_input = w_blocks.reshape(n_blocks, block) @ m_inv.T
+    # e after p zeros that stand for the errors before the run
+    e_ext = np.zeros(p + n_blocks * block)
+    level_list = quantizer.levels
+    mids = quantizer.midpoints
+    patterns = []
+    for n0, from_w in zip(range(0, n_blocks * block, block), from_input):
+        from_e = feed_past.dot(e_ext[n0:n0 + p]).tolist()
+        pattern = 0
+        errors = []
+        for yw, ye, table in zip(from_w.tolist(), from_e, tables):
+            acc = yw + ye + table[pattern]
+            d = bisect_right(mids, acc)
+            errors.append(level_list[d] - acc)
+            pattern = pattern * nlev + d
+        e_ext[p + n0:p + n0 + block] = errors
+        patterns.append(pattern)
+    decisions = _level_indices(np.array(patterns, dtype=np.int64), nlev, block)
+    x = levels[decisions].ravel()[:n]
+    e = e_ext[p:p + n]
     post = e[min(n_discard, n):]
     overloaded = bool(post.size and
                       np.max(np.abs(post)) > quantizer.delta / 2 + OVERLOAD_EPS)

@@ -6,17 +6,78 @@ import scipy.signal as spsig
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntfforge.design import DesignSpec, default_tone_freqs, run_design
 from ntfforge.errors import InvalidSpecError, NtfForgeError
 from ntfforge.filters import RationalFilter
 from ntfforge.modsim import (
+    OVERLOAD_EPS,
     ModTrace,
     NtfFir,
     Quantizer,
+    _inverse_taps,
     expected_snr,
     make_test_signal,
     measure_snr,
     simulate,
 )
+
+
+def reference_simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTrace:
+    """Run the error-feedback loop over the input sequence.
+
+    Recursion: y(n) = w(n) + sum_k a_k e(n-k), x(n) = quantize(y(n)),
+    e(n) = x(n) - y(n).  The stored error satisfies x - w = conv(a, e)
+    exactly, so the injected error is shaped by the designed NTF with a
+    unity signal path.  The first 4P samples are the loop's transient; the
+    overload check starts after them.
+    """
+    w = np.asarray(input_w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise InvalidSpecError("input contains non-finite samples")
+    quantizer = quantizer or Quantizer()
+    p = ntf.order
+    n_discard = 4 * p
+    tail = ntf.coeffs[1:]
+    n = w.size
+    x = np.empty(n)
+    e = np.empty(n)
+    buf = [0.0] * p  # buf[k] = e(n-1-k)
+    levels = quantizer.levels
+    nlev = len(levels)
+    binary = nlev == 2
+    lo_lv, hi_lv = levels[0], levels[-1]
+    mid0 = 0.5 * (lo_lv + hi_lv)
+    tail_list = tail.tolist()
+    w_list = w.tolist()
+    for i in range(n):
+        acc = w_list[i]
+        for k in range(p):
+            acc += tail_list[k] * buf[k]
+        if binary:
+            xi = hi_lv if acc >= mid0 else lo_lv
+        else:
+            xi = quantizer.quantize(acc)
+        ei = xi - acc
+        x[i] = xi
+        e[i] = ei
+        if p:
+            buf.pop()
+            buf.insert(0, ei)
+    post = e[min(n_discard, n):]
+    overloaded = bool(post.size and
+                      np.max(np.abs(post)) > quantizer.delta / 2 + OVERLOAD_EPS)
+    return ModTrace(input_w=w, output_x=x, quant_error_e=e,
+                    overloaded=overloaded, transient_discard=n_discard)
+
+
+def assert_matches_reference(trace, ref):
+    # decisions equal; errors equal to rounding, which scales with them
+    assert np.array_equal(trace.output_x, ref.output_x)
+    scale = max(1.0, float(np.max(np.abs(ref.quant_error_e), initial=0.0)))
+    assert np.max(np.abs(trace.quant_error_e - ref.quant_error_e),
+                  initial=0.0) <= 1e-12 * scale
+    assert trace.overloaded == ref.overloaded
+    assert trace.transient_discard == ref.transient_discard
 
 
 class TestNtfFir:
@@ -66,10 +127,11 @@ class TestSimulate:
         assert abs(np.mean(post) - 0.5) <= 2.0 / post.size * 4
         assert not trace.overloaded
 
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_error_feedback_identity(self, order_p, seed):
-        # x - w equals the NTF applied to the stored error, bit-level; the
+        # x - w equals the NTF applied to the stored error up to rounding,
+        # which scales with the sum of the terms, sum |a_k| max |e|; the
         # check needs a bounded run (a diverging loop loses the identity to
         # floating-point cancellation at huge error magnitudes)
         rng = np.random.default_rng(seed)
@@ -78,9 +140,11 @@ class TestSimulate:
         ntf = NtfFir(coeffs=coeffs)
         w = rng.uniform(-0.5, 0.5, 512)
         trace = simulate(ntf, w)
-        assert np.max(np.abs(trace.quant_error_e)) < 4.0
+        max_e = np.max(np.abs(trace.quant_error_e))
+        assert max_e < 4.0
         shaped = spsig.lfilter(coeffs, [1.0], trace.quant_error_e)
-        assert np.max(np.abs((trace.output_x - w) - shaped)) < 1e-12
+        tol = 1e-12 * np.sum(np.abs(coeffs)) * max_e
+        assert np.max(np.abs((trace.output_x - w) - shaped)) <= tol
 
     def test_overload_flag_matches_error_magnitude(self):
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
@@ -110,6 +174,106 @@ class TestSimulate:
         ntf_mag2 = np.abs(sum(c * np.exp(-1j * om * k)
                               for k, c in enumerate(coeffs))) ** 2
         assert np.max(np.abs(ratio_db - 10 * np.log10(ntf_mag2))) < 1.0
+
+
+@st.composite
+def quantizers(draw):
+    """2 to 5 levels, evenly or unevenly spaced."""
+    nlev = draw(st.integers(2, 5))
+    low = draw(st.floats(-1.5, -0.5))
+    if draw(st.booleans()):
+        steps = [2.0 * -low / (nlev - 1)] * (nlev - 1)
+    else:
+        steps = draw(st.lists(st.floats(0.2, 1.5), min_size=nlev - 1,
+                              max_size=nlev - 1))
+    return Quantizer(levels=tuple(low + np.concatenate(([0.0],
+                                                        np.cumsum(steps)))))
+
+
+class TestBlockLoop:
+    """``simulate`` runs by blocks; the per-sample loop is its oracle."""
+
+    @given(st.integers(0, 64), quantizers(),
+           st.sampled_from(("0", "1", "L-1", "L", "L+1", "517")),
+           st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_loop(self, order_p, quantizer, length, gain,
+                                     seed):
+        # sum |a_k| = gain < 1 keeps the loop bounded for any input in range
+        rng = np.random.default_rng(seed)
+        tail = rng.normal(size=order_p)
+        tail *= gain / max(np.sum(np.abs(tail)), 1e-300)
+        ntf = NtfFir(coeffs=np.concatenate(([1.0], tail)))
+        block = _inverse_taps(ntf.coeffs, len(quantizer.levels)).size
+        n = {"0": 0, "1": 1, "L-1": block - 1, "L": block, "L+1": block + 1,
+             "517": 517}[length]
+        lo, hi = quantizer.levels[0], quantizer.levels[-1]
+        w = rng.uniform(lo, hi, n)
+        assert_matches_reference(simulate(ntf, w, quantizer),
+                                 reference_simulate(ntf, w, quantizer))
+
+    def test_ties_go_up(self):
+        # inputs on the thresholds, and a first-order loop whose sums hit 0
+        q4 = Quantizer(levels=(-3.0, -1.0, 1.0, 3.0))
+        flat = NtfFir(coeffs=np.array([1.0]))
+        trace = simulate(flat, np.array(q4.midpoints), q4)
+        assert np.array_equal(trace.output_x, q4.levels[1:])
+        first = NtfFir(coeffs=np.array([1.0, -1.0]))
+        w = np.full(64, 0.5)
+        ref = reference_simulate(first, w)
+        assert np.any(ref.output_x - ref.quant_error_e == 0.0)
+        assert_matches_reference(simulate(first, w), ref)
+
+    def test_block_length_rule(self):
+        # the largest L with nlev^(L-1) <= 2^11 ...
+        small = np.array([1.0, 0.1])
+        assert [_inverse_taps(small, nlev).size for nlev in (2, 3, 4, 5)] \
+            == [12, 7, 6, 5]
+        assert _inverse_taps(small, 2**11 + 1).size == 1
+        # ... cut before the first tap of 1/A(z) above 1e3: 1/(1 - 3 z^-1)
+        # has taps 3^m, and 3^7 = 2187
+        assert np.array_equal(_inverse_taps(np.array([1.0, -3.0]), 2),
+                              3.0 ** np.arange(7))
+        assert _inverse_taps(np.array([1.0, 2e3]), 2).size == 1
+
+    @pytest.mark.parametrize("coeffs", ([1.0, -3.0], [1.0, 2e3, 0.5]))
+    def test_shortened_blocks_match_per_sample_loop(self, coeffs):
+        # diverging loops whose taps cut L to 7 and to 1
+        ntf = NtfFir(coeffs=np.array(coeffs))
+        w = np.random.default_rng(4).uniform(-0.5, 0.5, 40)
+        assert_matches_reference(simulate(ntf, w), reference_simulate(ntf, w))
+
+
+BANDPASS = {"fs_hz": 2 * 64 * 400.0,
+            "filter": {"kind": "bandpass_butterworth", "order": 8,
+                       "bands_hz": [[800.0, 1200.0]]}}
+LOWPASS = {"fs_hz": 2.048e6,
+           "filter": {"kind": "lowpass_butterworth", "order": 1,
+                      "bands_hz": [[0.0, 2000.0]]}}
+
+
+class TestBlockLoopOnDesigns:
+    # 2^16 samples of the paper's lowpass P=12 case, the bandpass P=49 case,
+    # whose loop overloads at A = 0.75 (max |e| 1.7), and bandpass P=64,
+    # whose loop diverges to |e| ~ 1.7e3: the block's two terms cancel most
+    # on the last two
+    @pytest.mark.parametrize("config, amplitude, max_e", (
+        ({**LOWPASS, "fir_order": 12, "gamma": 1.5}, 0.4, 1.0),
+        ({**BANDPASS, "fir_order": 49, "gamma": 1.5}, 0.75, 1.5),
+        ({**BANDPASS, "fir_order": 64, "gamma": 1.5}, 0.75, 1e3),
+    ), ids=("lowpass-p12", "bandpass-p49", "bandpass-p64"))
+    def test_output_equals_per_sample_loop(self, config, amplitude, max_e):
+        spec = DesignSpec.from_json_dict(config)
+        result = run_design(spec)
+        w = make_test_signal("sine", default_tone_freqs(spec)[:1],
+                             (amplitude,), spec.fs_hz, 2**16)
+        trace = simulate(result.ntf, w, spec.quantizer)
+        ref = reference_simulate(result.ntf, w, spec.quantizer)
+        assert np.max(np.abs(ref.quant_error_e)) >= max_e
+        assert trace.output_x.tobytes() == ref.output_x.tobytes()
+        assert_matches_reference(trace, ref)
+        assert measure_snr(trace, result.filt).snr_db \
+            == measure_snr(ref, result.filt).snr_db
 
 
 class TestMeasureSnr:
