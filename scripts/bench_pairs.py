@@ -34,7 +34,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHANGE = "HEAD"
-DESIGN_REPEATS = 3
+REPEATS = 3
 
 BANDPASS = {"fs_hz": 2 * 64 * 400.0,
             "filter": {"kind": "bandpass_butterworth", "order": 8,
@@ -138,11 +138,11 @@ def run_one_thread(checkout, script, *args) -> dict:
 
 
 def repeat(checkout, script, fields, config, *args) -> dict:
-    """DESIGN_REPEATS fresh runs of ``script``: their wall times and median,
+    """REPEATS fresh runs of ``script``: their wall times and median,
     the distinct values of each of ``fields``, and any errors."""
     reps = [run_one_thread(checkout, script, json.dumps(config),
                            *map(repr, args))
-            for _ in range(DESIGN_REPEATS)]
+            for _ in range(REPEATS)]
     ok = [r for r in reps if "error" not in r]
     seconds = [r["seconds"] for r in ok]
     return {"seconds": seconds,
