@@ -46,8 +46,7 @@ def main():
     top = orders[-1]
     result = run_design(spec(order=top))
     atomic_write(str(out / f"ntf_p{top}.json"), dump_json(result.to_json_dict()))
-    report = evaluate_ntf(result.ntf, result.spec, 0.75, freqs_hz=(1000.0,),
-                          sigma2_h_value=result.sigma2_h)
+    report = evaluate_ntf(result.ntf, result.spec, 0.75, freqs_hz=(1000.0,))
     print(f"order {top} at A=0.75: simulated {report.simulated_snr_db:.2f} dB "
           f"(expected {report.expected_snr_db:.2f} dB, "
           f"overloaded={report.overloaded})")

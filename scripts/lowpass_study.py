@@ -40,9 +40,7 @@ def main():
         result = run_design(spec(gamma=gamma))
         name = f"ntf_p12_gamma{gamma:g}.json"
         atomic_write(str(out / name), dump_json(result.to_json_dict()))
-        report = evaluate_ntf(result.ntf, result.spec, 0.4,
-                              freqs_hz=(900.0,),
-                              sigma2_h_value=result.sigma2_h)
+        report = evaluate_ntf(result.ntf, result.spec, 0.4, freqs_hz=(900.0,))
         print(f"gamma={gamma}: sigma_h={result.sigma_h:.4e} "
               f"expected={report.expected_snr_db:.2f} dB "
               f"simulated={report.simulated_snr_db:.2f} dB")
@@ -58,9 +56,7 @@ def main():
     result = run_design(spec())
     amp_lines = ["amplitude,simulated_snr_db,overloaded"]
     for amp in (0.2, 0.4, 0.6, 0.8, 1.0, 1.1):
-        report = evaluate_ntf(result.ntf, result.spec, amp,
-                              freqs_hz=(900.0,),
-                              sigma2_h_value=result.sigma2_h)
+        report = evaluate_ntf(result.ntf, result.spec, amp, freqs_hz=(900.0,))
         amp_lines.append(f"{amp},{report.simulated_snr_db:.3f},"
                          f"{report.overloaded}")
         print(f"A={amp}: {report.simulated_snr_db:.2f} dB "

@@ -50,8 +50,7 @@ def main():
     for amp in (0.40, 0.45):
         report = evaluate_ntf(result.ntf, result.spec, amp,
                               signal_kind="multitone",
-                              freqs_hz=(1000.0, 10000.0),
-                              sigma2_h_value=result.sigma2_h)
+                              freqs_hz=(1000.0, 10000.0))
         print(f"two tones A={amp}: simulated {report.simulated_snr_db:.2f} dB "
               f"(overloaded={report.overloaded})")
 

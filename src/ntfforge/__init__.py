@@ -24,12 +24,9 @@ from .filters import (
 )
 from .kyp import (
     BoundedRealCertificate,
-    CanonicalRealization,
     LmiSystem,
     assemble_lmi,
-    canonical_realization,
     grid_gain_max,
-    schur_equivalence_check,
     verify_bounded_real,
 )
 from .modsim import (
@@ -45,12 +42,10 @@ from .modsim import (
 from .objective import (
     NoiseBudget,
     QMatrix,
-    ReducedObjective,
     build_q_matrix,
     merit_integrand,
     reduce_objective,
     sigma2_h,
-    sigma2_inband,
 )
 from .sdp import SdpProblem, SdpSolution, SolverSettings, extract_ntf, solve
 

@@ -138,9 +138,9 @@ def cmd_evaluate(args) -> int:
     if args.signal:
         kind, freqs = _parse_signal(args.signal)
     else:
-        kind, freqs = ("sine", default_tone_freqs(spec)[:1])
-        if len(default_tone_freqs(spec)) > 1:
-            kind, freqs = "multitone", default_tone_freqs(spec)
+        # evaluate_ntf supplies the default tones, one per band
+        kind = "multitone" if len(default_tone_freqs(spec)) > 1 else "sine"
+        freqs = ()
     filt = design_filter(spec.filter_spec)
     report = evaluate_ntf((num, den), spec, args.amplitude, signal_kind=kind,
                           freqs_hz=freqs,

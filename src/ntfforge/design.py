@@ -24,12 +24,12 @@ from .kyp import (
     GRID_SLACK,
     BoundedRealCertificate,
     assemble_lmi,
-    bounded_real_certificate,
     grid_gain_max,
-    require_certified,
+    verify_bounded_real,
 )
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
 from .objective import NoiseBudget, build_q_matrix, noise_gain, reduce_objective
+from .objective import sigma2_h as quad_sigma2_h
 from .sdp import SdpProblem, SdpSolution, SolverSettings, extract_ntf, solve
 
 log = logging.getLogger("ntfforge.design")
@@ -142,9 +142,9 @@ class DesignResult:
 def certificate_from_solution(solution: SdpSolution,
                               gamma: float) -> BoundedRealCertificate:
     """The gain-bound certificate of the solver's own coefficients and
-    certificate matrix."""
-    return bounded_real_certificate(extract_ntf(solution), solution.p_matrix,
-                                    gamma)
+    certificate matrix; raises BoundViolationError when it fails."""
+    return verify_bounded_real(extract_ntf(solution), gamma,
+                               solution.p_matrix)
 
 
 def run_design(spec: DesignSpec) -> DesignResult:
@@ -156,10 +156,10 @@ def run_design(spec: DesignSpec) -> DesignResult:
     filt = design_filter(spec.filter_spec)
     h = impulse_response(filt, energy_tol=spec.energy_tol)
     q = build_q_matrix(h, spec.fir_order)
-    reduced = reduce_objective(q)
+    quadratic, linear, constant = reduce_objective(q)
     lmi = assemble_lmi(spec.fir_order, spec.gamma)
-    problem = SdpProblem(quadratic=reduced.quadratic, linear=reduced.linear,
-                         lmi=lmi, constant=reduced.constant)
+    problem = SdpProblem(quadratic=quadratic, linear=linear, lmi=lmi,
+                         constant=constant)
     solution = solve(problem, spec.solver)
     if solution.status != "optimal":
         res = solution.kkt_residuals
@@ -170,7 +170,7 @@ def run_design(spec: DesignSpec) -> DesignResult:
             f"dual residual {res['dual']:.3e}")
     coeffs = extract_ntf(solution)
     sigma2 = spec.budget.sigma2_eps * noise_gain(h, coeffs)
-    cert = require_certified(certificate_from_solution(solution, spec.gamma))
+    cert = certificate_from_solution(solution, spec.gamma)
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
              solution.runtime_seconds)
@@ -229,7 +229,6 @@ def default_tone_freqs(spec: DesignSpec):
 def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
                  signal_kind: str = "sine", freqs_hz=None,
                  n_samples: int = DEFAULT_SIM_SAMPLES,
-                 sigma2_h_value: float | None = None,
                  certificate: dict | None = None,
                  filt: RationalFilter | None = None) -> EvaluationReport:
     """Score an NTF against a design spec: noise power, SNRs, gain check.
@@ -242,8 +241,6 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     power.  ``filt`` is the spec's filter when the caller has already
     designed it.
     """
-    from .objective import sigma2_h as quad_sigma2_h
-
     t0 = time.perf_counter()
     if filt is None:
         filt = design_filter(spec.filter_spec)
@@ -252,18 +249,16 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     fir = NtfFir(coeffs=num) if den.size == 1 and den[0] == 1.0 else None
     if fir is not None:
         h = impulse_response(filt, energy_tol=spec.energy_tol)
-    if sigma2_h_value is None:
-        if fir is not None:
-            sigma2_h_value = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
-        else:
-            grid = FrequencyGrid.uniform(spec.grid_points)
-            sigma2_h_value = quad_sigma2_h(num, den, filt, spec.budget, grid)
+        sigma2 = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
+    else:
+        grid = FrequencyGrid.uniform(spec.grid_points)
+        sigma2 = quad_sigma2_h(num, den, filt, spec.budget, grid)
     freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
     if signal_kind != "multitone":
         freqs = freqs[:1]
     power = amplitude**2 if signal_kind == "dc" \
         else len(freqs) * amplitude**2 / 2.0
-    exp_rep = expected_snr(amplitude, sigma2_h_value, signal_power=power)
+    exp_rep = expected_snr(amplitude, sigma2, signal_power=power)
     simulated_db = float("nan")
     overloaded = False
     if fir is not None:
@@ -277,7 +272,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     grid_max = grid_gain_max(num, den=den)
     return EvaluationReport(
         ntf_coeffs=tuple(float(v) for v in num),
-        sigma2_h=float(sigma2_h_value),
+        sigma2_h=float(sigma2),
         expected_snr_db=exp_rep.snr_db,
         simulated_snr_db=simulated_db,
         grid_max_ntf=grid_max,

@@ -7,7 +7,8 @@ coefficients a and a certificate matrix P.  ``LmiSystem.evaluate`` is the one
 place that builds that matrix: the design solver takes its constant and
 coefficient placements from it, and the judgement of a witness against the
 LMI and a dense frequency grid rebuilds it the same way.  The dense
-realization and the Schur-complement equivalence stay here as test oracles.
+realization, the block formula it reproduces and the Schur-complement
+equivalence are test oracles (``tests/oracles.py``).
 The design solver never handles the certificate entries one by one: its dual
 lives on the subspace they leave free (``sdp._KypCone``).  A fixed filter's
 witness needs no SDP: it is the observability Gramian of the filter's
@@ -30,33 +31,6 @@ VERIFY_GRID = 8192
 
 
 @dataclass(frozen=True)
-class CanonicalRealization:
-    """Delay-chain state space of an FIR filter: the state remembers the last
-    P inputs and the output row carries the coefficients."""
-
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-    c_vector: np.ndarray
-    d_scalar: float
-
-    @property
-    def order(self) -> int:
-        return self.b_vector.size
-
-    def transfer(self, z: np.ndarray) -> np.ndarray:
-        """C (zI - A)^-1 B + D, evaluated per point (test oracle)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        p = self.order
-        out = np.empty(z.shape, dtype=complex)
-        eye = np.eye(p)
-        for i, zi in enumerate(z):
-            out[i] = self.c_vector @ np.linalg.solve(
-                zi * eye - self.a_matrix, self.b_vector
-            ) + self.d_scalar
-        return out
-
-
-@dataclass(frozen=True)
 class LmiSystem:
     """The bounded-real matrix M(a; P) of order P and gain bound gamma, affine
     in the coefficients a = (a_1..a_P) and the P x P certificate P.
@@ -65,10 +39,11 @@ class LmiSystem:
     [A B] = [0 I], the top-left (P+1)x(P+1) part of the block matrix is
     [A B]^T P [A B] - [I 0]^T P [I 0], so P enters one step down the diagonal
     (rows 1..P) and is subtracted in place (rows 0..P-1).  The output row
-    C = (a_P, .., a_1) puts a_k at (P-k, P+1).  ``bounded_real_matrix`` is
-    the formula this map reproduces.  The top-left P x P block of M holds the
-    shifts alone, so P[i, j] = P[i-1, j-1] - M[i, j] reads a certificate back
-    off a block (``sdp._KypCone.certificate``).
+    C = (a_P, .., a_1) puts a_k at (P-k, P+1); the tests check this map
+    against the dense block formula (``tests/oracles.py``).  The top-left
+    P x P block of M holds the shifts alone, so P[i, j] = P[i-1, j-1] -
+    M[i, j] reads a certificate back off a block
+    (``sdp._KypCone.certificate``).
     """
 
     order: int
@@ -136,64 +111,6 @@ def _monic_coefficients(coeffs) -> np.ndarray:
     return a
 
 
-def canonical_realization(coeffs) -> CanonicalRealization:
-    """Delay-chain realization of an FIR filter with coefficients a_0..a_P."""
-    a = _monic_coefficients(coeffs)
-    if a.size < 2:
-        raise InvalidSpecError("FIR order must be >= 1")
-    p = a.size - 1
-    amat = np.zeros((p, p))
-    amat[np.arange(p - 1), np.arange(1, p)] = 1.0
-    bvec = np.zeros(p)
-    bvec[-1] = 1.0
-    cvec = a[1:][::-1].copy()  # (a_P, ..., a_1)
-    return CanonicalRealization(a_matrix=amat, b_vector=bvec, c_vector=cvec,
-                                d_scalar=float(a[0]))
-
-
-def bounded_real_matrix(realization: CanonicalRealization, p_matrix,
-                        gamma: float) -> np.ndarray:
-    """The (P+2)x(P+2) block matrix whose negative semidefiniteness certifies
-    the gain bound."""
-    a = realization.a_matrix
-    b = realization.b_vector.reshape(-1, 1)
-    c = realization.c_vector.reshape(1, -1)
-    d = realization.d_scalar
-    pm = np.asarray(p_matrix, dtype=float)
-    n = realization.order
-    big = np.zeros((n + 2, n + 2))
-    big[:n, :n] = a.T @ pm @ a - pm
-    apb = (a.T @ pm @ b).ravel()
-    big[:n, n] = apb
-    big[n, :n] = apb
-    big[:n, n + 1] = c.ravel()
-    big[n + 1, :n] = c.ravel()
-    big[n, n] = float((b.T @ pm @ b).item() if n else 0.0) - gamma**2
-    big[n, n + 1] = d
-    big[n + 1, n] = d
-    big[n + 1, n + 1] = -1.0
-    return big
-
-
-def schur_reduced_matrix(realization: CanonicalRealization, p_matrix,
-                         gamma: float) -> np.ndarray:
-    """(P+1)x(P+1) dissipation form: the big matrix with its output row/column
-    folded in through the Schur complement of the -1 corner."""
-    a = realization.a_matrix
-    b = realization.b_vector.reshape(-1, 1)
-    c = realization.c_vector.reshape(1, -1)
-    d = realization.d_scalar
-    pm = np.asarray(p_matrix, dtype=float)
-    n = realization.order
-    red = np.zeros((n + 1, n + 1))
-    red[:n, :n] = a.T @ pm @ a - pm + c.T @ c
-    cross = (a.T @ pm @ b).ravel() + c.ravel() * d
-    red[:n, n] = cross
-    red[n, :n] = cross
-    red[n, n] = float((b.T @ pm @ b).item() if n else 0.0) - gamma**2 + d * d
-    return red
-
-
 def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
     """The affine map (a, P) -> bounded-real block matrix for order P and
     gamma.
@@ -215,27 +132,11 @@ def grid_gain_max(coeffs, points: int = VERIFY_GRID, den=(1.0,)) -> float:
     return float(np.max(np.abs(frequency_response(a, den, grid))))
 
 
-def schur_equivalence_check(realization: CanonicalRealization, p_matrix,
-                            gamma: float, tol: float = 1e-9):
-    """NSD verdicts of the big matrix and of its Schur-reduced form.
-
-    Returns a (bool, bool) pair; the two must agree whenever the corner block
-    is negative definite, which is the property tests exercise.
-    """
-    big = bounded_real_matrix(realization, p_matrix, gamma)
-    red = schur_reduced_matrix(realization, p_matrix, gamma)
-    scale_big = max(1.0, float(np.max(np.abs(big))))
-    scale_red = max(1.0, float(np.max(np.abs(red))))
-    nsd_big = bool(np.linalg.eigvalsh(big)[-1] <= tol * scale_big)
-    nsd_red = bool(np.linalg.eigvalsh(red)[-1] <= tol * scale_red)
-    return nsd_big, nsd_red
-
-
 def bounded_real_certificate(coeffs, p_matrix,
                              gamma: float) -> BoundedRealCertificate:
     """The gain-bound certificate of an FIR filter with witness P: the top
     eigenvalue of the bounded-real block matrix, the bottom one of P and the
-    dense-grid gain maximum.  ``require_certified`` judges it."""
+    dense-grid gain maximum.  ``verify_bounded_real`` judges it."""
     a = _monic_coefficients(coeffs)
     pm = np.asarray(p_matrix, dtype=float)
     big = assemble_lmi(a.size - 1, gamma).evaluate(a[1:], pm)
@@ -255,7 +156,8 @@ def verify_bounded_real(coeffs, gamma: float,
     With a witness ``p_matrix`` supplied, the certificate is rebuilt from it
     and judged.  Without one, the witness is the Gramian of the filter's
     lossless extension (``sdp.solve_gain_feasibility``), judged the same way.
-    Both the LMI and a dense-grid gain check must hold, else this raises.
+    Both the algebra (``feasible``) and the dense grid (slack
+    ``GRID_SLACK``) must hold the gain within gamma, else this raises.
     """
     a = _monic_coefficients(coeffs)
     if gamma <= 0:
@@ -279,15 +181,7 @@ def verify_bounded_real(coeffs, gamma: float,
         from .sdp import solve_gain_feasibility
 
         p_matrix, _ = solve_gain_feasibility(a, gamma)
-    return require_certified(bounded_real_certificate(a, p_matrix, gamma))
-
-
-def require_certified(cert: BoundedRealCertificate) -> BoundedRealCertificate:
-    """Return the certificate if it holds the bound, else raise.
-
-    Both the algebra (``feasible``) and the dense grid must agree that the
-    gain stays within gamma (grid slack ``GRID_SLACK``).
-    """
+    cert = bounded_real_certificate(a, p_matrix, gamma)
     gmax = cert.grid_max
     if not cert.feasible:
         raise BoundViolationError(

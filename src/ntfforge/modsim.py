@@ -199,9 +199,14 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     decisions = _level_indices(np.array(patterns, dtype=np.int64), nlev, block)
     x = levels[decisions].ravel()[:n]
     e = e_ext[p:p + n]
-    post = e[min(n_discard, n):]
-    overloaded = bool(post.size and
-                      np.max(np.abs(post)) > quantizer.delta / 2 + OVERLOAD_EPS)
+    # overload: a sum y = x - e past an outer level by more than half the
+    # outer step, which in-range quantization cannot reach
+    start = min(n_discard, n)
+    post = x[start:] - e[start:]
+    lv = quantizer.levels
+    overloaded = bool(post.size and (
+        post.min() < lv[0] - (lv[1] - lv[0]) / 2 - OVERLOAD_EPS
+        or post.max() > lv[-1] + (lv[-1] - lv[-2]) / 2 + OVERLOAD_EPS))
     return ModTrace(input_w=w, output_x=x, quant_error_e=e,
                     overloaded=overloaded, transient_discard=n_discard)
 

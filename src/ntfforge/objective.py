@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFilterError, EvaluationError, InvalidSpecError
-from .filters import FrequencyGrid, RationalFilter, _polyval_zinv, frequency_response
+from .filters import FrequencyGrid, RationalFilter, frequency_response
 
 PSD_EIG_TOL = 1e-9
 GRID_DOUBLING_WARN = 1e-3
@@ -54,41 +54,12 @@ class QMatrix:
         object.__setattr__(self, "first_row", fr)
 
     @property
-    def order(self) -> int:
-        return self.first_row.size - 1
-
-    @property
     def entries(self) -> np.ndarray:
         lags = np.arange(self.first_row.size)
         return self.first_row[np.abs(lags[:, None] - lags[None, :])]
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
-
-
-@dataclass(frozen=True)
-class ReducedObjective:
-    """The quadratic form a^T Q a restricted to a_0 = 1.
-
-    Evaluates as constant + linear . v + v . quadratic . v over the free
-    coefficients v = (a_1 .. a_P).
-    """
-
-    quadratic: np.ndarray
-    linear: np.ndarray
-    constant: float
-
-    def __post_init__(self):
-        quad = np.asarray(self.quadratic, dtype=float)
-        lin = np.asarray(self.linear, dtype=float)
-        if quad.shape != (lin.size, lin.size):
-            raise InvalidSpecError("quadratic block must be P x P")
-        object.__setattr__(self, "quadratic", quad)
-        object.__setattr__(self, "linear", lin)
-
-    def value(self, free_coeffs) -> float:
-        v = np.asarray(free_coeffs, dtype=float)
-        return float(self.constant + self.linear @ v + v @ self.quadratic @ v)
 
 
 def build_q_matrix(h, order_p: int) -> QMatrix:
@@ -134,14 +105,12 @@ def noise_gain(h, coeffs) -> float:
     return float(filtered @ filtered)
 
 
-def reduce_objective(q: QMatrix) -> ReducedObjective:
-    """Split a^T Q a with a_0 = 1 into quadratic + linear + constant blocks."""
+def reduce_objective(q: QMatrix):
+    """Split a^T Q a with a_0 = 1 into (quadratic, linear, constant) blocks:
+    over the free coefficients v = (a_1 .. a_P) it reads
+    constant + linear . v + v . quadratic . v."""
     m = q.entries
-    return ReducedObjective(
-        quadratic=m[1:, 1:].copy(),
-        linear=2.0 * m[0, 1:].copy(),
-        constant=float(m[0, 0]),
-    )
+    return m[1:, 1:].copy(), 2.0 * m[0, 1:], float(m[0, 0])
 
 
 def _ntf_magnitude_sq(ntf_num, ntf_den, grid: FrequencyGrid) -> np.ndarray:
@@ -183,24 +152,3 @@ def sigma2_h(ntf_num, ntf_den, filt: RationalFilter, budget: NoiseBudget,
             stacklevel=2,
         )
     return float(value)
-
-
-def sigma2_inband(ntf_num, ntf_den, bands, budget: NoiseBudget) -> float:
-    """Noise power of the NTF alone over omega-intervals, 8193 points each."""
-    bands = [(float(lo), float(hi)) for lo, hi in bands]
-    if not bands:
-        raise InvalidSpecError("band set must be nonempty")
-    for lo, hi in bands:
-        if not (0.0 <= lo < hi <= np.pi):
-            raise InvalidSpecError("bands must be within [0, pi] and increasing")
-    total = 0.0
-    for lo, hi in bands:
-        om = np.linspace(lo, hi, 8193)
-        zinv = np.exp(-1j * om)
-        numv = _polyval_zinv(ntf_num, zinv)
-        denv = _polyval_zinv(ntf_den, zinv)
-        if np.any(np.abs(denv) < 1e-14):
-            raise EvaluationError("NTF denominator vanished inside a band")
-        mag2 = np.abs(numv / denv) ** 2
-        total += np.trapezoid(mag2, om)
-    return float(budget.pds_constant * total)

@@ -109,13 +109,11 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: the coefficients a_1..a_P, the P x P certificate, the
-    objective and convergence diagnostics."""
+    """Solver output: the coefficients a_1..a_P, the P x P certificate and
+    convergence diagnostics."""
 
     coeffs: np.ndarray
     p_matrix: np.ndarray
-    objective_value: float
-    duality_gap: float
     iterations: int
     status: str
     runtime_seconds: float = 0.0
@@ -439,16 +437,9 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
         _interior_start(problem), settings,
         quadratic=2.0 * problem.quadratic / obj_scale,
         constant=problem.constant / obj_scale)
-
-    objective = float(
-        problem.constant + problem.linear @ coeffs
-        + coeffs @ problem.quadratic @ coeffs
-    )
     sol = SdpSolution(
         coeffs=coeffs,
         p_matrix=p_matrix,
-        objective_value=objective,
-        duality_gap=info.get("rel_gap", np.inf),
         iterations=info.get("iterations", 0),
         status=status,
         runtime_seconds=info.get("runtime_seconds", 0.0),
@@ -458,8 +449,8 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
             "gap": info.get("rel_gap", np.inf),
         },
     )
-    log.info("solve order=%d status=%s iters=%d gap=%.2e obj=%.6e (%.2fs)",
-             p, status, sol.iterations, sol.duality_gap, objective,
+    log.info("solve order=%d status=%s iters=%d gap=%.2e (%.2fs)",
+             p, status, sol.iterations, sol.kkt_residuals["gap"],
              sol.runtime_seconds)
     return sol
 

@@ -16,11 +16,7 @@ from ntfforge.filters import (
     design_filter,
     impulse_response,
 )
-from ntfforge.kyp import (
-    canonical_realization,
-    grid_gain_max,
-    schur_equivalence_check,
-)
+from ntfforge.kyp import grid_gain_max
 from ntfforge.modsim import (
     OVERLOAD_EPS,
     expected_snr,
@@ -33,9 +29,9 @@ from ntfforge.objective import (
     build_q_matrix,
     merit_integrand,
     sigma2_h,
-    sigma2_inband,
 )
 from ntfforge.sdp import solve_gain_feasibility
+from oracles import canonical_realization, schur_equivalence_check, sigma2_inband
 
 BINARY = NoiseBudget(delta=2.0)
 GAP_TOL = 1e-7

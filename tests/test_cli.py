@@ -360,8 +360,8 @@ class TestVerify:
         # NTF meets the bound, but the design sits on the LMI boundary and
         # the stored certificate no longer fits it
         import ntfforge.sdp as sdp
-        from ntfforge.kyp import (FEAS_EIG_TOL, bounded_real_matrix,
-                                  canonical_realization)
+        from ntfforge.kyp import FEAS_EIG_TOL
+        from oracles import bounded_real_matrix, canonical_realization
 
         ntf_path = run_design(spec_path, tmp_path)
         artifact = json.loads(ntf_path.read_text())

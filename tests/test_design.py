@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import ntfforge.design as design
+import ntfforge.kyp as kyp
 from ntfforge.cli import main
 from ntfforge.design import (
     MAX_FIR_ORDER,
@@ -50,12 +53,12 @@ class TestCertificateWithoutCone:
 
 
 def forge_certificate(monkeypatch, name, value):
-    genuine = design.bounded_real_certificate
+    genuine = kyp.bounded_real_certificate
 
     def forged(*args):
         return dataclasses.replace(genuine(*args), **{name: value})
 
-    monkeypatch.setattr(design, "bounded_real_certificate", forged)
+    monkeypatch.setattr(kyp, "bounded_real_certificate", forged)
 
 
 # one broken field per case; lowpass_spec() designs at gamma = 1.5
@@ -96,7 +99,7 @@ class TestExpectedSnrPerSignalKind:
         spec = lowpass_spec()
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
         return evaluate_ntf(ntf, spec, 0.3, signal_kind=kind, freqs_hz=freqs,
-                            n_samples=2**14, sigma2_h_value=1e-5)
+                            n_samples=2**14)
 
     def test_two_tones_read_two_tone_powers_above_one_sine(self):
         sine = self.report("sine", (900.0,))
@@ -120,10 +123,9 @@ class TestExpectedSnrPerSignalKind:
             fir_order=4,
         )
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
-        rep = evaluate_ntf(ntf, spec, 0.3, signal_kind="dc", n_samples=2**14,
-                           sigma2_h_value=1e-5)
+        rep = evaluate_ntf(ntf, spec, 0.3, signal_kind="dc", n_samples=2**14)
         assert rep.expected_snr_db == pytest.approx(
-            10.0 * np.log10(0.3**2 / 1e-5), abs=1e-12)
+            10.0 * np.log10(0.3**2 / rep.sigma2_h), abs=1e-12)
         assert np.isfinite(rep.simulated_snr_db)
 
 
@@ -355,3 +357,11 @@ class TestStudyScripts:
         spec = module.spec()
         assert isinstance(spec, DesignSpec)
         assert spec.fs_hz == module.FS
+        # no test runs a script's evaluate step, so check its keywords here
+        accepted = inspect.signature(evaluate_ntf).parameters
+        calls = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "evaluate_ntf"]
+        assert calls
+        for call in calls:
+            assert {kw.arg for kw in call.keywords} <= set(accepted)

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from ntfforge.design import MAX_FIR_ORDER
 from ntfforge.errors import BoundViolationError, InvalidSpecError
-from ntfforge.kyp import (
-    assemble_lmi,
+from ntfforge.kyp import assemble_lmi, grid_gain_max, verify_bounded_real
+from oracles import (
     bounded_real_matrix,
     canonical_realization,
-    grid_gain_max,
     schur_equivalence_check,
-    verify_bounded_real,
 )
 
 

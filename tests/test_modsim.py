@@ -29,7 +29,8 @@ def reference_simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None)
     e(n) = x(n) - y(n).  The stored error satisfies x - w = conv(a, e)
     exactly, so the injected error is shaped by the designed NTF with a
     unity signal path.  The first 4P samples are the loop's transient; the
-    overload check starts after them.
+    overload check starts after them: it flags a sum past an outer level by
+    more than half the outer step.
     """
     w = np.asarray(input_w, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -41,6 +42,7 @@ def reference_simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None)
     n = w.size
     x = np.empty(n)
     e = np.empty(n)
+    sums = np.empty(n)
     buf = [0.0] * p  # buf[k] = e(n-1-k)
     levels = quantizer.levels
     nlev = len(levels)
@@ -60,12 +62,14 @@ def reference_simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None)
         ei = xi - acc
         x[i] = xi
         e[i] = ei
+        sums[i] = acc
         if p:
             buf.pop()
             buf.insert(0, ei)
-    post = e[min(n_discard, n):]
-    overloaded = bool(post.size and
-                      np.max(np.abs(post)) > quantizer.delta / 2 + OVERLOAD_EPS)
+    post = sums[min(n_discard, n):]
+    lo_edge = lo_lv - (levels[1] - levels[0]) / 2 - OVERLOAD_EPS
+    hi_edge = hi_lv + (levels[-1] - levels[-2]) / 2 + OVERLOAD_EPS
+    overloaded = bool(np.any((post < lo_edge) | (post > hi_edge)))
     return ModTrace(input_w=w, output_x=x, quant_error_e=e,
                     overloaded=overloaded, transient_discard=n_discard)
 
@@ -154,6 +158,25 @@ class TestSimulate:
             <= 1.0 + 1e-12
         loud = simulate(ntf, np.full(512, 5.0))
         assert loud.overloaded
+
+    # unevenly spaced levels: the outer edges are -1.4 and 1.25, while the
+    # mean step is 2/3 and the widest in-range error 0.4 (half the 0.8 gap)
+    UNEVEN = Quantizer(levels=(-1.0, -0.2, 0.5, 1.0))
+    FLAT = NtfFir(coeffs=np.array([1.0]))
+
+    def test_uneven_levels_in_range_not_overloaded(self):
+        w = np.random.default_rng(6).uniform(-0.9, 0.9, 4096)
+        trace = simulate(self.FLAT, w, self.UNEVEN)
+        assert np.max(np.abs(trace.quant_error_e)) > self.UNEVEN.delta / 2
+        assert not trace.overloaded
+        assert not reference_simulate(self.FLAT, w, self.UNEVEN).overloaded
+
+    @pytest.mark.parametrize("level, overloaded", [(1.3, True), (1.2, False)])
+    def test_uneven_levels_overload_past_outer_edge(self, level, overloaded):
+        w = np.full(64, level)
+        assert simulate(self.FLAT, w, self.UNEVEN).overloaded is overloaded
+        assert reference_simulate(self.FLAT, w,
+                                  self.UNEVEN).overloaded is overloaded
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(InvalidSpecError):
