@@ -3,8 +3,8 @@ form, kept beside the tests that check the package against them.
 
 The delay-chain realization and the bounded-real matrix built from it by the
 block formula (``ntfforge.kyp.LmiSystem`` places the same entries directly),
-its Schur-reduced dissipation form, and the in-band noise power of an NTF
-alone by quadrature.
+its Schur-reduced dissipation form, the in-band noise power of an NTF alone
+by quadrature, and the reduced objective's value.
 """
 
 from __future__ import annotations
