@@ -200,12 +200,14 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     x = levels[decisions].ravel()[:n]
     e = e_ext[p:p + n]
     # overload: a sum y = x - e past an outer level by more than half the
-    # outer step, which in-range quantization cannot reach
+    # outer step, which in-range quantization cannot reach, or a sum that is
+    # no longer finite because the loop diverged
     start = min(n_discard, n)
     post = x[start:] - e[start:]
     lv = quantizer.levels
     overloaded = bool(post.size and (
-        post.min() < lv[0] - (lv[1] - lv[0]) / 2 - OVERLOAD_EPS
+        not np.all(np.isfinite(post))
+        or post.min() < lv[0] - (lv[1] - lv[0]) / 2 - OVERLOAD_EPS
         or post.max() > lv[-1] + (lv[-1] - lv[-2]) / 2 + OVERLOAD_EPS))
     return ModTrace(input_w=w, output_x=x, quant_error_e=e,
                     overloaded=overloaded, transient_discard=n_discard)

@@ -22,6 +22,8 @@ iteration carries the coefficients, the slack and Z's coordinates there.
 Each Newton system has order 3P+3 and takes two small Cholesky factors,
 each inverted once per iteration (numpy is the only numerical dependency);
 the certificate is read off the final slack by the delay-chain recursion.
+Steps are measured where the NT scaling makes S and Z both diag(lambda),
+as in ``coneqp``, so no inverse factor of S or Z is formed.
 The subspace's basis is sparse and Toeplitz, so the system's matrix comes
 from the scaling W = R R^T alone, through one 2-D FFT autocorrelation and
 Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever
@@ -50,8 +52,7 @@ log = logging.getLogger("ntfforge.sdp")
 
 STEP_FRACTION = 0.98
 STALL_STEP = 1e-10
-INFEAS_RES_TOL = 1e-9
-INFEAS_VAL_TOL = 1e-9
+WITNESS_MARGIN = 1e-9  # relative gain margin of solve_gain_feasibility
 REFINEMENT_PASSES = 2
 
 
@@ -83,7 +84,8 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """NTF design problem: reduced quadratic objective + gain-bound LMI."""
+    """NTF design problem: reduced quadratic objective + gain-bound LMI.
+    No NTF meets gamma < 1, and a = 0 meets every other gamma."""
 
     quadratic: np.ndarray
     linear: np.ndarray
@@ -96,6 +98,10 @@ class SdpProblem:
         p = self.lmi.order
         if quad.shape != (p, p) or lin.shape != (p,):
             raise InvalidSpecError("objective blocks must match the LMI order")
+        if self.lmi.gamma < 1.0:
+            raise InvalidSpecError(
+                f"gamma {self.lmi.gamma} < 1: by Parseval a monic FIR NTF has "
+                "mean |NTF|^2 = sum a_k^2 >= 1, so its peak is at least 1")
         trace = float(np.trace(quad))
         if np.linalg.eigvalsh(quad)[0] < -1e-9 * max(trace, 1e-300):
             raise InvalidSpecError("quadratic block must be PSD")
@@ -268,24 +274,20 @@ def _newton_system(cone: _KypCone, r, quadratic):
 
 def _inverse_factor(mat):
     """L^-1 for the Cholesky factor L L^T = mat; raises LinAlgError when mat
-    is not positive definite."""
-    return _inverse_lower(np.linalg.cholesky(mat))
-
-
-def _inverse_lower(lower):
-    """Inverse of a lower-triangular matrix, column by column by forward
-    substitution.  numpy has no triangular solver, but reversing the rows
-    and columns makes the matrix upper triangular: LU with partial pivoting
+    is not positive definite.  numpy has no triangular solver, but reversing
+    the rows and columns makes L upper triangular: LU with partial pivoting
     then leaves it as it is and the inverse comes from back substitution
     alone.  Inverting L directly lets LU pivot its rows, and products of
     blockwise inverses lose accuracy too; the last iterations then end in
     numerical failure on designs near the gain bound."""
+    lower = np.linalg.cholesky(mat)
     return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
 
 
-def _max_step(inv_lower, direction):
-    """Largest alpha with X + alpha*D > 0, given L^-1 for X = L L^T."""
-    w = inv_lower @ direction @ inv_lower.T
+def _max_step(root, direction):
+    """Largest alpha with diag(lam) + alpha*D > 0, given root = lam^-1/2:
+    1 / -lambda_min(D o root root^T), or inf when D does not point out."""
+    w = direction * np.outer(root, root)
     lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam_min >= 0.0:
         return np.inf
@@ -312,6 +314,9 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     the certificate: the primal residual is projected onto that subspace,
     the Newton system (``_newton_system``) has order 3P+3, and P is read off
     the final S.  G couples a and Z, so both sides take one step length.
+    Step lengths and the predictor's gap are taken in scaled coordinates,
+    diag(lambda) = R^-1 S R^-T = R^T Z R, along dZ~ = R^T dZ R and
+    dS~ = K - dZ~.  ``SdpProblem`` rules out infeasible problems.
     Returns ((a, P), status, info).  The start x0 = (a, P) need not be
     strictly feasible; the slack is shifted onto the identity when -M(x0) is
     not PD and the residual is driven out by the iteration.
@@ -357,42 +362,33 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             status = "optimal"
             break
 
-        # primal infeasibility certificate: F*(Z) ~ 0 with <F0, Z> < 0
-        y_hat = y / max(1e-300, float(np.max(np.abs(z))))
-        if float(np.max(np.abs(cone.coeff_map.T @ y_hat))) <= INFEAS_RES_TOL \
-                and float(f0_proj @ y_hat) < -INFEAS_VAL_TOL:
-            status = "infeasible"
-            break
-
         try:
-            chol_s = np.linalg.cholesky(s)
-            chol_z = np.linalg.cholesky(z)
-            r, lam = _nt_scaling(chol_s, chol_z)
+            r, lam = _nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
             newton_step = _newton_system(cone, r, quadratic)
-            inv_s, inv_z = _inverse_lower(chol_s), _inverse_lower(chol_z)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        root = 1.0 / np.sqrt(lam)
 
-        def step_length(ds, dz):
-            return min(1.0, STEP_FRACTION * _max_step(inv_s, ds),
-                       STEP_FRACTION * _max_step(inv_z, dz))
+        def step_length(ds_t, dz_t):
+            return min(1.0, STEP_FRACTION * _max_step(root, ds_t),
+                       STEP_FRACTION * _max_step(root, dz_t))
 
-        # predictor (affine scaling) direction
+        # predictor (affine scaling) direction, measured in scaled coordinates
         k_aff = np.diag(-lam)
-        _, dy_a, ds_a, dz_t = newton_step(k_aff, res_primal, res_dual)
-        dz_a = cone.lift(dy_a)
-        alpha = step_length(ds_a, dz_a)
-        gap_aff = float(np.vdot(s + alpha * ds_a, z + alpha * dz_a))
+        _, _, _, dz_t = newton_step(k_aff, res_primal, res_dual)
+        ds_t = k_aff - dz_t
+        alpha = step_length(ds_t, dz_t)
+        gap_aff = float(np.vdot(np.diag(lam) + alpha * ds_t,
+                                np.diag(lam) + alpha * dz_t))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # corrector with Mehrotra second-order term
-        ds_t = k_aff - dz_t
         theta = sigma * mu * np.eye(lam.size) - np.diag(lam * lam) \
             - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
-        da, dy, ds, _ = newton_step(2.0 * theta / (lam[:, None] + lam[None, :]),
-                                    res_primal, res_dual)
-        alpha = step_length(ds, cone.lift(dy))
+        k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
+        da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)
+        alpha = step_length(k_cor - dz_c, dz_c)
         if alpha < STALL_STEP:
             status = "numerical_failure"
             break
@@ -469,13 +465,19 @@ def solve_gain_feasibility(coeffs, gamma: float):
     observability Gramian of the lossless extension [A; B] (Vaidyanathan,
     IEEE Trans. Circuits Syst. 32 (1985) 918-924).
 
-    B is the order-P spectral factor of gamma^2 - |A|^2: the P smallest
-    roots of z^P (gamma^2 - r_a(z)), multiplied out on an FFT grid (the
-    serial product of ``np.poly`` loses the identity at P=64) and scaled by
-    least squares on its autocorrelation.  Where |A|^2 + |B|^2 = gamma^2,
-    P = O_a^T O_a + O_b^T O_b solves P - A^T P A = C_a^T C_a + C_b^T C_b and
-    makes the bounded-real matrix -[C_b D_b]^T [C_b D_b] <= 0.  When the bound
-    fails, no factor fits and the certificate is rejected.
+    B is the order-P spectral factor of g^2 - |A|^2 with
+    g = gamma (1 + ``WITNESS_MARGIN``): the P smallest roots of
+    z^P (g^2 - r_a(z)), multiplied out on an FFT grid (the serial product of
+    ``np.poly`` loses the identity at P=64) and scaled by least squares on
+    its autocorrelation.  Where |A|^2 + |B|^2 = g^2, P = O_a^T O_a + O_b^T O_b
+    solves P - A^T P A = C_a^T C_a + C_b^T C_b and makes the bounded-real
+    matrix at g -[C_b D_b]^T [C_b D_b] <= 0.  When the bound fails, no factor
+    fits and the certificate is rejected.
+
+    The margin moves the near-double roots of a design on its bound off the
+    circle, where the factor would turn on last bits.  M(a; P) at gamma is
+    M(a; P) at g plus (g^2 - gamma^2) e_P e_P^T, so judging at gamma costs at
+    most 2 WITNESS_MARGIN gamma^2, 2% of ``FEAS_EIG_TOL`` gamma^2.
 
     Returns (p_matrix, feasible), feasible as ``bounded_real_certificate``
     judges it.
@@ -483,7 +485,7 @@ def solve_gain_feasibility(coeffs, gamma: float):
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
     p = a.size - 1
     poly = -np.correlate(a, a, "full")
-    poly[p] += gamma * gamma
+    poly[p] += (gamma * (1.0 + WITNESS_MARGIN)) ** 2
     roots = np.roots(poly[::-1])
     roots = roots[np.argsort(np.abs(roots))[:p]]
     n = 1 << (2 * p + 1).bit_length()  # the power of two >= 2P + 2

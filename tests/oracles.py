@@ -4,7 +4,8 @@ form, kept beside the tests that check the package against them.
 The delay-chain realization and the bounded-real matrix built from it by the
 block formula (``ntfforge.kyp.LmiSystem`` places the same entries directly),
 its Schur-reduced dissipation form, the in-band noise power of an NTF alone
-by quadrature, and the reduced objective's value.
+by quadrature, the reduced objective's value, and the interior-point step
+length measured through an inverse Cholesky factor.
 """
 
 from __future__ import annotations
@@ -148,3 +149,12 @@ def reduced_value(blocks, free_coeffs) -> float:
     quadratic, linear, constant = blocks
     v = np.asarray(free_coeffs, dtype=float)
     return float(constant + linear @ v + v @ quadratic @ v)
+
+
+def max_step(inv_lower, direction):
+    """Largest alpha with X + alpha*D > 0, given L^-1 for X = L L^T."""
+    w = inv_lower @ direction @ inv_lower.T
+    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+    if lam_min >= 0.0:
+        return np.inf
+    return 1.0 / (-lam_min)

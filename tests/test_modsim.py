@@ -299,6 +299,48 @@ class TestBlockLoopOnDesigns:
             == measure_snr(ref, result.filt).snr_db
 
 
+class TestDivergingLoop:
+    """A loop that diverges until its errors are no longer finite is
+    overloaded: the per-sample loop flags its last finite sums, and the block
+    loop its non-finite ones."""
+
+    def test_doubled_lowpass_tail_is_overloaded(self):
+        # the lowpass P=12 design with its tail doubled (grid max 2.26)
+        spec = DesignSpec.from_json_dict({**LOWPASS, "fir_order": 12,
+                                          "gamma": 1.5})
+        coeffs = run_design(spec).ntf.coeffs.copy()
+        coeffs[1:] *= 2.0
+        ntf = NtfFir(coeffs=coeffs)
+        w = make_test_signal("sine", default_tone_freqs(spec)[:1], (0.4,),
+                             spec.fs_hz, 2**16)
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = simulate(ntf, w, spec.quantizer)
+        assert not np.all(np.isfinite(trace.quant_error_e))
+        assert trace.overloaded
+        assert reference_simulate(ntf, w, spec.quantizer).overloaded
+
+    @given(st.integers(0, 63), st.floats(2.0, 4.0), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_flag_matches_per_sample_loop(self, order_p, root, negative,
+                                          seed):
+        # A(z) = (1 - r z^-1) B(z) with sum |b_k| <= 0.5 has one zero, r,
+        # outside the circle, so e grows like |r|^n and overflows within
+        # 1,200 samples, after the transient
+        rng = np.random.default_rng(seed)
+        tail = rng.normal(size=order_p)
+        tail *= 0.5 / max(np.sum(np.abs(tail)), 1e-300)
+        r = -root if negative else root
+        ntf = NtfFir(coeffs=np.convolve([1.0, -r],
+                                        np.concatenate(([1.0], tail))))
+        w = rng.uniform(-1.0, 1.0, 1200)
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = simulate(ntf, w)
+            ref = reference_simulate(ntf, w)
+        assert not np.all(np.isfinite(trace.quant_error_e))
+        assert trace.overloaded and ref.overloaded
+
+
 class TestMeasureSnr:
     def test_perfect_tracking_caps_snr(self):
         w = np.where(np.sin(np.arange(4096) * 0.01) >= 0, 1.0, -1.0)

@@ -114,7 +114,8 @@ class TestQMatrix:
                 num=(1.0, -zero), den=(1.0, -pole))
             h = impulse_response(filt, 1e-10)
             q = build_q_matrix(h, order_p)
-            assert q.min_eigenvalue() >= -1e-9 * np.trace(q.entries)
+            assert np.linalg.eigvalsh(q.entries)[0] \
+                >= -1e-9 * np.trace(q.entries)
 
 
 class TestReducedObjective:

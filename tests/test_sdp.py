@@ -15,7 +15,12 @@ from ntfforge.sdp import (
     solve,
     solve_gain_feasibility,
 )
-from oracles import bounded_real_matrix, canonical_realization, reduced_value
+from oracles import (
+    bounded_real_matrix,
+    canonical_realization,
+    max_step,
+    reduced_value,
+)
 
 TIGHT = SolverSettings(gap_tol=1e-10, feas_tol=1e-9)
 
@@ -84,12 +89,20 @@ class TestSolve:
         assert objective(prob, sol) == pytest.approx(-1.0, abs=1e-9)
 
     def test_infeasible_gamma_below_unity_detected(self):
-        prob = SdpProblem(quadratic=np.eye(2), linear=np.zeros(2),
-                          lmi=assemble_lmi(2, 0.9), constant=1.0)
-        sol = solve(prob, SolverSettings(max_iter=100))
-        assert sol.status in ("infeasible", "numerical_failure",
-                              "max_iterations")
-        assert sol.status != "optimal"
+        # by Parseval a monic FIR NTF has mean |NTF|^2 = sum a_k^2 >= 1
+        for gamma in (0.5, 0.9, 0.99):
+            with pytest.raises(InvalidSpecError, match="Parseval"):
+                SdpProblem(quadratic=np.eye(2), linear=np.zeros(2),
+                           lmi=assemble_lmi(2, gamma), constant=1.0)
+
+    def test_unit_gamma_leaves_only_the_flat_ntf(self):
+        # the objective pulls toward a = (-1, 0), but gamma = 1 admits a = 0
+        # alone
+        prob = SdpProblem(quadratic=np.eye(2), linear=np.array([2.0, 0.0]),
+                          lmi=assemble_lmi(2, 1.0), constant=1.0)
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert np.max(np.abs(sol.coeffs)) < 1e-6
 
     def test_monotone_in_order_for_shared_filter(self):
         rng = np.random.default_rng(12)
@@ -284,6 +297,30 @@ def assert_gram_matches_dense(order_p, seed):
     want = dense_gram(dense_cone_basis(cone), r.T)
     got = cone.gram(r @ r.T)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestStepLength:
+    @given(st.integers(3, 66), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_step_matches_the_inverse_factor_rule(self, n, inward,
+                                                         seed):
+        # at the NT scaling R, R^-1 S R^-T = R^T Z R = diag(lam), so the step
+        # from lam along the scaled direction is the step from S (or Z) along
+        # D, measured through the inverse Cholesky factor of S (or Z); a PD
+        # direction never reaches the boundary
+        rng = np.random.default_rng(seed)
+        s, z = random_spd(rng, n), random_spd(rng, n)
+        d = random_spd(rng, n) if inward else symmetric(rng, n)
+        r, lam = sdp._nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
+        r_inv = np.linalg.inv(r)
+        root = 1.0 / np.sqrt(lam)
+        for x, scaled in ((s, r_inv @ d @ r_inv.T), (z, r.T @ d @ r)):
+            want = max_step(np.linalg.inv(np.linalg.cholesky(x)), d)
+            got = sdp._max_step(root, scaled)
+            if inward:
+                assert got == want == np.inf
+            else:
+                assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestDualSubspace:
