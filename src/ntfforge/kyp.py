@@ -155,8 +155,8 @@ def verify_bounded_real(coeffs, gamma: float,
 
     With a witness ``p_matrix`` supplied, the certificate is rebuilt from it
     and judged.  Without one, the witness is the Gramian of the filter's
-    lossless extension at gamma (1 + 1e-9) (``sdp.solve_gain_feasibility``),
-    judged the same way at gamma.
+    lossless extension at gamma (1 + ``sdp.WITNESS_MARGIN``)
+    (``sdp.solve_gain_feasibility``), judged the same way at gamma.
     Both the algebra (``feasible``) and the dense grid (slack
     ``GRID_SLACK``) must hold the gain within gamma, else this raises.
     """
