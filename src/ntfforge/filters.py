@@ -217,12 +217,7 @@ class RationalFilter:
     def filter_signal(self, x: np.ndarray) -> np.ndarray:
         """Run x through the filter along its first axis; a 2-D input
         (samples x columns) filters each column."""
-        x = np.asarray(x, dtype=float)
-        cols = x[:, None] if x.ndim == 1 else x
-        out = np.zeros_like(cols)
-        for branch in self.branches:
-            out += _filter_branch(branch, cols)
-        return out.reshape(x.shape)
+        return _run_filter(_filter_operators(self), x)
 
     @classmethod
     def identity(cls) -> "RationalFilter":
@@ -260,32 +255,48 @@ def _polyval_zinv(coeffs, zinv):
     """Evaluate sum_k c_k * zinv^k (coefficients in powers of z^-1)."""
     acc = np.zeros_like(zinv)
     for c in reversed(tuple(coeffs)):
-        acc = acc * zinv + c
+        acc *= zinv
+        acc += c
     return acc
 
 
-def _filter_branch(sections, x):
-    """One branch (a cascade of sections) over the columns of x.
+def _filter_operators(filt):
+    """The block operators of every branch of a filter
+    (``_branch_operators``), built once for any number of signals."""
+    return tuple(_branch_operators(branch) for branch in filt.branches)
+
+
+def _run_filter(operators, x):
+    """Run x through a filter's block operators along its first axis; a 2-D
+    input (samples x columns) filters each column."""
+    x = np.asarray(x, dtype=float)
+    cols = x[:, None] if x.ndim == 1 else x
+    out = np.zeros_like(cols)
+    for branch in operators:
+        out += _run_branch(branch, cols)
+    return out.reshape(x.shape)
+
+
+def _branch_operators(sections):
+    """The block operators of one branch (a cascade of sections).
 
     A numerator longer than its denominator is applied first, by
     convolution, so the state space holds only what the denominators need.
     The cascade then runs as one state space (A, B, C, D) by exact blocks of
     L samples: Y = T X + O s and s' = A^L s + K X, with T the L x L Toeplitz
     matrix of the impulse response, O the rows C A^k and K the columns
-    A^(L-1-j) B.
+    A^(L-1-j) B.  Returns (numerators, D, state) with state = (O, K, A^L, T),
+    or None when the cascade has no state.
     """
-    n_samples = x.shape[0]
-    recursive = []
+    numerators, recursive = [], []
     for num, den in sections:
         if len(num) > len(den):
-            x = np.stack([np.convolve(col, num)[:n_samples] for col in x.T],
-                         axis=1)
+            numerators.append(num)
             num = (1.0,)
         recursive.append((num, den))
     a_mat, b_vec, c_vec, d = _cascade_state_space(recursive)
-    n = a_mat.shape[0]
-    if n == 0:
-        return d * x
+    if a_mat.shape[0] == 0:
+        return numerators, d, None
     L = FILTER_BLOCK
     # rows C A^k and columns A^k B for k < L, then A^L, by doubling
     obs, ctrl, power = c_vec[None, :], b_vec[:, None], a_mat
@@ -296,7 +307,20 @@ def _filter_branch(sections, x):
     h = np.concatenate(([d], obs[:-1] @ b_vec))
     lag = np.arange(L)[:, None] - np.arange(L)[None, :]
     toeplitz = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+    return numerators, d, (obs, ctrl[:, ::-1], power, toeplitz)
 
+
+def _run_branch(operators, x):
+    """One branch's ``_branch_operators`` over the columns of x."""
+    numerators, d, state = operators
+    n_samples = x.shape[0]
+    for num in numerators:
+        x = np.stack([np.convolve(col, num)[:n_samples] for col in x.T],
+                     axis=1)
+    if state is None:
+        return d * x
+    obs, ctrl, power, toeplitz = state
+    L, n = FILTER_BLOCK, power.shape[0]
     n_cols = x.shape[1]
     n_blocks = -(-n_samples // L)
     blocks = np.zeros((n_cols, n_blocks * L))
@@ -304,7 +328,7 @@ def _filter_branch(sections, x):
     blocks = blocks.reshape(n_cols * n_blocks, L)
     # the state after block k, sum over j <= k of (A^L)^(k-j) K x_j, as a
     # prefix scan in log2(blocks) steps
-    ends = (blocks @ ctrl[:, ::-1].T).reshape(n_cols, n_blocks, n)
+    ends = (blocks @ ctrl.T).reshape(n_cols, n_blocks, n)
     shift = 1
     while shift < n_blocks:
         ends[:, shift:] += ends[:, :-shift] @ power.T
@@ -450,21 +474,23 @@ def impulse_response(
     """Truncate the impulse response at the smallest M whose discarded tail
     energy is at most energy_tol times the total energy.
 
-    Samples come from ``filter_signal`` of a unit impulse; the window is
-    extended until it passes every numerator tap and the geometric pole-radius
-    bound certifies that the energy beyond it is negligible against the tolerance.
+    Samples come from the filter's block operators (built once) run on a
+    unit impulse; the window is extended until it passes every numerator tap
+    and the geometric pole-radius bound certifies that the energy beyond it
+    is negligible against the tolerance.
     """
     if not (0.0 < energy_tol < 1.0):
         raise InvalidSpecError("energy_tol must be in (0, 1)")
     radius = filt.max_pole_radius()
     # the 16-sample tail probe says nothing until it lies past every numerator tap
     reach = max(sum(len(b) - 1 for b, _ in branch) for branch in filt.branches)
+    operators = _filter_operators(filt)
     n = 1024
     while True:
         if n > reach + 16:
             impulse = np.zeros(n)
             impulse[0] = 1.0
-            h = filt.filter_signal(impulse)
+            h = _run_filter(operators, impulse)
             total = float(np.dot(h, h))
             if total == 0.0:
                 return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0,

@@ -4,11 +4,12 @@ The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix M(a; P) built on
 the delay-chain state-space realization of the FIR filter, in the
 coefficients a and a certificate matrix P.  ``LmiSystem.evaluate`` is the one
-place that builds that matrix: the design solver takes its constant and
-coefficient placements from it, and the judgement of a witness against the
-LMI and a dense frequency grid rebuilds it the same way.  The dense
-realization, the block formula it reproduces and the Schur-complement
-equivalence are test oracles (``tests/oracles.py``).
+place that builds that matrix, and the judgement of a witness against the
+LMI and a dense frequency grid rebuilds it the same way.  The design solver
+places the same constant and coefficient entries directly
+(``sdp._KypCone``), and the tests check them bit for bit against
+``evaluate``.  The dense realization, the block formula it reproduces and
+the Schur-complement equivalence are test oracles (``tests/oracles.py``).
 The design solver never handles the certificate entries one by one: its dual
 lives on the subspace they leave free (``sdp._KypCone``).  A fixed filter's
 witness needs no SDP: it is the observability Gramian of the filter's

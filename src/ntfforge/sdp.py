@@ -23,7 +23,10 @@ Each Newton system has order 3P+3 and takes two small Cholesky factors,
 each inverted once per iteration (numpy is the only numerical dependency);
 the certificate is read off the final slack by the delay-chain recursion.
 Steps are measured where the NT scaling makes S and Z both diag(lambda),
-as in ``coneqp``, so no inverse factor of S or Z is formed.
+as in ``coneqp``, so no inverse factor of S or Z is formed.  The predictor
+direction only sets the centering and the second-order term, so it takes
+one unrefined solve and one eigendecomposition for both of its step
+lengths; refinement and dS are kept for the step taken.
 The subspace's basis is sparse and Toeplitz, so the system's matrix comes
 from the scaling W = R R^T alone, through one 2-D FFT autocorrelation and
 Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever
@@ -139,8 +142,9 @@ class _KypCone:
     (P+2) x (P+2) matrix belongs to exactly one of them.  ``slot`` maps
     entries to basis elements and ``norm`` holds each element's norm before
     normalization, so ``project`` sums entries by slot and ``lift`` gathers
-    them back.  ``coeff_map`` projects the coefficients' placements F_a(e_k)
-    onto the subspace.  The certificate never enters the iteration;
+    them back.  ``coeff_map`` holds the coordinates of the coefficients'
+    placements F_a(e_k), one entry each.  The certificate never enters the
+    iteration;
     ``certificate`` reads it off a slack.
     """
 
@@ -148,9 +152,10 @@ class _KypCone:
         p, n = lmi.order, lmi.dimension
         self.lmi = lmi
         self.size = n
-        no_cert = np.zeros((p, p))
-        flat = lmi.evaluate(np.zeros(p), no_cert)
-        self.f0 = -flat
+        # -M(0; 0): -gamma^2 and the output's -1 on the diagonal, D = 1
+        # beside them
+        self.f0 = np.zeros((n, n))
+        self.f0[p:, p:] = [[lmi.gamma**2, -1.0], [-1.0, 1.0]]
         row, col = np.indices((n, n))
         self.slot = np.where(np.maximum(row, col) <= p, np.abs(row - col),
                              p + 1 + np.minimum(row, col)).ravel()
@@ -167,11 +172,11 @@ class _KypCone:
         self._hankel = np.minimum(lag[None, :] + lag[:, None], p + 1)
         self._fft_shape = (2 * p + 2, 2 * p + 2)  # lags -P..P do not wrap
         self._negative_lags = -lag % (2 * p + 2)
-        # a_k's entries never meet the constant corner, so M(e_k; 0) - M(0; 0)
-        # is exactly its placement
-        self.coeff_map = np.array(
-            [self.project(flat - lmi.evaluate(e, no_cert)) for e in np.eye(p)]
-        ).T
+        # a_k sits at (P-k, P+1) and its mirror alone, so F_a(e_k) = -M_k has
+        # one coordinate: -2 over the norm of slot 2P+1-k
+        k = np.arange(1, p + 1)
+        self.coeff_map = np.zeros((2 * p + 3, p))
+        self.coeff_map[2 * p + 1 - k, k - 1] = -2.0 / self.norm[2 * p + 1 - k]
 
     def project(self, mat):
         """Coordinates <B_k, mat> of a matrix's part in the dual subspace."""
@@ -222,7 +227,7 @@ class _KypCone:
 
 
 def _newton_system(cone: _KypCone, r, quadratic):
-    """Newton step solver at the NT scaling R (W = R R^T).
+    """Newton step solvers at the NT scaling R (W = R R^T).
 
     With dZ = lift(dy), the scaled linearization R^-1 dS R^-T + R^T dZ R = K,
     projected onto the dual subspace, and the dual equation give
@@ -234,14 +239,20 @@ def _newton_system(cone: _KypCone, r, quadratic):
     H dy = project(W lift(dy) W).  It is solved by eliminating dy with
     Cholesky factors of H (plus 1e-14 of its mean diagonal) and of
     G + C^T H^-1 C.  Both factors are inverted once, so every solve below is
-    matrix products.  dS is formed in the scaled space,
-    R (K - R^T dZ R) R^T.  Two refinement passes against the unregularized
-    system apply H through the matrices, as dS does, so they shrink the
-    primal residual the step leaves: near gamma = 1 the coefficients sit
-    above the bound by about that residual.
+    matrix products.
 
-    Returns ``step(kmat, res_p, res_d) -> (da, dy, ds, dz_scaled)``, with
-    ``res_p`` the projected primal residual and dz_scaled = R^T dZ R.
+    The predictor only sets sigma and the second-order term (Mehrotra, SIAM
+    J. Optim. 2 (1992) 575-601), so it takes one solve with K = -diag(lam)
+    and returns dZ~ = R^T dZ R alone; dS~ = -diag(lam) - dZ~ follows from it.
+    The step taken gets two refinement passes against the unregularized
+    system, which apply H through the matrices, as dS does, so they shrink
+    the primal residual the step leaves: near gamma = 1 the coefficients sit
+    above the bound by about that residual.  dS is formed in the scaled
+    space, R (K - R^T dZ R) R^T.
+
+    Returns ``(predictor, step)``: ``predictor(lam, res_p, res_d) ->
+    dz_scaled`` and ``step(kmat, res_p, res_d) -> (da, dy, ds, dz_scaled)``,
+    with ``res_p`` the projected primal residual and dz_scaled = R^T dZ R.
     """
     w = r @ r.T
     h = cone.gram(w)
@@ -257,6 +268,10 @@ def _newton_system(cone: _KypCone, r, quadratic):
         dy = inv_h.T @ (t - u @ da)
         return dy, da
 
+    def predictor(lam, res_p, res_d):
+        dy, _ = solve(cone.project(-(r * lam) @ r.T) - res_p, res_d)
+        return r.T @ cone.lift(dy) @ r
+
     def step(kmat, res_p, res_d):
         rhs_y = cone.project(r @ kmat @ r.T) - res_p
         dy, da = solve(rhs_y, res_d)
@@ -269,7 +284,7 @@ def _newton_system(cone: _KypCone, r, quadratic):
         ds = r @ (kmat - dz_scaled) @ r.T
         return da, dy, 0.5 * (ds + ds.T), dz_scaled
 
-    return step
+    return predictor, step
 
 
 def _inverse_factor(mat):
@@ -294,6 +309,19 @@ def _max_step(root, direction):
     return 1.0 / (-lam_min)
 
 
+def _predictor_steps(root, dz_scaled):
+    """Largest steps from diag(lam) along dS~ = -diag(lam) - dZ~ and along
+    dZ~, given root = lam^-1/2, from one eigendecomposition: with
+    V = dZ~ o root root^T the scaled directions are -I - V and V, so the
+    steps are 1 / (1 + lambda_max(V)) and 1 / -lambda_min(V), each inf when
+    its direction does not point out."""
+    ends = np.linalg.eigvalsh(dz_scaled * np.outer(root, root))
+    low, high = float(ends[0]), float(ends[-1])
+    step_s = np.inf if high <= -1.0 else 1.0 / (1.0 + high)
+    step_z = np.inf if low >= 0.0 else 1.0 / (-low)
+    return step_s, step_z
+
+
 def _nt_scaling(ls, lz):
     """NT scaling point from the Cholesky factors of s and z:
     (r, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
@@ -316,7 +344,10 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     the final S.  G couples a and Z, so both sides take one step length.
     Step lengths and the predictor's gap are taken in scaled coordinates,
     diag(lambda) = R^-1 S R^-T = R^T Z R, along dZ~ = R^T dZ R and
-    dS~ = K - dZ~.  ``SdpProblem`` rules out infeasible problems.
+    dS~ = K - dZ~.  The predictor (K = -diag(lambda)) is one unrefined solve
+    whose two step lengths come from one eigendecomposition
+    (``_predictor_steps``); the corrector is refined and measured on each
+    side (``_max_step``).  ``SdpProblem`` rules out infeasible problems.
     Returns ((a, P), status, info).  The start x0 = (a, P) need not be
     strictly feasible; the slack is shifted onto the identity when -M(x0) is
     not PD and the residual is driven out by the iteration.
@@ -350,7 +381,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         dobj = -float(f0_proj @ y) - half_aga + constant
         denom = max(1e-12, abs(pobj), abs(dobj))
         rel_gap = gap / denom
-        rp_norm = float(np.max(np.abs(cone.lift(res_primal)))) / f0_scale
+        rp_norm = float(np.max(np.abs(res_primal / cone.norm))) / f0_scale
         rd_norm = float(np.max(np.abs(res_dual))) / c_scale
         log.debug("iter %3d gap %.3e rp %.3e rd %.3e mu %.3e",
                   iters, rel_gap, rp_norm, rd_norm, mu)
@@ -364,21 +395,17 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
         try:
             r, lam = _nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
-            newton_step = _newton_system(cone, r, quadratic)
+            predictor, newton_step = _newton_system(cone, r, quadratic)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
         root = 1.0 / np.sqrt(lam)
 
-        def step_length(ds_t, dz_t):
-            return min(1.0, STEP_FRACTION * _max_step(root, ds_t),
-                       STEP_FRACTION * _max_step(root, dz_t))
-
         # predictor (affine scaling) direction, measured in scaled coordinates
-        k_aff = np.diag(-lam)
-        _, _, _, dz_t = newton_step(k_aff, res_primal, res_dual)
-        ds_t = k_aff - dz_t
-        alpha = step_length(ds_t, dz_t)
+        dz_t = predictor(lam, res_primal, res_dual)
+        ds_t = -np.diag(lam) - dz_t
+        step_s, step_z = _predictor_steps(root, dz_t)
+        alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
         gap_aff = float(np.vdot(np.diag(lam) + alpha * ds_t,
                                 np.diag(lam) + alpha * dz_t))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
@@ -388,7 +415,8 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
         k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
         da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)
-        alpha = step_length(k_cor - dz_c, dz_c)
+        alpha = min(1.0, STEP_FRACTION * _max_step(root, k_cor - dz_c),
+                    STEP_FRACTION * _max_step(root, dz_c))
         if alpha < STALL_STEP:
             status = "numerical_failure"
             break

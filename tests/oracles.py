@@ -4,8 +4,10 @@ form, kept beside the tests that check the package against them.
 The delay-chain realization and the bounded-real matrix built from it by the
 block formula (``ntfforge.kyp.LmiSystem`` places the same entries directly),
 its Schur-reduced dissipation form, the in-band noise power of an NTF alone
-by quadrature, the reduced objective's value, and the interior-point step
-length measured through an inverse Cholesky factor.
+by quadrature, the reduced objective's value, the interior-point step
+length measured through an inverse Cholesky factor, the solver cone's
+constant and coefficient map built through ``LmiSystem.evaluate``, and
+Horner's rule with a new array per step.
 """
 
 from __future__ import annotations
@@ -158,3 +160,27 @@ def max_step(inv_lower, direction):
     if lam_min >= 0.0:
         return np.inf
     return 1.0 / (-lam_min)
+
+
+def cone_placements(cone):
+    """The constant F0 = -M(0; 0) of an ``ntfforge.sdp._KypCone`` and its
+    coefficient map, the projections of F_a(e_k) = M(0; 0) - M(e_k; 0),
+    built through ``LmiSystem.evaluate``."""
+    lmi = cone.lmi
+    p = lmi.order
+    no_cert = np.zeros((p, p))
+    flat = lmi.evaluate(np.zeros(p), no_cert)
+    # a_k's entries never meet the constant corner, so M(e_k; 0) - M(0; 0)
+    # is exactly its placement
+    coeff_map = np.array(
+        [cone.project(flat - lmi.evaluate(e, no_cert)) for e in np.eye(p)]
+    ).T
+    return -flat, coeff_map
+
+
+def polyval_zinv(coeffs, zinv):
+    """sum_k c_k * zinv^k by Horner's rule, a new array per step."""
+    acc = np.zeros_like(zinv)
+    for c in reversed(tuple(coeffs)):
+        acc = acc * zinv + c
+    return acc

@@ -15,11 +15,13 @@ from ntfforge.filters import (
     FilterSpec,
     FrequencyGrid,
     RationalFilter,
+    _polyval_zinv,
     design_filter,
     frequency_response,
     impulse_response,
     polynomial_roots,
 )
+from oracles import polyval_zinv
 
 FS_LP = 2.048e6
 
@@ -335,6 +337,26 @@ class TestFrequencyResponse:
         via_fir = frequency_response(resp.samples, (1.0,), grid)
         via_rational = filt.response(grid)
         assert np.max(np.abs(via_fir - via_rational)) <= 10.0 * math.sqrt(tol)
+
+
+    @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_horner_matches_the_new_array_form(self, n_num, n_den,
+                                                        seed):
+        # acc *= zinv; acc += c rounds as acc * zinv + c does, so FIR and
+        # rational responses keep their bits
+        rng = np.random.default_rng(seed)
+        grid = FrequencyGrid.uniform(8192)
+        zinv = np.exp(-1j * grid.omegas)
+        num = rng.normal(size=n_num)
+        den = np.concatenate(([1.0], rng.uniform(-0.9, 0.9, n_den) / n_den))
+        for coeffs in (num, den):
+            assert (_polyval_zinv(coeffs, zinv).tobytes()
+                    == polyval_zinv(coeffs, zinv).tobytes())
+        for d in ((1.0,), den):
+            want = polyval_zinv(num, zinv) / polyval_zinv(d, zinv)
+            assert (frequency_response(num, d, grid).tobytes()
+                    == want.tobytes())
 
 
 class TestPolynomialRoots:

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from ntfforge import sdp
 from ntfforge.errors import InvalidSpecError, SolverError
-from ntfforge.kyp import assemble_lmi, bounded_real_certificate, grid_gain_max
+from ntfforge.kyp import (
+    LmiSystem,
+    assemble_lmi,
+    bounded_real_certificate,
+    grid_gain_max,
+)
 from ntfforge.sdp import (
     SdpProblem,
     SolverSettings,
@@ -18,6 +23,7 @@ from ntfforge.sdp import (
 from oracles import (
     bounded_real_matrix,
     canonical_realization,
+    cone_placements,
     max_step,
     reduced_value,
 )
@@ -323,7 +329,65 @@ class TestStepLength:
                 assert got == pytest.approx(want, rel=1e-9)
 
 
+    @given(st.integers(3, 66), st.sampled_from(["out", "z_in", "s_in"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_predictor_steps_match_the_step_on_each_side(self, n, kind, seed):
+        # dS~ = -diag(lam) - dZ~, so one eigendecomposition of dZ~ scaled
+        # by lam^-1/2 gives both steps; a side whose direction points in
+        # (dZ~ PD, or dS~ PD) never reaches the boundary
+        rng = np.random.default_rng(seed)
+        lam = np.exp(rng.uniform(-2.0, 2.0, size=n))
+        root = 1.0 / np.sqrt(lam)
+        dz = {"out": lambda: symmetric(rng, n),
+              "z_in": lambda: random_spd(rng, n),
+              "s_in": lambda: -np.diag(lam) - random_spd(rng, n)}[kind]()
+        got = sdp._predictor_steps(root, dz)
+        want = (sdp._max_step(root, -np.diag(lam) - dz),
+                sdp._max_step(root, dz))
+        assert np.isinf(got[0]) == (kind == "s_in")
+        assert np.isinf(got[1]) == (kind == "z_in")
+        for g, w in zip(got, want):
+            assert np.isinf(g) == np.isinf(w)
+            if np.isfinite(w):
+                assert g == pytest.approx(w, rel=1e-9)
+
+    def test_three_eigendecompositions_per_iteration(self, monkeypatch):
+        # one gives both predictor steps and one per side the corrector's;
+        # one more checks the start, and the last iteration only converges
+        prob = toy_problem(1.2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigvalsh(mat)
+
+        cone = sdp._KypCone(prob.lmi)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        _, status, info = sdp.solve_conic(
+            cone, prob.linear, sdp._interior_start(prob), SolverSettings(),
+            quadratic=2.0 * prob.quadratic, constant=prob.constant)
+        assert status == "optimal"
+        assert len(calls) == 1 + 3 * (info["iterations"] - 1)
+
+
 class TestDualSubspace:
+    def test_placements_in_closed_form_match_evaluate(self, monkeypatch):
+        # the cone places F0 and each a_k's single coordinate directly, with
+        # the bits the projections of LmiSystem.evaluate give
+        def refuse(*args):
+            raise AssertionError("the cone called LmiSystem.evaluate")
+
+        for order_p in range(1, 65):
+            lmi = assemble_lmi(order_p, (1.0, 1.02, 1.5, 4.0)[order_p % 4])
+            with monkeypatch.context() as patch:
+                patch.setattr(LmiSystem, "evaluate", refuse)
+                cone = sdp._KypCone(lmi)
+            f0, coeff_map = cone_placements(cone)
+            assert np.array_equal(cone.f0, f0)
+            assert cone.coeff_map.tobytes() == coeff_map.tobytes()
+
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_basis_spans_the_certificate_null_space(self, order_p, gamma,
@@ -399,11 +463,31 @@ class TestDualSubspace:
         ds = np.tensordot(dx, fmat, 1) + res_p
         dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
 
-        step = sdp._newton_system(cone, r, quad)
+        _, step = sdp._newton_system(cone, r, quad)
         da, dy, ds_got, _ = step(kmat, cone.project(res_p), res_d[:order_p])
         assert_close(da, dx[:order_p], rtol=1e-10)
         assert_close(ds_got, ds, rtol=1e-10)
         assert_close(cone.lift(dy), dz, rtol=1e-10)
+
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_predictor_matches_the_refined_step(self, order_p, gamma, seed):
+        # the predictor's one unrefined solve gives the dZ~ of the refined
+        # step with K = -diag(lam)
+        rng = np.random.default_rng(seed)
+        cone, _, _, _ = random_kyp_point(rng, order_p, gamma)
+        n = order_p + 2
+        half = rng.normal(size=(order_p, order_p))
+        quad = half @ half.T
+        r, lam = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, n)),
+                                 np.linalg.cholesky(random_spd(rng, n)))
+        res_p = cone.project(symmetric(rng, n))
+        res_d = rng.normal(size=order_p)
+
+        predictor, step = sdp._newton_system(cone, r, quad)
+        want = step(np.diag(-lam), res_p, res_d)[3]
+        got = predictor(lam, res_p, res_d)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
