@@ -152,8 +152,8 @@ class _KypCone:
         p, n = lmi.order, lmi.dimension
         self.lmi = lmi
         self.size = n
-        # -M(0; 0): -gamma^2 and the output's -1 on the diagonal, D = 1
-        # beside them
+        # F0 = -M(0; 0), and M(0; 0) holds only -gamma^2 and the output's -1
+        # on its diagonal, with D = 1 between them
         self.f0 = np.zeros((n, n))
         self.f0[p:, p:] = [[lmi.gamma**2, -1.0], [-1.0, 1.0]]
         row, col = np.indices((n, n))
