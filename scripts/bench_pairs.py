@@ -13,13 +13,17 @@ side designs the bandpass P=49, the two-band P=50 and the bandpass P=64 (at
 gamma 1.5 and 1.02) cases three times, each in a fresh process with BLAS
 pinned to one thread.  Last, each side times ``simulate`` over 2^16 samples
 of the lowpass P=12, bandpass P=49 and bandpass P=64 designs at the
-benchmark's amplitudes, three fresh one-thread processes each.
+benchmark's amplitudes, three fresh one-thread processes each.  Then each
+side makes one traced run (``--trace 1``, seed 1) of every workload.
 
 Writes ``BENCH_<label>.json`` in the repository root: per workload and side,
 the median and quartiles of every end-to-end metric with the runs behind
 them, failed/attempted counts and the pairs the change won; per design and
 side, the wall times, solver iterations and sigma2_h; per simulation and
-side, the wall times, the largest |e| and a hash of the output bits.
+side, the wall times, the largest |e| and a hash of the output bits; per
+traced run, its exit code, whether its last line is strict JSON (no NaN or
+Infinity), the per-layer metrics of BENCHMARK.json it lacks and its
+"absent span targets" line.
 """
 
 import argparse
@@ -111,17 +115,45 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
-def run_workload(checkout, workload, seed, seconds) -> dict:
-    proc = subprocess.run(
+def run_bench(checkout, workload, seed, seconds, trace):
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", repr(seconds), "--trace",
+         str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=900)
+
+
+def run_workload(checkout, workload, seed, seconds) -> dict:
+    proc = run_bench(checkout, workload, seed, seconds, 0)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {},
                 "error": (proc.stderr or proc.stdout)[-2000:]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def traced_run(checkout, workload, seconds, per_layer) -> dict:
+    """One traced run at seed 1, judged as a result line must be: its exit
+    code, whether its last line parses as strict JSON, which of the
+    ``per_layer`` metrics it lacks and its "absent span targets" line."""
+    proc = run_bench(checkout, workload, 1, seconds, 1)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        metrics = json.loads(lines[-1],
+                             parse_constant=_reject_constant)["metrics"]
+        strict = True
+    except (IndexError, KeyError, TypeError, ValueError):
+        metrics, strict = {}, False
+    return {"returncode": proc.returncode, "strict_json": strict,
+            "missing_per_layer": [m for m in per_layer if m not in metrics],
+            "absent_targets": next(
+                (line for line in lines
+                 if line.startswith("absent span targets:")), None)}
 
 
 def run_one_thread(checkout, script, *args) -> dict:
@@ -227,6 +259,11 @@ def main(argv=None) -> int:
                for side in ("parent", "change")}
         for name, (config, amplitude) in SIMULATIONS.items()}
     print(f"simulations: {json.dumps(simulations)}", flush=True)
+    per_layer = [m["name"] for m in bench["per_layer"]]
+    traced = {w: {side: traced_run(checkouts[side], w, seconds, per_layer)
+                  for side in ("parent", "change")}
+              for w in workloads}
+    print(f"traced: {json.dumps(traced)}", flush=True)
 
     report = {
         "label": args.label,
@@ -241,6 +278,7 @@ def main(argv=None) -> int:
         "workloads": {w: summarize(runs[w], metrics) for w in workloads},
         "designs": designs,
         "simulations": simulations,
+        "traced": traced,
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

@@ -41,7 +41,6 @@ from .modsim import (
 )
 from .objective import (
     NoiseBudget,
-    QMatrix,
     build_q_matrix,
     merit_integrand,
     reduce_objective,

@@ -69,12 +69,25 @@ def load_ntf(path: str):
     return d
 
 
+def _finite(value, name: str, ndim: int) -> np.ndarray:
+    """An artifact field as a non-empty float array of ``ndim`` dimensions
+    with finite entries, else InvalidSpecError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"'{name}' is not numeric: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise InvalidSpecError(f"'{name}' must be a non-empty array of "
+                               f"{ndim} dimension(s) with finite entries")
+    return arr
+
+
 def ntf_from_artifact(d: dict):
-    """The artifact's NTF as a (num, den) pair; FIR coefficients 'a' get
-    den = (1.0,)."""
+    """The artifact's NTF as a (num, den) pair of finite vectors; FIR
+    coefficients 'a' get den = (1.0,)."""
     if "a" in d:
-        return np.asarray(d["a"], dtype=float), (1.0,)
-    return np.asarray(d["num"], dtype=float), np.asarray(d["den"], dtype=float)
+        return _finite(d["a"], "a", 1), (1.0,)
+    return _finite(d["num"], "num", 1), _finite(d["den"], "den", 1)
 
 
 def write_curve(path: str, header: str, grid: FrequencyGrid, fs_hz: float,
@@ -180,16 +193,16 @@ def cmd_curves(args) -> int:
 
 
 def stored_certificate(artifact: dict, order_p: int, gamma: float):
-    """The artifact's own certificate matrix P when it was made for this order
-    and gamma, else None (external NTFs, a ``--gamma`` other than the stored
-    one).  Only ``p_matrix`` and ``gamma`` are read; verify recomputes the
-    eigenvalue extremes and the grid maximum."""
+    """The artifact's own certificate matrix P when it is finite and made for
+    this order and gamma, else None (external NTFs, a ``--gamma`` other than
+    the stored one).  Only ``p_matrix`` and ``gamma`` are read; verify
+    recomputes the eigenvalue extremes and the grid maximum."""
     stored = artifact.get("certificate")
     if not isinstance(stored, dict) or stored.get("gamma") != gamma:
         return None
     try:
-        p_matrix = np.asarray(stored.get("p_matrix"), dtype=float)
-    except (TypeError, ValueError):
+        p_matrix = _finite(stored.get("p_matrix"), "p_matrix", 2)
+    except InvalidSpecError:
         return None
     return p_matrix if p_matrix.shape == (order_p, order_p) else None
 
@@ -199,8 +212,8 @@ def cmd_verify(args) -> int:
     gamma = args.gamma if args.gamma is not None else artifact.get("gamma")
     if gamma is None:
         raise InvalidSpecError("no gamma given and none stored in the artifact")
-    gamma = float(gamma)
-    coeffs = np.asarray(artifact["a"], dtype=float)
+    gamma = float(_finite(gamma, "gamma", 0))
+    coeffs = _finite(artifact["a"], "a", 1)
     stored = stored_certificate(artifact, coeffs.size - 1, gamma)
     cert = None
     if stored is not None:

@@ -3,17 +3,15 @@
 The gain bound max |NTF(e^{i omega})| <= gamma over the whole axis is encoded
 as negative semidefiniteness of an affine symmetric matrix M(a; P) built on
 the delay-chain state-space realization of the FIR filter, in the
-coefficients a and a certificate matrix P.  ``LmiSystem.evaluate`` is the one
-place that builds that matrix, and the judgement of a witness against the
-LMI and a dense frequency grid rebuilds it the same way.  The design solver
-places the same constant and coefficient entries directly
-(``sdp._KypCone``), and the tests check them bit for bit against
-``evaluate``.  The dense realization, the block formula it reproduces and
-the Schur-complement equivalence are test oracles (``tests/oracles.py``).
-The design solver never handles the certificate entries one by one: its dual
-lives on the subspace they leave free (``sdp._KypCone``).  A fixed filter's
+coefficients a and a certificate matrix P.  ``LmiSystem`` is the one place
+that states M's layout: ``evaluate`` builds the matrix from it,
+``certificate`` reads P back off it, and the design solver
+(``sdp._KypCone``) derives its placements from the same facts.  The dense
+realization, the block formula it reproduces and the Schur-complement
+equivalence are test oracles (``tests/oracles.py``).  A fixed filter's
 witness needs no SDP: it is the observability Gramian of the filter's
-lossless extension (``sdp.solve_gain_feasibility``).
+lossless extension (``sdp.solve_gain_feasibility``, built on
+``_observability``).
 """
 
 from __future__ import annotations
@@ -40,19 +38,25 @@ class LmiSystem:
     [A B] = [0 I], the top-left (P+1)x(P+1) part of the block matrix is
     [A B]^T P [A B] - [I 0]^T P [I 0], so P enters one step down the diagonal
     (rows 1..P) and is subtracted in place (rows 0..P-1).  The output row
-    C = (a_P, .., a_1) puts a_k at (P-k, P+1); the tests check this map
-    against the dense block formula (``tests/oracles.py``).  The top-left
-    P x P block of M holds the shifts alone, so P[i, j] = P[i-1, j-1] -
-    M[i, j] reads a certificate back off a block
-    (``sdp._KypCone.certificate``).
+    C = (a_P, .., a_1) puts a_k in the last column at ``coeff_rows`` (and
+    mirrors it), and ``corner`` is the constant block at rows and columns
+    P, P+1.  The tests check this layout against the dense block formula
+    (``tests/oracles.py``).
     """
 
     order: int
     gamma: float
 
     @property
-    def dimension(self) -> int:
-        return self.order + 2
+    def coeff_rows(self) -> np.ndarray:
+        """Row of a_1..a_P in the last column: P - k for a_k."""
+        return self.order - np.arange(1, self.order + 1)
+
+    @property
+    def corner(self) -> np.ndarray:
+        """The constant block at rows and columns P, P+1: -gamma^2, the
+        feedthrough D = 1 and the output's -1.  No a_k meets it."""
+        return np.array([[-self.gamma**2, 1.0], [1.0, -1.0]])
 
     def evaluate(self, a, p_matrix) -> np.ndarray:
         p = self.order
@@ -63,16 +67,31 @@ class LmiSystem:
                 f"expected {p} coefficients and a {p}x{p} certificate, got "
                 f"shapes {a.shape} and {pm.shape}"
             )
-        rows = p - np.arange(1, p + 1)  # a_1..a_P in the output column
         out = np.zeros((p + 2, p + 2))
-        out[rows, p + 1] = out[p + 1, rows] = a
+        out[self.coeff_rows, p + 1] = out[p + 1, self.coeff_rows] = a
         out[1:p + 1, 1:p + 1] += pm
         out[:p, :p] -= pm
-        out[p, p] -= self.gamma**2
-        out[p, p + 1] += 1.0  # D
-        out[p + 1, p] += 1.0
-        out[p + 1, p + 1] -= 1.0
+        out[p:, p:] += self.corner
         return out
+
+    def certificate(self, slack) -> np.ndarray:
+        """The P x P certificate of a slack S = -M(a; P).  Only the shifts
+        of P reach M's top-left P x P block, so P[i, j] = P[i-1, j-1] + S[i, j]
+        along its diagonals; the result is symmetrized, and whatever of S
+        lies off the LMI's range is left out."""
+        p = self.order
+        pm = slack[:p, :p].copy()
+        for i in range(1, p):
+            pm[i, 1:] += pm[i - 1, :-1]
+        return 0.5 * (pm + pm.T)
+
+
+def _observability(x):
+    """Rows C A^k, k < P, of the delay chain with output row
+    C = (x_P, .., x_1): the upper-triangular Toeplitz matrix on that row."""
+    row = x[:0:-1]
+    lag = np.arange(row.size)[None, :] - np.arange(row.size)[:, None]
+    return np.where(lag >= 0, row[np.maximum(lag, 0)], 0.0)
 
 
 @dataclass(frozen=True)
@@ -104,11 +123,12 @@ class BoundedRealCertificate:
 
 
 def _monic_coefficients(coeffs) -> np.ndarray:
-    """The coefficients a_0..a_P of an FIR NTF as floats, checked for the
-    unit leading coefficient every NTF here carries."""
+    """The coefficients a_0..a_P of an FIR NTF as a finite float vector,
+    checked for the unit leading coefficient every NTF here carries."""
     a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
-    if a.size == 0 or a[0] != 1.0:
-        raise InvalidSpecError("leading coefficient must be exactly 1")
+    if a.ndim != 1 or a.size == 0 or a[0] != 1.0 or not np.all(np.isfinite(a)):
+        raise InvalidSpecError("coefficients must be a finite vector with "
+                               "leading coefficient exactly 1")
     return a
 
 
@@ -165,17 +185,15 @@ def verify_bounded_real(coeffs, gamma: float,
     if gamma <= 0:
         raise InvalidSpecError("gamma must be positive")
     if a.size == 1:
-        # zero-order NTF: unit gain, and the block matrix degenerates to the
-        # corner [[-gamma^2, 1], [1, -1]]
+        # zero-order NTF: unit gain, and the block matrix is its corner alone
         if 1.0 > gamma * (1.0 + GRID_SLACK):
             raise BoundViolationError(
                 f"gain bound violated: |a_0| = 1 > gamma {gamma}",
                 grid_max=1.0,
             )
-        no_cert = np.zeros((0, 0))
-        corner = LmiSystem(order=0, gamma=gamma).evaluate(a[1:], no_cert)
+        corner = LmiSystem(order=0, gamma=gamma).corner
         return BoundedRealCertificate(
-            p_matrix=no_cert, gamma=float(gamma),
+            p_matrix=np.zeros((0, 0)), gamma=float(gamma),
             max_eigenvalue_big=float(np.linalg.eigvalsh(corner)[-1]),
             min_eigenvalue_p=0.0, grid_max=1.0,
         )

@@ -2,7 +2,8 @@
 
 The quantization-noise power after the output filter is a quadratic form in
 the FIR NTF coefficients; the quadratic matrix is the Toeplitz autocorrelation
-of the truncated impulse response.  Quadrature evaluators are provided for the
+of the truncated impulse response, kept as its first row q_0..q_P until
+``reduce_objective`` gathers the solver's blocks from it.  Quadrature evaluators are provided for the
 same quantities so the algebraic path can be cross-checked independently.
 """
 
@@ -39,32 +40,14 @@ class NoiseBudget:
         return self.delta**2 / (12.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """(P+1)x(P+1) symmetric Toeplitz autocorrelation matrix of h, stored as
-    its first row; ``entries`` is the full matrix built from it."""
+def build_q_matrix(h, order_p: int) -> np.ndarray:
+    """First row q_0..q_P of the autocorrelation matrix Q of the impulse
+    response.
 
-    first_row: np.ndarray
-
-    def __post_init__(self):
-        fr = np.asarray(self.first_row, dtype=float)
-        if fr.ndim != 1 or fr.size == 0:
-            raise InvalidSpecError("first_row must be a nonempty vector")
-        object.__setattr__(self, "first_row", fr)
-
-    @property
-    def entries(self) -> np.ndarray:
-        lags = np.arange(self.first_row.size)
-        return self.first_row[np.abs(lags[:, None] - lags[None, :])]
-
-
-def build_q_matrix(h, order_p: int) -> QMatrix:
-    """Autocorrelation matrix of the impulse response, lags 0..P.
-
-    Accepts an ImpulseResponse or a plain sample vector.  The first row is the
-    restricted correlation sum q_k = sum_{i=k}^{M} h_i h_{i-k}, and the
-    matrix is the symmetric Toeplitz matrix it defines: the Gram matrix of
-    h's zero-padded shifts, so PSD by construction (a^T Q a = ||h * a||^2,
+    Accepts an ImpulseResponse or a plain sample vector.  q_k is the
+    restricted correlation sum sum_{i=k}^{M} h_i h_{i-k}, and Q is the
+    symmetric Toeplitz matrix Q[i, j] = q_|i-j|: the Gram matrix of h's
+    zero-padded shifts, so PSD by construction (a^T Q a = ||h * a||^2,
     which ``noise_gain`` evaluates).
     """
     samples = np.asarray(getattr(h, "samples", h), dtype=float)
@@ -73,11 +56,10 @@ def build_q_matrix(h, order_p: int) -> QMatrix:
     if samples.size == 0 or not np.any(samples):
         raise DegenerateFilterError("impulse response is identically zero")
     m1 = samples.size
-    first_row = np.array(
+    return np.array(
         [np.dot(samples[k:], samples[: m1 - k]) if k < m1 else 0.0
          for k in range(order_p + 1)]
     )
-    return QMatrix(first_row=first_row)
 
 
 def noise_gain(h, coeffs) -> float:
@@ -96,12 +78,15 @@ def noise_gain(h, coeffs) -> float:
     return float(filtered @ filtered)
 
 
-def reduce_objective(q: QMatrix):
-    """Split a^T Q a with a_0 = 1 into (quadratic, linear, constant) blocks:
-    over the free coefficients v = (a_1 .. a_P) it reads
-    constant + linear . v + v . quadratic . v."""
-    m = q.entries
-    return m[1:, 1:].copy(), 2.0 * m[0, 1:], float(m[0, 0])
+def reduce_objective(q: np.ndarray):
+    """Split a^T Q a with a_0 = 1, for Q the Toeplitz matrix of the row
+    q = q_0..q_P, into (quadratic, linear, constant) blocks: over the free
+    coefficients v = (a_1 .. a_P) it reads
+    constant + linear . v + v . quadratic . v, with quadratic[i, j] =
+    q_|i-j|, linear = 2 q_1..q_P and constant = q_0."""
+    lags = np.arange(1, q.size)
+    return (q[np.abs(lags[:, None] - lags[None, :])], 2.0 * q[1:],
+            float(q[0]))
 
 
 def _ntf_magnitude_sq(ntf_num, ntf_den, grid: FrequencyGrid) -> np.ndarray:

@@ -21,7 +21,9 @@ Trigonometric Polynomials and Signal Processing Applications, 2007), so the
 iteration carries the coefficients, the slack and Z's coordinates there.
 Each Newton system has order 3P+3 and takes two small Cholesky factors,
 each inverted once per iteration (numpy is the only numerical dependency);
-the certificate is read off the final slack by the delay-chain recursion.
+the certificate is read off the final slack (``LmiSystem.certificate``).
+The cone derives every placement it needs from ``LmiSystem``'s layout, so
+the matrix's entries are stated in ``kyp`` alone.
 Steps are measured where the NT scaling makes S and Z both diag(lambda),
 as in ``coneqp``, so no inverse factor of S or Z is formed.  The predictor
 direction only sets the centering and the second-order term, so it takes
@@ -47,6 +49,7 @@ import numpy as np
 from .errors import InvalidSpecError, SolverError, spec_int
 from .kyp import (
     LmiSystem,
+    _observability,
     assemble_lmi,  # unused here; perfbench/tracing.py wraps it by name
     bounded_real_certificate,
 )
@@ -142,24 +145,23 @@ class _KypCone:
     (P+2) x (P+2) matrix belongs to exactly one of them.  ``slot`` maps
     entries to basis elements and ``norm`` holds each element's norm before
     normalization, so ``project`` sums entries by slot and ``lift`` gathers
-    them back.  ``coeff_map`` holds the coordinates of the coefficients'
-    placements F_a(e_k), one entry each.  The certificate never enters the
-    iteration;
-    ``certificate`` reads it off a slack.
+    them back.  The constant F0 = -M(0; 0) is kept as its coordinates
+    ``f0``, and ``coeff_map`` holds those of the coefficients' placements
+    F_a(e_k), one entry each; both are read off ``LmiSystem``'s layout.
     """
 
     def __init__(self, lmi: LmiSystem):
-        p, n = lmi.order, lmi.dimension
+        p, n = lmi.order, lmi.order + 2
         self.lmi = lmi
         self.size = n
-        # F0 = -M(0; 0), and M(0; 0) holds only -gamma^2 and the output's -1
-        # on its diagonal, with D = 1 between them
-        self.f0 = np.zeros((n, n))
-        self.f0[p:, p:] = [[lmi.gamma**2, -1.0], [-1.0, 1.0]]
         row, col = np.indices((n, n))
         self.slot = np.where(np.maximum(row, col) <= p, np.abs(row - col),
                              p + 1 + np.minimum(row, col)).ravel()
         self.norm = np.sqrt(np.bincount(self.slot))
+        # M(0; 0) is its corner alone
+        f0 = np.zeros((n, n))
+        f0[p:, p:] = -lmi.corner
+        self.f0 = self.project(f0)
         # gram's D_0 and E_{P+1} count their entries twice
         half = np.ones(2 * p + 3)
         half[[0, -1]] = 0.5
@@ -172,11 +174,11 @@ class _KypCone:
         self._hankel = np.minimum(lag[None, :] + lag[:, None], p + 1)
         self._fft_shape = (2 * p + 2, 2 * p + 2)  # lags -P..P do not wrap
         self._negative_lags = -lag % (2 * p + 2)
-        # a_k sits at (P-k, P+1) and its mirror alone, so F_a(e_k) = -M_k has
-        # one coordinate: -2 over the norm of slot 2P+1-k
-        k = np.arange(1, p + 1)
+        # F_a(e_k) = -M_k is -1 on a_k's entry and on its mirror, which share
+        # one slot, so it has one coordinate
+        slot = self.slot.reshape(n, n)[lmi.coeff_rows, -1]
         self.coeff_map = np.zeros((2 * p + 3, p))
-        self.coeff_map[2 * p + 1 - k, k - 1] = -2.0 / self.norm[2 * p + 1 - k]
+        self.coeff_map[slot, np.arange(p)] = -2.0 / self.norm[slot]
 
     def project(self, mat):
         """Coordinates <B_k, mat> of a matrix's part in the dual subspace."""
@@ -213,17 +215,6 @@ class _KypCone:
         out[:m, m:] = (padded[self._toeplitz] + padded[self._hankel]) @ w[:m]
         out[m:, :m] = out[:m, m:].T
         return out * self._gram_scale
-
-    def certificate(self, s):
-        """The P x P certificate of a slack S = -M(a; P).  Only the shifts
-        of P reach M's top-left P x P block, so P[i, j] = P[i-1, j-1] + S[i, j]
-        along its diagonals; the result is symmetrized, and whatever of S
-        lies off the LMI's range is left out."""
-        p = self.lmi.order
-        pm = s[:p, :p].copy()
-        for i in range(1, p):
-            pm[i, 1:] += pm[i - 1, :-1]
-        return 0.5 * (pm + pm.T)
 
 
 def _newton_system(cone: _KypCone, r, quadratic):
@@ -341,10 +332,10 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     subspace, so the iteration carries (a, S, y) with Z = lift(y) and never
     the certificate: the primal residual is projected onto that subspace,
     the Newton system (``_newton_system``) has order 3P+3, and P is read off
-    the final S.  G couples a and Z, so both sides take one step length.
-    Step lengths and the predictor's gap are taken in scaled coordinates,
-    diag(lambda) = R^-1 S R^-T = R^T Z R, along dZ~ = R^T dZ R and
-    dS~ = K - dZ~.  The predictor (K = -diag(lambda)) is one unrefined solve
+    the final S (``LmiSystem.certificate``).  G couples a and Z, so both
+    sides take one step length.  Step lengths and the predictor's gap are
+    taken in scaled coordinates, diag(lambda) = R^-1 S R^-T = R^T Z R, along
+    dZ~ = R^T dZ R and dS~ = K - dZ~.  The predictor (K = -diag(lambda)) is one unrefined solve
     whose two step lengths come from one eigendecomposition
     (``_predictor_steps``); the corrector is refined and measured on each
     side (``_max_step``).  ``SdpProblem`` rules out infeasible problems.
@@ -356,7 +347,6 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     """
     t_start = time.perf_counter()
     a = np.array(x0[0], dtype=float)
-    f0_proj = cone.project(cone.f0)
 
     s = -cone.lmi.evaluate(*x0)
     lam_min = float(np.linalg.eigvalsh(s)[0])
@@ -364,21 +354,21 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         s = s + (abs(lam_min) * 1.5 + 1.0) * np.eye(cone.size)
     y = cone.project(np.eye(cone.size))
     z = cone.lift(y)
-    f0_scale = 1.0 + float(np.max(np.abs(cone.f0)))
+    f0_scale = 1.0 + float(np.max(np.abs(cone.lmi.corner)))
     c_scale = 1.0 + float(np.max(np.abs(c)))
 
     status = "max_iterations"
     iters = 0
     info = {}
     for iters in range(1, settings.max_iter + 1):
-        res_primal = f0_proj + cone.coeff_map @ a - cone.project(s)
+        res_primal = cone.f0 + cone.coeff_map @ a - cone.project(s)
         ga = quadratic @ a
         res_dual = c + ga - cone.coeff_map.T @ y
         gap = float(np.vdot(s, z))
         mu = gap / cone.size
         half_aga = 0.5 * float(a @ ga)
         pobj = float(c @ a) + half_aga + constant
-        dobj = -float(f0_proj @ y) - half_aga + constant
+        dobj = -float(cone.f0 @ y) - half_aga + constant
         denom = max(1e-12, abs(pobj), abs(dobj))
         rel_gap = gap / denom
         rp_norm = float(np.max(np.abs(res_primal / cone.norm))) / f0_scale
@@ -428,7 +418,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
     info["runtime_seconds"] = time.perf_counter() - t_start
     info["iterations"] = iters
-    return (a, cone.certificate(s)), status, info
+    return (a, cone.lmi.certificate(s)), status, info
 
 
 def _interior_start(problem: SdpProblem):
@@ -503,9 +493,10 @@ def solve_gain_feasibility(coeffs, gamma: float):
     fits and the certificate is rejected.
 
     The margin moves the near-double roots of a design on its bound off the
-    circle, where the factor would turn on last bits.  M(a; P) at gamma is
-    M(a; P) at g plus (g^2 - gamma^2) e_P e_P^T, so judging at gamma costs at
-    most 2 WITNESS_MARGIN gamma^2, 2% of ``FEAS_EIG_TOL`` gamma^2.
+    circle, where the factor would turn on last bits.  M(a; P) meets the
+    bound only in ``LmiSystem.corner``, which moves by g^2 - gamma^2 in norm
+    between g and gamma, so judging at gamma costs at most
+    2 WITNESS_MARGIN gamma^2, 2% of ``FEAS_EIG_TOL`` gamma^2.
 
     Returns (p_matrix, feasible), feasible as ``bounded_real_certificate``
     judges it.
@@ -524,11 +515,3 @@ def solve_gain_feasibility(coeffs, gamma: float):
     o_a, o_b = _observability(a), _observability(b)
     pm = o_a.T @ o_a + o_b.T @ o_b
     return pm, bounded_real_certificate(a, pm, gamma).feasible
-
-
-def _observability(x):
-    """Rows C A^k, k < P, of the delay chain with output row
-    C = (x_P, .., x_1): the upper-triangular Toeplitz matrix on that row."""
-    row = x[:0:-1]
-    lag = np.arange(row.size)[None, :] - np.arange(row.size)[:, None]
-    return np.where(lag >= 0, row[np.maximum(lag, 0)], 0.0)

@@ -2,12 +2,12 @@
 form, kept beside the tests that check the package against them.
 
 The delay-chain realization and the bounded-real matrix built from it by the
-block formula (``ntfforge.kyp.LmiSystem`` places the same entries directly),
-its Schur-reduced dissipation form, the in-band noise power of an NTF alone
-by quadrature, the reduced objective's value, the interior-point step
-length measured through an inverse Cholesky factor, the solver cone's
-constant and coefficient map built through ``LmiSystem.evaluate``, and
-Horner's rule with a new array per step.
+block formula (``ntfforge.kyp.LmiSystem`` states the same layout once and
+places its entries directly), its Schur-reduced dissipation form, the
+in-band noise power of an NTF alone by quadrature, the reduced objective's
+value, the interior-point step length measured through an inverse Cholesky
+factor, the solver cone's dense constant and coefficient map built through
+``LmiSystem.evaluate``, and Horner's rule with a new array per step.
 """
 
 from __future__ import annotations
@@ -163,9 +163,10 @@ def max_step(inv_lower, direction):
 
 
 def cone_placements(cone):
-    """The constant F0 = -M(0; 0) of an ``ntfforge.sdp._KypCone`` and its
-    coefficient map, the projections of F_a(e_k) = M(0; 0) - M(e_k; 0),
-    built through ``LmiSystem.evaluate``."""
+    """The dense constant F0 = -M(0; 0) of an ``ntfforge.sdp._KypCone`` (the
+    cone keeps only its projection) and its coefficient map, the
+    projections of F_a(e_k) = M(0; 0) - M(e_k; 0), built through
+    ``LmiSystem.evaluate``."""
     lmi = cone.lmi
     p = lmi.order
     no_cert = np.zeros((p, p))

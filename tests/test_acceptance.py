@@ -288,7 +288,9 @@ class TestCriterion7ParsevalOracle:
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
-            algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
+            lags = np.arange(order_p + 1)
+            q_full = q[np.abs(lags[:, None] - lags[None, :])]
+            algebraic = BINARY.sigma2_eps * float(coeffs @ q_full @ coeffs)
             fir = RationalFilter.from_polynomials(
                 num=tuple(h.samples), den=(1.0,))
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,

@@ -227,6 +227,20 @@ class TestEvaluate:
             .splitlines()[0]
         assert first_line == "freq_hz,integrand_linear"
 
+    @pytest.mark.parametrize("text", [
+        '{"num": [1, 0.5], "den": [1, NaN]}',
+        '{"a": "x"}',
+        '{"a": [1, "x"]}',
+    ])
+    def test_malformed_artifact_is_validation_error(self, spec_path,
+                                                    tmp_path, text):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(text)
+        code = main(["evaluate", "--config", str(spec_path),
+                     "--ntf", str(ntf_path), "--amplitude", "0.4",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+
     def test_external_rational_ntf_scored_by_quadrature(self, spec_path,
                                                         tmp_path):
         ext = tmp_path / "ext.json"
@@ -433,6 +447,27 @@ class TestVerify:
         # [0.5] and [0.5, 0.0] are the same NTF
         ntf_path = tmp_path / "ntf.json"
         ntf_path.write_text(json.dumps({"a": coeffs, "gamma": 1.5}))
+        assert main(["verify", "--ntf", str(ntf_path)]) == code
+
+    @pytest.mark.parametrize("text, code", [
+        ('{"a": [1, NaN], "gamma": 1.5}', 2),
+        ('{"a": [1, Infinity], "gamma": 1.5}', 2),
+        ('{"a": "x", "gamma": 1.5}', 2),
+        ('{"a": [1, "x"], "gamma": 1.5}', 2),
+        ('{"a": [[1, 0.5]], "gamma": 1.5}', 2),
+        ('{"a": 1.0, "gamma": 1.5}', 2),
+        ('{"a": [1, 0.25], "gamma": "x"}', 2),
+        ('{"a": [1, 0.25], "gamma": [1.5]}', 2),
+        # a stored certificate that is not finite is set aside, and verify
+        # builds its own witness
+        ('{"a": [1, 0.25], "gamma": 1.5, "certificate": '
+         '{"gamma": 1.5, "p_matrix": [[NaN]]}}', 0),
+        ('{"a": [1, 0.25], "gamma": 1.5, "certificate": '
+         '{"gamma": 1.5, "p_matrix": [[Infinity]]}}', 0),
+    ])
+    def test_malformed_artifact_exit_code(self, tmp_path, text, code):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(text)
         assert main(["verify", "--ntf", str(ntf_path)]) == code
 
     def test_non_unit_leading_with_stored_certificate_exits_2(

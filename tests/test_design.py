@@ -321,16 +321,22 @@ class TestSolverErrorMessage:
             assert np.isfinite(float(value))
 
 
+def load_bench_module(name):
+    """A module of perfbench/, loaded by path: importing the perfbench
+    package would pin every BLAS to one thread for the run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracingTargets:
     # the benchmark's tracer wraps pipeline functions by name and reads
     # solve_conic's (x, status, info); a rename or a changed return shape
-    # would silently drop its spans.  The tracer is loaded by path: importing
-    # the perfbench package would pin every BLAS to one thread for the run
+    # would silently drop its spans
     def test_every_target_resolves_and_solve_conic_is_noted(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_bench_module("tracing")
         tracer = tracing.Tracer()
         try:
             tracer.install()
@@ -349,6 +355,35 @@ class TestBenchmarkTracingTargets:
         for key in ("rel_gap", "primal_residual", "dual_residual"):
             assert np.isfinite(conic[0][key])
         json.dumps(tracing.op_metrics(tracer.spans), allow_nan=False)
+
+    def test_each_workload_reports_every_per_layer_metric(self, tmp_path):
+        # one traced operation of each workload, as the traced benchmark run
+        # makes it: the result line must carry every per-layer metric of
+        # BENCHMARK.json (a metric whose function was not called is left
+        # out) and stay strict JSON.  run.py adds trace.overhead_s itself
+        tracing = load_bench_module("tracing")
+        workloads = load_bench_module("workloads")
+        bench = json.loads((Path(__file__).resolve().parents[1]
+                            / "BENCHMARK.json").read_text())
+        wanted = [m["name"] for m in bench["per_layer"]
+                  if m["name"] != "trace.overhead_s"]
+        for name, workload in workloads.WORKLOADS.items():
+            workdir = tmp_path / name
+            workdir.mkdir()
+            wl = workload(1, str(workdir), None)
+            tracer = tracing.Tracer()
+            try:
+                tracer.install()
+                with tracer.operation(0, name):
+                    out, _ = wl.run(0)
+            finally:
+                tracer.uninstall()
+            assert tracer.absent == [], name
+            assert wl.check(out) == [], name
+            metrics = tracing.run_metrics(tracer.spans)
+            assert [m for m in wanted if m not in metrics] == [], name
+            assert all(np.isfinite(v) for v in metrics.values()), name
+            json.dumps(metrics, allow_nan=False)
 
 
 class TestStudyScripts:

@@ -161,8 +161,28 @@ class TestAssembleLmi:
         direct = bounded_real_matrix(canonical_realization(coeffs), pm, gamma)
         assert np.array_equal(lmi.evaluate(coeffs[1:], pm), direct)
 
+    @given(st.integers(1, 64), st.floats(1.0, 4.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_reads_back_what_evaluate_wrote(self, order_p, gamma,
+                                                        seed):
+        # the writer and the reader of M's layout in one class: on dyadic
+        # data every sum is exact, so the certificate comes back bit for bit
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-1024, 1025, order_p) / 64.0
+        half = rng.integers(-1024, 1025, (order_p, order_p)) / 64.0
+        pm = half + half.T
+        lmi = assemble_lmi(order_p, gamma)
+        assert np.array_equal(lmi.certificate(-lmi.evaluate(a, pm)), pm)
+
 
 class TestVerifyBoundedReal:
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, np.nan], [1.0, np.inf], [[1.0, 0.5]], 1.0,
+    ])
+    def test_rejects_coefficients_that_are_not_a_finite_vector(self, coeffs):
+        with pytest.raises(InvalidSpecError):
+            verify_bounded_real(np.array(coeffs), 1.5)
+
     def test_unit_ntf_feasible_at_gamma_one(self):
         cert = verify_bounded_real(np.array([1.0]), 1.0)
         assert cert.grid_max == pytest.approx(1.0, abs=1e-12)

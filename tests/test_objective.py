@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from ntfforge.errors import DegenerateFilterError, InvalidSpecError
 from ntfforge.filters import (
@@ -52,28 +53,30 @@ class TestNoiseBudget:
 
 
 class TestQMatrix:
+    # build_q_matrix gives Q's first row q_0..q_P; scipy's toeplitz builds
+    # the full matrix from it
     def test_unit_impulse_gives_identity(self):
         q = build_q_matrix(np.array([1.0]), 2)
-        assert np.array_equal(q.entries, np.eye(3))
+        assert np.array_equal(toeplitz(q), np.eye(3))
 
     def test_two_tap_example(self):
         q = build_q_matrix(np.array([1.0, 1.0]), 1)
-        assert np.array_equal(q.entries, np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.array_equal(toeplitz(q), np.array([[2.0, 1.0], [1.0, 2.0]]))
 
     def test_geometric_taps_first_row(self):
         q = build_q_matrix(np.array([1.0, 0.5, 0.25]), 2)
-        assert np.allclose(q.first_row, [1.3125, 0.625, 0.25], rtol=1e-15)
+        assert np.allclose(q, [1.3125, 0.625, 0.25], rtol=1e-15)
 
     def test_matches_brute_force_double_sum(self):
         rng = np.random.default_rng(11)
         h = rng.normal(size=9)
         q = build_q_matrix(h, 4)
-        assert np.allclose(q.entries, brute_force_q(h, 4), rtol=1e-12)
+        assert np.allclose(toeplitz(q), brute_force_q(h, 4), rtol=1e-12)
 
     def test_order_beyond_support_pads_zero_lags(self):
         q = build_q_matrix(np.array([1.0, 0.5]), 4)
-        assert q.first_row[2] == 0.0 and q.first_row[4] == 0.0
-        assert np.allclose(q.entries, brute_force_q([1.0, 0.5], 4))
+        assert q[2] == 0.0 and q[4] == 0.0
+        assert np.allclose(toeplitz(q), brute_force_q([1.0, 0.5], 4))
 
     def test_zero_response_rejected(self):
         with pytest.raises(DegenerateFilterError):
@@ -93,16 +96,19 @@ class TestQMatrix:
         rng = np.random.default_rng(5)
         h = rng.normal(size=30)
         q = build_q_matrix(h, 6)
-        for j in range(7):
-            for k in range(7):
-                assert q.entries[j, k] == q.first_row[abs(j - k)]
+        quadratic, _, _ = reduce_objective(q)
+        for j in range(6):
+            for k in range(6):
+                assert quadratic[j, k] == q[abs(j - k)]
 
     def test_entries_equal_scipy_toeplitz_bit_for_bit(self):
-        from scipy.linalg import toeplitz
-
         h = np.random.default_rng(7).normal(size=40)
         q = build_q_matrix(h, 12)
-        assert np.array_equal(q.entries, toeplitz(q.first_row))
+        full = toeplitz(q)
+        quadratic, linear, constant = reduce_objective(q)
+        assert np.array_equal(quadratic, full[1:, 1:])
+        assert np.array_equal(linear, 2.0 * full[0, 1:])
+        assert constant == full[0, 0]
 
     def test_psd_for_random_stable_filters(self):
         rng = np.random.default_rng(17)
@@ -113,9 +119,9 @@ class TestQMatrix:
             filt = RationalFilter.from_polynomials(
                 num=(1.0, -zero), den=(1.0, -pole))
             h = impulse_response(filt, 1e-10)
-            q = build_q_matrix(h, order_p)
-            assert np.linalg.eigvalsh(q.entries)[0] \
-                >= -1e-9 * np.trace(q.entries)
+            full_q = toeplitz(build_q_matrix(h, order_p))
+            assert np.linalg.eigvalsh(full_q)[0] \
+                >= -1e-9 * np.trace(full_q)
 
 
 class TestReducedObjective:
@@ -145,19 +151,20 @@ class TestReducedObjective:
         tail = rng.normal(size=order_p)
         full = np.concatenate(([1.0], tail))
         assert reduced_value(red, tail) == pytest.approx(
-            float(full @ q.entries @ full), rel=1e-12, abs=1e-12)
+            float(full @ toeplitz(q) @ full), rel=1e-12, abs=1e-12)
 
     def test_reduction_minimum_matches_grid_search(self):
         # brute force over a P=2 grid: attaching a_0 = 1 to the reduced
         # minimizer gives the same optimum as minimizing the full form
         q = build_q_matrix(np.array([1.0, 0.8, 0.3]), 2)
         red = reduce_objective(q)
+        full_q = toeplitz(q)
         grid = np.linspace(-2.0, 2.0, 161)
         best_full, best_red = np.inf, np.inf
         for a1 in grid:
             for a2 in grid:
                 a_vec = np.array([1.0, a1, a2])
-                best_full = min(best_full, float(a_vec @ q.entries @ a_vec))
+                best_full = min(best_full, float(a_vec @ full_q @ a_vec))
                 best_red = min(best_red,
                                reduced_value(red, np.array([a1, a2])))
         assert best_full == pytest.approx(best_red, rel=1e-12)
@@ -187,7 +194,7 @@ class TestSigma2H:
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
-            algebraic = BINARY.sigma2_eps * float(coeffs @ q.entries @ coeffs)
+            algebraic = BINARY.sigma2_eps * float(coeffs @ toeplitz(q) @ coeffs)
             fir = RationalFilter.from_polynomials(
                 num=tuple(h.samples), den=(1.0,))
             quadrature = sigma2_h(coeffs, (1.0,), fir, BINARY,

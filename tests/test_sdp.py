@@ -9,6 +9,7 @@ from ntfforge import sdp
 from ntfforge.errors import InvalidSpecError, SolverError
 from ntfforge.kyp import (
     LmiSystem,
+    _observability,
     assemble_lmi,
     bounded_real_certificate,
     grid_gain_max,
@@ -195,7 +196,7 @@ class TestGainFeasibility:
             rows = [real.c_vector]
             for _ in range(order_p - 1):
                 rows.append(rows[-1] @ real.a_matrix)
-            assert np.array_equal(sdp._observability(coeffs), np.array(rows))
+            assert np.array_equal(_observability(coeffs), np.array(rows))
 
 
 class TestNonPositiveDefiniteSchurComplement:
@@ -290,6 +291,17 @@ def symmetric(rng, n):
     return m + m.T
 
 
+def indefinite(rng, n):
+    """A symmetric matrix with a positive and a negative eigenvalue, which
+    a scaling by a positive diagonal keeps (Sylvester's law of inertia), so
+    both dZ~ and dS~ = -diag(lam) - dZ~ point out; a draw of ``symmetric``
+    is PSD now and then at small n."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    d = rng.normal(size=n)
+    d[0], d[1] = -abs(d[0]) - 0.1, abs(d[1]) + 0.1
+    return (q * d) @ q.T
+
+
 def dense_cone_basis(cone):
     """The cone's 2P+3 basis matrices, lifted from the unit vectors."""
     return np.array([cone.lift(e) for e in np.eye(cone.norm.size)])
@@ -339,7 +351,7 @@ class TestStepLength:
         rng = np.random.default_rng(seed)
         lam = np.exp(rng.uniform(-2.0, 2.0, size=n))
         root = 1.0 / np.sqrt(lam)
-        dz = {"out": lambda: symmetric(rng, n),
+        dz = {"out": lambda: indefinite(rng, n),
               "z_in": lambda: random_spd(rng, n),
               "s_in": lambda: -np.diag(lam) - random_spd(rng, n)}[kind]()
         got = sdp._predictor_steps(root, dz)
@@ -374,8 +386,8 @@ class TestStepLength:
 
 class TestDualSubspace:
     def test_placements_in_closed_form_match_evaluate(self, monkeypatch):
-        # the cone places F0 and each a_k's single coordinate directly, with
-        # the bits the projections of LmiSystem.evaluate give
+        # the cone places F0's and each a_k's coordinates from LmiSystem's
+        # layout, with the bits the projections of LmiSystem.evaluate give
         def refuse(*args):
             raise AssertionError("the cone called LmiSystem.evaluate")
 
@@ -385,7 +397,7 @@ class TestDualSubspace:
                 patch.setattr(LmiSystem, "evaluate", refuse)
                 cone = sdp._KypCone(lmi)
             f0, coeff_map = cone_placements(cone)
-            assert np.array_equal(cone.f0, f0)
+            assert np.array_equal(cone.f0, cone.project(f0))
             assert cone.coeff_map.tobytes() == coeff_map.tobytes()
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
@@ -498,5 +510,5 @@ class TestDualSubspace:
         a = x[:order_p]
         got = bounded_real_matrix(
             canonical_realization(np.concatenate(([1.0], a))),
-            cone.certificate(s), gamma)
+            cone.lmi.certificate(s), gamma)
         assert_close(got, -s)
