@@ -62,9 +62,10 @@ def load_design_spec(path: str) -> DesignSpec:
 def load_ntf(path: str):
     with open(path) as fh:
         d = json.load(fh)
-    if "a" not in d and not ("num" in d and "den" in d):
+    if not isinstance(d, dict) or not ("a" in d or "num" in d and "den" in d):
         raise InvalidSpecError(
-            "NTF artifact needs 'a' (FIR) or 'num'/'den' (rational) lists"
+            "NTF artifact must be an object with 'a' (FIR) or 'num'/'den' "
+            "(rational) lists"
         )
     return d
 

@@ -2,9 +2,9 @@
 
 The quantization-noise power after the output filter is a quadratic form in
 the FIR NTF coefficients; the quadratic matrix is the Toeplitz autocorrelation
-of the truncated impulse response, kept as its first row q_0..q_P until
-``reduce_objective`` gathers the solver's blocks from it.  Quadrature evaluators are provided for the
-same quantities so the algebraic path can be cross-checked independently.
+of the truncated impulse response, kept as its row q_0..q_P until
+``reduce_objective`` gathers the solver's blocks.  Quadrature evaluators of
+the same quantities cross-check the algebraic path independently.
 """
 
 from __future__ import annotations

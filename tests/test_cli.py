@@ -458,6 +458,8 @@ class TestVerify:
         ('{"a": 1.0, "gamma": 1.5}', 2),
         ('{"a": [1, 0.25], "gamma": "x"}', 2),
         ('{"a": [1, 0.25], "gamma": [1.5]}', 2),
+        ('"abc"', 2),
+        ('5', 2),
         # a stored certificate that is not finite is set aside, and verify
         # builds its own witness
         ('{"a": [1, 0.25], "gamma": 1.5, "certificate": '
