@@ -9,7 +9,7 @@ thread); pass --quick to stop at 21.
 import argparse
 import pathlib
 
-from ntfforge.cli import atomic_write, dump_json
+from ntfforge.cli import atomic_write, dump_json, sweep_csv
 from ntfforge.design import DesignSpec, evaluate_ntf, run_design, sweep_orders
 from ntfforge.filters import FilterSpec
 
@@ -35,10 +35,7 @@ def main():
 
     orders = (5, 8, 11, 15, 21) if args.quick else (5, 8, 11, 15, 21, 28, 37, 49)
     rows = sweep_orders(spec(), orders)
-    lines = ["order,sigma_h,runtime_seconds,status"]
-    lines += [f"{r['order']},{r['sigma_h']:.12e},{r['runtime_seconds']:.3f},"
-              f"{r['status']}" for r in rows]
-    atomic_write(str(out / "order_sweep.csv"), "\n".join(lines) + "\n")
+    atomic_write(str(out / "order_sweep.csv"), sweep_csv(rows))
     for r in rows:
         print(f"order {r['order']:2d}: sigma_h={r['sigma_h']:.4e} "
               f"({r['runtime_seconds']:.1f}s)")

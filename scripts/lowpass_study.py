@@ -7,14 +7,18 @@ Artifacts (NTF JSON, sweep CSV, curves) land in --outdir.
 """
 
 import argparse
-import json
 import pathlib
 
 import numpy as np
 
-from ntfforge.cli import atomic_write, dump_json
+from ntfforge.cli import atomic_write, dump_json, sweep_csv
 from ntfforge.design import DesignSpec, evaluate_ntf, run_design, sweep_orders
-from ntfforge.filters import FilterSpec, FrequencyGrid, design_filter
+from ntfforge.filters import (
+    FilterSpec,
+    FrequencyGrid,
+    design_filter,
+    frequency_response,
+)
 from ntfforge.objective import merit_integrand
 
 FS = 2.048e6
@@ -46,10 +50,7 @@ def main():
               f"simulated={report.simulated_snr_db:.2f} dB")
 
     rows = sweep_orders(spec(), (5, 6, 9, 13, 18, 25))
-    lines = ["order,sigma_h,runtime_seconds,status"]
-    lines += [f"{r['order']},{r['sigma_h']:.12e},{r['runtime_seconds']:.3f},"
-              f"{r['status']}" for r in rows]
-    atomic_write(str(out / "order_sweep.csv"), "\n".join(lines) + "\n")
+    atomic_write(str(out / "order_sweep.csv"), sweep_csv(rows))
     print("order sweep:", {r["order"]: round(r["sigma_h"], 8) for r in rows})
 
     # amplitude robustness: the design keeps working up to full scale
@@ -68,8 +69,6 @@ def main():
     filt = design_filter(result.spec.filter_spec)
     freq_hz = grid.omegas * FS / (2 * np.pi)
     mag_f = 20 * np.log10(np.maximum(np.abs(filt.response(grid)), 1e-300))
-    from ntfforge.filters import frequency_response
-
     mag_n = 20 * np.log10(np.maximum(
         np.abs(frequency_response(result.ntf.coeffs, (1.0,), grid)), 1e-300))
     integ = merit_integrand(result.ntf.coeffs, (1.0,), filt, grid)

@@ -33,7 +33,6 @@ from .modsim import (
     ModTrace,
     NtfFir,
     Quantizer,
-    SnrReport,
     expected_snr,
     make_test_signal,
     measure_snr,
@@ -46,6 +45,6 @@ from .objective import (
     reduce_objective,
     sigma2_h,
 )
-from .sdp import SdpProblem, SdpSolution, SolverSettings, extract_ntf, solve
+from .sdp import SdpProblem, SdpSolution, SolverSettings, solve
 
 __version__ = "0.1.0"

@@ -54,6 +54,14 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def sweep_csv(rows) -> str:
+    """The CSV text of ``sweep_orders`` rows."""
+    lines = ["order,sigma_h,runtime_seconds,status"]
+    lines += [f"{r['order']},{r['sigma_h']:.12e},{r['runtime_seconds']:.3f},"
+              f"{r['status']}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def load_design_spec(path: str) -> DesignSpec:
     with open(path) as fh:
         return DesignSpec.from_json_dict(json.load(fh))
@@ -121,11 +129,7 @@ def cmd_sweep(args) -> int:
         spec = dataclasses.replace(spec, gamma=args.gamma)
     orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     rows = sweep_orders(spec, orders)
-    lines = ["order,sigma_h,runtime_seconds,status"]
-    for row in rows:
-        lines.append(f"{row['order']},{row['sigma_h']:.12e},"
-                     f"{row['runtime_seconds']:.3f},{row['status']}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, sweep_csv(rows))
     for row in rows:
         print(f"order {row['order']:3d}: sigma_h={row['sigma_h']:.6e} "
               f"({row['status']})")

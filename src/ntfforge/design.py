@@ -30,7 +30,7 @@ from .kyp import (
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
 from .objective import NoiseBudget, build_q_matrix, noise_gain, reduce_objective
 from .objective import sigma2_h as quad_sigma2_h
-from .sdp import SdpProblem, SdpSolution, SolverSettings, extract_ntf, solve
+from .sdp import SdpProblem, SdpSolution, SolverSettings, solve
 
 log = logging.getLogger("ntfforge.design")
 
@@ -143,8 +143,7 @@ def certificate_from_solution(solution: SdpSolution,
                               gamma: float) -> BoundedRealCertificate:
     """The gain-bound certificate of the solver's own coefficients and
     certificate matrix; raises BoundViolationError when it fails."""
-    return verify_bounded_real(extract_ntf(solution), gamma,
-                               solution.p_matrix)
+    return verify_bounded_real(solution.ntf_coeffs, gamma, solution.p_matrix)
 
 
 def run_design(spec: DesignSpec) -> DesignResult:
@@ -168,13 +167,12 @@ def run_design(spec: DesignSpec) -> DesignResult:
             f"{solution.iterations} iterations: relative gap {res['gap']:.3e}, "
             f"primal residual {res['primal']:.3e}, "
             f"dual residual {res['dual']:.3e}")
-    coeffs = extract_ntf(solution)
-    sigma2 = spec.budget.sigma2_eps * noise_gain(h, coeffs)
+    sigma2 = spec.budget.sigma2_eps * noise_gain(h, solution.ntf_coeffs)
     cert = certificate_from_solution(solution, spec.gamma)
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
              solution.runtime_seconds)
-    return DesignResult(ntf=NtfFir(coeffs=coeffs), sigma2_h=float(sigma2),
+    return DesignResult(ntf=NtfFir(coeffs=solution.ntf_coeffs), sigma2_h=float(sigma2),
                         certificate=cert, solution=solution, filt=filt,
                         spec=spec)
 
@@ -258,22 +256,21 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         freqs = freqs[:1]
     power = amplitude**2 if signal_kind == "dc" \
         else len(freqs) * amplitude**2 / 2.0
-    exp_rep = expected_snr(amplitude, sigma2, signal_power=power)
+    expected_db = expected_snr(amplitude, sigma2, signal_power=power)
     simulated_db = float("nan")
     overloaded = False
     if fir is not None:
         amps = (amplitude,) * len(freqs)
         w = make_test_signal(signal_kind, freqs, amps, spec.fs_hz, n_samples)
         trace = simulate(fir, w, spec.quantizer)
-        sim_rep = measure_snr(trace, filt, h)
-        simulated_db = sim_rep.snr_db
+        simulated_db = measure_snr(trace, filt, h)
         overloaded = trace.overloaded
     zeros = polynomial_roots(num)
     grid_max = grid_gain_max(num, den=den)
     return EvaluationReport(
         ntf_coeffs=tuple(float(v) for v in num),
         sigma2_h=float(sigma2),
-        expected_snr_db=exp_rep.snr_db,
+        expected_snr_db=expected_db,
         simulated_snr_db=simulated_db,
         grid_max_ntf=grid_max,
         gamma=spec.gamma,

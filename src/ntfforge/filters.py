@@ -219,10 +219,6 @@ class RationalFilter:
         (samples x columns) filters each column."""
         return _run_filter(_filter_operators(self), x)
 
-    @classmethod
-    def identity(cls) -> "RationalFilter":
-        return cls.from_polynomials((1.0,), (1.0,))
-
 
 @dataclass(frozen=True)
 class ImpulseResponse:
@@ -241,14 +237,6 @@ class ImpulseResponse:
         if self.tail_energy_fraction > self.energy_tol:
             raise InvalidSpecError("tail energy exceeds the truncation tolerance")
         object.__setattr__(self, "samples", arr)
-
-    @property
-    def truncation_index(self) -> int:
-        return self.samples.size - 1
-
-    @property
-    def energy(self) -> float:
-        return float(np.dot(self.samples, self.samples))
 
 
 def _polyval_zinv(coeffs, zinv):

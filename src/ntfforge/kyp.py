@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import BoundViolationError, InvalidSpecError
 from .filters import FrequencyGrid, frequency_response
+from .modsim import NtfFir
 
 CERT_EIG_TOL = 1e-9
 FEAS_EIG_TOL = 1e-7
@@ -122,16 +123,6 @@ class BoundedRealCertificate:
         }
 
 
-def _monic_coefficients(coeffs) -> np.ndarray:
-    """The coefficients a_0..a_P of an FIR NTF as a finite float vector,
-    checked for the unit leading coefficient every NTF here carries."""
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
-    if a.ndim != 1 or a.size == 0 or a[0] != 1.0 or not np.all(np.isfinite(a)):
-        raise InvalidSpecError("coefficients must be a finite vector with "
-                               "leading coefficient exactly 1")
-    return a
-
-
 def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
     """The affine map (a, P) -> bounded-real block matrix for order P and
     gamma.
@@ -148,24 +139,25 @@ def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
 def grid_gain_max(coeffs, points: int = VERIFY_GRID, den=(1.0,)) -> float:
     """Dense-grid maximum of |NTF| over [0, pi]; FIR unless a denominator
     ``den`` is given."""
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    a = np.asarray(coeffs, dtype=float)
     grid = FrequencyGrid.uniform(points)
     return float(np.max(np.abs(frequency_response(a, den, grid))))
 
 
-def bounded_real_certificate(coeffs, p_matrix,
+def bounded_real_certificate(a: np.ndarray, p_matrix,
                              gamma: float) -> BoundedRealCertificate:
-    """The gain-bound certificate of an FIR filter with witness P: the top
-    eigenvalue of the bounded-real block matrix, the bottom one of P and the
-    dense-grid gain maximum.  ``verify_bounded_real`` judges it."""
-    a = _monic_coefficients(coeffs)
+    """The gain-bound certificate of the FIR filter a_0..a_P (a float vector
+    with a_0 = 1, as ``verify_bounded_real`` checks it) with witness P: the
+    top eigenvalue of the bounded-real block matrix, the bottom one of P (0
+    for the empty P of order 0) and the dense-grid gain maximum.
+    ``verify_bounded_real`` judges it."""
     pm = np.asarray(p_matrix, dtype=float)
-    big = assemble_lmi(a.size - 1, gamma).evaluate(a[1:], pm)
+    big = LmiSystem(order=a.size - 1, gamma=gamma).evaluate(a[1:], pm)
     return BoundedRealCertificate(
         p_matrix=pm,
         gamma=float(gamma),
         max_eigenvalue_big=float(np.linalg.eigvalsh(big)[-1]),
-        min_eigenvalue_p=float(np.linalg.eigvalsh(pm)[0]),
+        min_eigenvalue_p=float(np.linalg.eigvalsh(pm)[0]) if pm.size else 0.0,
         grid_max=grid_gain_max(a),
     )
 
@@ -180,23 +172,14 @@ def verify_bounded_real(coeffs, gamma: float,
     (``sdp.solve_gain_feasibility``), judged the same way at gamma.
     Both the algebra (``feasible``) and the dense grid (slack
     ``GRID_SLACK``) must hold the gain within gamma, else this raises.
+    A zero-order NTF (a_0 = 1 alone) is judged the same way: its P is empty
+    and its block matrix is ``LmiSystem.corner``, which is negative
+    semidefinite exactly when gamma >= 1.
+    The coefficients must be a finite vector with a_0 = 1 (``NtfFir``).
     """
-    a = _monic_coefficients(coeffs)
+    a = NtfFir(coeffs).coeffs
     if gamma <= 0:
         raise InvalidSpecError("gamma must be positive")
-    if a.size == 1:
-        # zero-order NTF: unit gain, and the block matrix is its corner alone
-        if 1.0 > gamma * (1.0 + GRID_SLACK):
-            raise BoundViolationError(
-                f"gain bound violated: |a_0| = 1 > gamma {gamma}",
-                grid_max=1.0,
-            )
-        corner = LmiSystem(order=0, gamma=gamma).corner
-        return BoundedRealCertificate(
-            p_matrix=np.zeros((0, 0)), gamma=float(gamma),
-            max_eigenvalue_big=float(np.linalg.eigvalsh(corner)[-1]),
-            min_eigenvalue_p=0.0, grid_max=1.0,
-        )
     if p_matrix is None:
         from .sdp import solve_gain_feasibility
 

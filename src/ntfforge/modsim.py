@@ -81,10 +81,6 @@ class Quantizer:
         """Decision thresholds, one between each pair of adjacent levels."""
         return [0.5 * (lo + hi) for lo, hi in zip(self.levels, self.levels[1:])]
 
-    def quantize(self, value: float) -> float:
-        """Nearest level; midpoints round toward the higher level."""
-        return self.levels[bisect_right(self.midpoints, value)]
-
 
 @dataclass(frozen=True)
 class ModTrace:
@@ -95,17 +91,6 @@ class ModTrace:
     quant_error_e: np.ndarray
     overloaded: bool
     transient_discard: int
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """Signal/noise powers after the output filter, in linear and dB."""
-
-    signal_power: float
-    noise_power: float
-    snr_db: float
-    amplitude: float
-    method: str
 
 
 def _inverse_taps(coeffs: np.ndarray, nlev: int) -> np.ndarray:
@@ -153,7 +138,7 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     each sample costs one lookup and one threshold search whatever P is.
     The sums equal the per-sample recursion's to rounding, so the decisions
     are the same unless a sum lies within that rounding of a threshold.
-    Decisions use ``Quantizer.midpoints``, ties going up, as ``quantize``.
+    Decisions use ``Quantizer.midpoints``, ties going up.
     """
     w = np.asarray(input_w, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -214,8 +199,8 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
 
 
 def measure_snr(trace: ModTrace, filt: RationalFilter,
-                response: ImpulseResponse | None = None) -> SnrReport:
-    """SNR through the output filter.
+                response: ImpulseResponse | None = None) -> float:
+    """SNR through the output filter, in dB, capped at ``SNR_DB_CAP``.
 
     Signal power is the mean square of the filtered input alone; noise power
     is the mean square of the filtered difference between input and modulator
@@ -241,17 +226,14 @@ def measure_snr(trace: ModTrace, filt: RationalFilter,
     if signal_power == 0.0:
         raise NtfForgeError("signal power is zero; SNR undefined")
     if noise_power == 0.0:
-        snr_db = SNR_DB_CAP
-    else:
-        snr_db = min(SNR_DB_CAP, 10.0 * math.log10(signal_power / noise_power))
-    amplitude = float(np.max(np.abs(w))) if w.size else 0.0
-    return SnrReport(signal_power=signal_power, noise_power=noise_power,
-                     snr_db=snr_db, amplitude=amplitude, method="simulated")
+        return SNR_DB_CAP
+    return min(SNR_DB_CAP, 10.0 * math.log10(signal_power / noise_power))
 
 
 def expected_snr(amplitude: float, sigma2_h: float,
-                 signal_power: float | None = None) -> SnrReport:
-    """White-noise SNR prediction for a test signal of the given amplitude.
+                 signal_power: float | None = None) -> float:
+    """White-noise SNR prediction, in dB, for a test signal of the given
+    amplitude.
 
     The signal power defaults to A^2/2, one sine of amplitude A; other test
     signals pass their own (N A^2/2 for N tones, A^2 for dc).  The noise power
@@ -266,9 +248,7 @@ def expected_snr(amplitude: float, sigma2_h: float,
         raise InvalidSpecError("noise power must be positive")
     if signal_power is None:
         signal_power = amplitude**2 / 2.0
-    return SnrReport(signal_power=signal_power, noise_power=sigma2_h,
-                     snr_db=10.0 * math.log10(signal_power / sigma2_h),
-                     amplitude=amplitude, method="expected")
+    return 10.0 * math.log10(signal_power / sigma2_h)
 
 
 def make_test_signal(kind: str, freqs_hz, amplitudes, fs_hz: float,

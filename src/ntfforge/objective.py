@@ -89,16 +89,11 @@ def reduce_objective(q: np.ndarray):
             float(q[0]))
 
 
-def _ntf_magnitude_sq(ntf_num, ntf_den, grid: FrequencyGrid) -> np.ndarray:
-    resp = frequency_response(ntf_num, ntf_den, grid)
-    return np.abs(resp) ** 2
-
-
 def merit_integrand(ntf_num, ntf_den, filt: RationalFilter,
                     grid: FrequencyGrid) -> np.ndarray:
     """|H|^2 |NTF|^2 per grid point (the linear-scale noise-density weight)."""
     hmag2 = np.abs(filt.response(grid)) ** 2
-    return hmag2 * _ntf_magnitude_sq(ntf_num, ntf_den, grid)
+    return hmag2 * np.abs(frequency_response(ntf_num, ntf_den, grid)) ** 2
 
 
 def sigma2_h(ntf_num, ntf_den, filt: RationalFilter, budget: NoiseBudget,

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError, SolverError, spec_int
+from .errors import InvalidSpecError, spec_int
 from .kyp import (
     LmiSystem,
     _observability,
@@ -75,10 +75,6 @@ class SolverSettings:
             raise InvalidSpecError("tolerances must be positive")
         if self.max_iter < 1:
             raise InvalidSpecError("max_iter must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {"gap_tol": self.gap_tol, "feas_tol": self.feas_tol,
-                "max_iter": self.max_iter}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SolverSettings":
@@ -121,10 +117,10 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: the coefficients a_1..a_P, the P x P certificate and
-    convergence diagnostics."""
+    """Solver output: the NTF coefficients a_0..a_P (a_0 = 1 exactly), the
+    P x P certificate and convergence diagnostics."""
 
-    coeffs: np.ndarray
+    ntf_coeffs: np.ndarray
     p_matrix: np.ndarray
     iterations: int
     status: str
@@ -452,7 +448,7 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
         quadratic=2.0 * problem.quadratic / obj_scale,
         constant=problem.constant / obj_scale)
     sol = SdpSolution(
-        coeffs=coeffs,
+        ntf_coeffs=np.concatenate(([1.0], coeffs)),
         p_matrix=p_matrix,
         iterations=info.get("iterations", 0),
         status=status,
@@ -467,13 +463,6 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
              p, status, sol.iterations, sol.kkt_residuals["gap"],
              sol.runtime_seconds)
     return sol
-
-
-def extract_ntf(solution: SdpSolution) -> np.ndarray:
-    """Coefficient vector a_0..a_P of the designed NTF (a_0 = 1 exactly)."""
-    if solution.status != "optimal":
-        raise SolverError(f"cannot extract NTF from status {solution.status!r}")
-    return np.concatenate(([1.0], solution.coeffs))
 
 
 # perfbench/tracing.py wraps this by name; it moves to kyp with the next
@@ -501,7 +490,7 @@ def solve_gain_feasibility(coeffs, gamma: float):
     Returns (p_matrix, feasible), feasible as ``bounded_real_certificate``
     judges it.
     """
-    a = np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float)
+    a = np.asarray(coeffs, dtype=float)
     p = a.size - 1
     poly = -np.correlate(a, a, "full")
     poly[p] += (gamma * (1.0 + WITNESS_MARGIN)) ** 2

@@ -7,18 +7,20 @@ places its entries directly), its Schur-reduced dissipation form, the
 in-band noise power of an NTF alone by quadrature, the reduced objective's
 value, the interior-point step length measured through an inverse Cholesky
 factor, the solver cone's dense constant and coefficient map built through
-``LmiSystem.evaluate``, and Horner's rule with a new array per step.
+``LmiSystem.evaluate``, Horner's rule with a new array per step, and the
+per-sample simulation loop's quantizer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ntfforge.errors import EvaluationError, InvalidSpecError
 from ntfforge.filters import _polyval_zinv
-from ntfforge.kyp import _monic_coefficients
+from ntfforge.modsim import NtfFir, Quantizer
 from ntfforge.objective import NoiseBudget
 
 
@@ -51,7 +53,7 @@ class CanonicalRealization:
 
 def canonical_realization(coeffs) -> CanonicalRealization:
     """Delay-chain realization of an FIR filter with coefficients a_0..a_P."""
-    a = _monic_coefficients(coeffs)
+    a = NtfFir(coeffs).coeffs
     if a.size < 2:
         raise InvalidSpecError("FIR order must be >= 1")
     p = a.size - 1
@@ -185,3 +187,9 @@ def polyval_zinv(coeffs, zinv):
     for c in reversed(tuple(coeffs)):
         acc = acc * zinv + c
     return acc
+
+
+def quantize(quantizer: Quantizer, value: float) -> float:
+    """The nearest of the quantizer's levels; midpoints round toward the
+    higher level."""
+    return quantizer.levels[bisect_right(quantizer.midpoints, value)]

@@ -90,8 +90,7 @@ def simulate_snr(result, freqs, amplitude, kind="sine"):
     amps = (amplitude,) * len(freqs)
     w = make_test_signal(kind, freqs, amps, spec.fs_hz, SIM_SAMPLES)
     trace = simulate(result.ntf, w, spec.quantizer)
-    rep = measure_snr(trace, result.filt)
-    return rep.snr_db, trace.overloaded, trace
+    return measure_snr(trace, result.filt), trace.overloaded, trace
 
 
 @pytest.fixture(scope="session")
@@ -131,14 +130,14 @@ class TestCriterion1LowpassReproduction:
         sigma2_eps = va_design.spec.quantizer.delta ** 2 / 12.0
         time_domain = sigma2_eps * float(shaped @ shaped)
         deviation = abs(va_design.sigma2_h - time_domain) / time_domain
-        rep = expected_snr(0.4, va_design.sigma2_h)
+        expected_db = expected_snr(0.4, va_design.sigma2_h)
         ok = report(
             f"1a (expected SNR {PAPER_LOWPASS_SNR_DB} - 10 log10 2 = "
             f"{LOWPASS_EXPECTED_SNR_DB:.2f} +- 0.5 dB; sigma2_h = "
             f"sigma_eps^2 ||a*h||^2 within 1e-9)",
-            abs(rep.snr_db - LOWPASS_EXPECTED_SNR_DB) <= 0.5
+            abs(expected_db - LOWPASS_EXPECTED_SNR_DB) <= 0.5
             and deviation <= 1e-9,
-            f"expected SNR = {rep.snr_db:.2f} dB, sigma2_h relative "
+            f"expected SNR = {expected_db:.2f} dB, sigma2_h relative "
             f"deviation from the time domain = {deviation:.2e}")
         assert ok
 
@@ -202,7 +201,7 @@ class TestCriterion4MultibandReproduction:
         snr, overloaded, _ = simulate_snr(vc_design, (1000.0, 10000.0), 0.40,
                                           kind="multitone")
         # linear model: two tones of power A^2/2 each over white shaped noise
-        predicted = (expected_snr(0.40, vc_design.sigma2_h).snr_db
+        predicted = (expected_snr(0.40, vc_design.sigma2_h)
                      + 10.0 * np.log10(2.0))
         ok = report("4a (two-tone A=0.40 SNR 48.2 +- 2 dB)",
                     abs(snr - 48.2) <= 2.0,
@@ -388,8 +387,8 @@ class TestSupplementaryReproduction:
         filt = design_filter(va_spec().filter_spec)
         conv_sigma2 = sigma2_h(num, den, filt, BINARY,
                                FrequencyGrid.uniform(8192))
-        gap = (expected_snr(0.4, va_design.sigma2_h).snr_db
-               - expected_snr(0.4, conv_sigma2).snr_db)
+        gap = (expected_snr(0.4, va_design.sigma2_h)
+               - expected_snr(0.4, conv_sigma2))
         ok = report("supplementary (predicted advantage ~4.5 dB)",
                     abs(gap - 4.5) <= 1.0, f"advantage = {gap:.2f} dB")
         assert ok
@@ -414,7 +413,7 @@ class TestSupplementaryReproduction:
 
     def test_predicted_vs_simulated_within_three_db(self, va_design):
         snr, _, _ = simulate_snr(va_design, (900.0,), 0.4)
-        predicted = expected_snr(0.4, va_design.sigma2_h).snr_db
+        predicted = expected_snr(0.4, va_design.sigma2_h)
         ok = report("supplementary (prediction within 3 dB of simulation)",
                     abs(snr - predicted) <= 3.0,
                     f"predicted {predicted:.2f} dB vs simulated {snr:.2f} dB")

@@ -439,6 +439,13 @@ class TestVerify:
         code = main(["verify", "--ntf", str(ntf_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 0.0]])
+    def test_flat_ntf_below_unit_gamma_exits_4(self, tmp_path, coeffs):
+        # [1.0] and [1.0, 0.0] are the same NTF, of gain 1 > gamma
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": coeffs, "gamma": 0.99995}))
+        assert main(["verify", "--ntf", str(ntf_path)]) == 4
+
     @pytest.mark.parametrize("coeffs, code", [
         ([0.5], 2), ([0.5, 0.0], 2), ([1.0], 0),
     ])

@@ -237,9 +237,9 @@ class TestScipyOracle:
 
 class TestImpulseResponse:
     def test_identity(self):
-        filt = RationalFilter.identity()
+        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
         resp = impulse_response(filt, 1e-12)
-        assert resp.truncation_index == 0
+        assert resp.samples.size == 1
         assert resp.samples.tolist() == [1.0]
 
     def test_geometric_series_truncation(self):
@@ -247,7 +247,7 @@ class TestImpulseResponse:
         # smallest M with tail <= 1e-12 E is 19
         filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5))
         resp = impulse_response(filt, 1e-12)
-        assert resp.truncation_index == 19
+        assert resp.samples.size == 20
         expected = 0.5 ** np.arange(20)
         assert np.allclose(resp.samples, expected, rtol=1e-12)
         assert resp.tail_energy_fraction <= 1e-12
@@ -256,25 +256,27 @@ class TestImpulseResponse:
         filt = design_filter(lp1_spec())
         resp = impulse_response(filt, 1e-12)
         # independent oracle: long direct recursion, empirical tail energies
-        n = 4 * (resp.truncation_index + 1)
+        n = 4 * resp.samples.size
         impulse = np.zeros(n)
         impulse[0] = 1.0
         h = filt.filter_signal(impulse)
         total = np.dot(h, h)
         tails = np.concatenate((np.cumsum(h[::-1] ** 2)[::-1][1:], [0.0]))
         m_direct = int(np.nonzero(tails <= 1e-12 * total)[0][0])
-        assert 1000 < resp.truncation_index < 10000
-        assert abs(resp.truncation_index - m_direct) <= 1
-        assert np.allclose(resp.samples, h[: resp.truncation_index + 1])
+        m = resp.samples.size - 1  # the truncation index
+        assert 1000 < m < 10000
+        assert abs(m - m_direct) <= 1
+        assert np.allclose(resp.samples, h[: resp.samples.size])
 
     def test_energy_reconstruction(self):
         filt = design_filter(lp1_spec())
         resp = impulse_response(filt, 1e-10)
-        n = 8 * (resp.truncation_index + 1)
+        n = 8 * resp.samples.size
         impulse = np.zeros(n)
         impulse[0] = 1.0
         full = filt.filter_signal(impulse)
-        assert resp.energy == pytest.approx(np.dot(full, full), rel=1e-9)
+        energy = np.dot(resp.samples, resp.samples)
+        assert energy == pytest.approx(np.dot(full, full), rel=1e-9)
 
     def test_fir_taps_beyond_first_window_are_kept(self):
         taps = np.zeros(3000)
@@ -282,8 +284,8 @@ class TestImpulseResponse:
         spec = FilterSpec(kind="explicit_impulse", fs_hz=1.0,
                           impulse=tuple(taps))
         resp = impulse_response(design_filter(spec), 1e-12)
-        assert resp.truncation_index == 2000
-        assert resp.energy == 2.0
+        assert resp.samples.size == 2001
+        assert np.dot(resp.samples, resp.samples) == 2.0
 
     def test_numerator_tap_beyond_first_window_is_kept(self):
         # h_i = 0.5^i + 0.5^(i - 1100) for i >= 1100; tail(M) falls below
@@ -295,12 +297,13 @@ class TestImpulseResponse:
         impulse = np.zeros(4096)
         impulse[0] = 1.0
         h = filt.filter_signal(impulse)
-        assert resp.truncation_index == 1119
+        assert resp.samples.size == 1120
         assert np.array_equal(resp.samples, h[:1120])
-        assert resp.energy == pytest.approx(np.dot(h, h), rel=1e-12)
+        energy = np.dot(resp.samples, resp.samples)
+        assert energy == pytest.approx(np.dot(h, h), rel=1e-12)
 
     def test_tolerance_validation(self):
-        filt = RationalFilter.identity()
+        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
         with pytest.raises(InvalidSpecError):
             impulse_response(filt, 0.0)
         with pytest.raises(InvalidSpecError):

