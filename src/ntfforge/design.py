@@ -172,9 +172,9 @@ def run_design(spec: DesignSpec) -> DesignResult:
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
              spec.fir_order, np.sqrt(sigma2), cert.grid_max,
              solution.runtime_seconds)
-    return DesignResult(ntf=NtfFir(coeffs=solution.ntf_coeffs), sigma2_h=float(sigma2),
-                        certificate=cert, solution=solution, filt=filt,
-                        spec=spec)
+    return DesignResult(ntf=NtfFir(coeffs=solution.ntf_coeffs),
+                        sigma2_h=float(sigma2), certificate=cert,
+                        solution=solution, filt=filt, spec=spec)
 
 
 @dataclass(frozen=True)
