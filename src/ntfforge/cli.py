@@ -103,9 +103,9 @@ def write_curve(path: str, header: str, grid: FrequencyGrid, fs_hz: float,
                 values):
     """CSV of one value per grid point, against frequency in Hz."""
     freq_hz = grid.omegas * fs_hz / (2.0 * np.pi)
-    lines = [f"freq_hz,{header}"]
-    lines += [f"{f:.10g},{v:.12e}" for f, v in zip(freq_hz, values)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = np.column_stack((freq_hz, values)).ravel().tolist()
+    atomic_write(path, f"freq_hz,{header}\n"
+                 + "%.10g,%.12e\n" * freq_hz.size % tuple(rows))
 
 
 def magnitude_db(response) -> np.ndarray:
@@ -127,13 +127,23 @@ def cmd_sweep(args) -> int:
     spec = load_design_spec(args.config)
     if args.gamma is not None:
         spec = dataclasses.replace(spec, gamma=args.gamma)
-    orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
+    orders = [_parse_number(int, tok, "order")
+              for tok in args.orders.split(",") if tok.strip()]
     rows = sweep_orders(spec, orders)
     atomic_write(args.out, sweep_csv(rows))
     for row in rows:
         print(f"order {row['order']:3d}: sigma_h={row['sigma_h']:.6e} "
               f"({row['status']})")
     return EXIT_OK
+
+
+def _parse_number(kind, text: str, name: str):
+    """A command-line number as ``kind`` (int or float), else
+    InvalidSpecError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidSpecError(f"{name} {text.strip()!r} is not a number") from None
 
 
 def _parse_signal(text: str):
@@ -146,7 +156,8 @@ def _parse_signal(text: str):
     kind, freqs = text.split(":", 1)
     if kind not in ("sine", "multitone"):
         raise InvalidSpecError(f"unknown signal kind {kind!r}")
-    return kind, tuple(float(tok) for tok in freqs.split(",") if tok.strip())
+    return kind, tuple(_parse_number(float, tok, "frequency")
+                       for tok in freqs.split(",") if tok.strip())
 
 
 def cmd_evaluate(args) -> int:

@@ -12,6 +12,7 @@ numerical dependency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,23 +42,34 @@ FILTER_KINDS = (
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing angular frequencies on [0, pi], endpoints included."""
+    """Strictly increasing angular frequencies on [0, pi], endpoints included.
+
+    The frequencies and the points e^{-i omega} on the circle are read-only,
+    so one grid can be shared; the points are computed on first use."""
 
     omegas: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
+        om = np.array(self.omegas, dtype=float)
         if om.ndim != 1 or om.size < 2:
             raise InvalidSpecError("grid needs at least two points")
         if np.any(np.diff(om) <= 0):
             raise InvalidSpecError("grid frequencies must be strictly increasing")
         if om[0] != 0.0 or abs(om[-1] - np.pi) > 1e-15:
             raise InvalidSpecError("grid must span [0, pi] inclusive")
+        om.flags.writeable = False
         object.__setattr__(self, "omegas", om)
 
     @property
     def count(self) -> int:
         return self.omegas.size
+
+    @functools.cached_property
+    def zinv(self) -> np.ndarray:
+        """z^-1 = e^{-i omega} at every grid point."""
+        points = np.exp(-1j * self.omegas)
+        points.flags.writeable = False
+        return points
 
     @classmethod
     def uniform(cls, count: int = DEFAULT_GRID_POINTS) -> "FrequencyGrid":
@@ -509,8 +521,11 @@ def impulse_response(
 
 
 def frequency_response(num, den, grid: FrequencyGrid) -> np.ndarray:
-    """Evaluate num(z^-1)/den(z^-1) at z = e^{i omega} over the grid."""
-    zinv = np.exp(-1j * grid.omegas)
+    """Evaluate num(z^-1)/den(z^-1) at z = e^{i omega} over the grid; an FIR
+    denominator (1.0,) is not evaluated."""
+    zinv = grid.zinv
+    if len(den) == 1 and den[0] == 1.0:
+        return _polyval_zinv(num, zinv)
     denv = _polyval_zinv(den, zinv)
     bad = np.abs(denv) < 1e-14
     if np.any(bad):
@@ -528,16 +543,22 @@ def polynomial_roots(coeffs) -> np.ndarray:
     if c.size == 1:
         return np.zeros(0, dtype=complex)
     roots = np.roots(c)
-    # residual |p(r)| against the coefficient scale at the root's magnitude;
-    # the magnitude is floored at 1 so roots collapsing to zero keep a scale
-    for r in roots:
-        powers = max(1.0, abs(r)) ** np.arange(c.size - 1, -1, -1)
-        scale = float(np.dot(np.abs(c), powers))
-        resid = abs(np.polyval(c, r))
-        if resid > 1e-8 * max(scale, 1e-300):
-            raise ConditioningError(
-                f"root residual {resid:.3e} exceeds 1e-8 of scale {scale:.3e}"
-            )
+    # residual |p(r)| against the coefficient scale at the root's magnitude,
+    # by Horner's rule over all roots at once; the magnitude is floored at 1
+    # so roots collapsing to zero keep a scale
+    value = np.zeros_like(roots)
+    for coeff in c:
+        value = value * roots + coeff
+    resid = np.abs(value)
+    powers = np.maximum(1.0, np.abs(roots))[:, None] ** np.arange(c.size - 1, -1, -1)
+    scale = powers @ np.abs(c)
+    bad = np.flatnonzero(resid > 1e-8 * np.maximum(scale, 1e-300))
+    if bad.size:
+        k = bad[0]
+        raise ConditioningError(
+            f"root {roots[k]:.6g} has residual {resid[k]:.3e}, beyond 1e-8 "
+            f"of scale {scale[k]:.3e}"
+        )
     return roots
 
 

@@ -136,11 +136,14 @@ def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
     return LmiSystem(order=order_p, gamma=gamma)
 
 
+_VERIFY_GRID = FrequencyGrid.uniform(VERIFY_GRID)  # shared, read-only
+
+
 def grid_gain_max(coeffs, points: int = VERIFY_GRID, den=(1.0,)) -> float:
     """Dense-grid maximum of |NTF| over [0, pi]; FIR unless a denominator
-    ``den`` is given."""
+    ``den`` is given.  The default grid is built once per process."""
     a = np.asarray(coeffs, dtype=float)
-    grid = FrequencyGrid.uniform(points)
+    grid = _VERIFY_GRID if points == VERIFY_GRID else FrequencyGrid.uniform(points)
     return float(np.max(np.abs(frequency_response(a, den, grid))))
 
 

@@ -20,8 +20,11 @@ LNCIS 312, 2005, and the trace parameterization of Dumitrescu, Positive
 Trigonometric Polynomials and Signal Processing Applications, 2007), so the
 iteration carries the coefficients, the slack and Z's coordinates there.
 Each Newton system has order 3P+3 and takes two small Cholesky factors,
-each inverted once per iteration (numpy is the only numerical dependency);
-the certificate is read off the final slack (``LmiSystem.certificate``).
+each inverted once per iteration (``_inverse_factor``, by block recursion
+from order ``BLOCK_INVERSE_MIN`` on; numpy is the only numerical
+dependency); the certificate is read off the final slack
+(``LmiSystem.certificate``).  The NT scaling takes one ``eigh`` of N^T N,
+N = L_z^T L_s (``_nt_scaling``), not an SVD of N.
 The cone derives every placement it needs from ``LmiSystem``'s layout, so
 the matrix's entries are stated in ``kyp`` alone.
 Steps are measured where the NT scaling makes S and Z both diag(lambda),
@@ -60,6 +63,7 @@ STEP_FRACTION = 0.98
 STALL_STEP = 1e-10
 WITNESS_MARGIN = 1e-9  # relative gain margin of solve_gain_feasibility
 REFINEMENT_PASSES = 2
+BLOCK_INVERSE_MIN = 48  # smallest order _triangular_inverse splits
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,9 @@ class _KypCone:
         # F_a(e_k) = -M_k is -1 on a_k's entry and on its mirror, which share
         # one slot, so it has one coordinate
         slot = self.slot.reshape(n, n)[lmi.coeff_rows, -1]
+        self.coeff_slot, self.coeff_weight = slot, -2.0 / self.norm[slot]
         self.coeff_map = np.zeros((2 * p + 3, p))
-        self.coeff_map[slot, np.arange(p)] = -2.0 / self.norm[slot]
+        self.coeff_map[slot, np.arange(p)] = self.coeff_weight
 
     def project(self, mat):
         """Coordinates <B_k, mat> of a matrix's part in the dual subspace."""
@@ -243,10 +248,11 @@ def _newton_system(cone: _KypCone, r, quadratic):
     """
     w = r @ r.T
     h = cone.gram(w)
-    h[np.diag_indices_from(h)] += 1e-14 * np.trace(h) / h.shape[0]
+    h.flat[::h.shape[0] + 1] += 1e-14 * np.trace(h) / h.shape[0]
     inv_h = _inverse_factor(h)
     cmap = cone.coeff_map
-    u = inv_h @ cmap
+    # each column of coeff_map has one nonzero, so inv_h @ coeff_map gathers
+    u = inv_h[:, cone.coeff_slot] * cone.coeff_weight
     inv_schur = _inverse_factor(quadratic + u.T @ u)
 
     def solve(rhs_y, rhs_a):
@@ -276,14 +282,32 @@ def _newton_system(cone: _KypCone, r, quadratic):
 
 def _inverse_factor(mat):
     """L^-1 for the Cholesky factor L L^T = mat; raises LinAlgError when mat
-    is not positive definite.  numpy has no triangular solver, but reversing
-    the rows and columns makes L upper triangular: LU with partial pivoting
-    then leaves it as it is and the inverse comes from back substitution
-    alone.  Inverting L directly lets LU pivot its rows, and products of
-    blockwise inverses lose accuracy too; the last iterations then end in
-    numerical failure on designs near the gain bound."""
-    lower = np.linalg.cholesky(mat)
-    return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+    is not positive definite (``_triangular_inverse``)."""
+    return _triangular_inverse(np.linalg.cholesky(mat))
+
+
+def _triangular_inverse(lower):
+    """The inverse of a lower-triangular matrix, lower triangular with exact
+    zeros above the diagonal.
+
+    numpy has no triangular solver.  Below order ``BLOCK_INVERSE_MIN`` the
+    rows and columns are reversed, which makes L upper triangular: LU with
+    partial pivoting then leaves it as it is and the inverse comes from back
+    substitution alone (inverting L directly lets LU pivot its rows).
+    Larger orders split L = [[A, 0], [C, B]] and recurse:
+    L^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], two products per level.  Its
+    residual ||X L - I|| stays within twice the LU inverse's up to cond 1e16
+    (``tests/test_sdp.py``), and the designs near the gain bound keep their
+    iteration counts."""
+    n = lower.shape[0]
+    if n < BLOCK_INVERSE_MIN:
+        return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+    k = n // 2
+    out = np.zeros_like(lower)
+    head = out[:k, :k] = _triangular_inverse(lower[:k, :k])
+    tail = out[k:, k:] = _triangular_inverse(lower[k:, k:])
+    out[k:, :k] = -(tail @ (lower[k:, :k] @ head))
+    return out
 
 
 def _max_step(root, direction):
@@ -311,10 +335,20 @@ def _predictor_steps(root, dz_scaled):
 
 def _nt_scaling(ls, lz):
     """NT scaling point from the Cholesky factors of s and z:
-    (r, lam) with r^-1 s r^-T = r^T z r = diag(lam)."""
-    _, lam, vt = np.linalg.svd(lz.T @ ls)
-    d = 1.0 / np.sqrt(lam)
-    r = (ls @ vt.T) * d[None, :]
+    (r, lam) with r^-1 s r^-T = r^T z r = diag(lam).
+
+    With N = lz^T ls = U diag(lam) V^T, r = ls V diag(lam)^-1/2.  V and lam^2
+    are taken from ``eigh`` of N^T N = ls^T z ls, which costs about half an
+    SVD of N at the solver's sizes.  That squares cond(lam): lam_max / lam_min
+    peaked at 361 on the designs measured (lowpass P=64 at gamma = 1.001), so
+    cond(N^T N) stayed below 1.3e5.  A non-positive eigenvalue raises
+    LinAlgError."""
+    n = lz.T @ ls
+    lam2, v = np.linalg.eigh(n.T @ n)
+    if not lam2[0] > 0.0:
+        raise np.linalg.LinAlgError("NT scaling of a singular pair")
+    lam = np.sqrt(lam2)
+    r = (ls @ v) * (1.0 / np.sqrt(lam))[None, :]
     return r, lam
 
 
@@ -388,16 +422,17 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         root = 1.0 / np.sqrt(lam)
 
         # predictor (affine scaling) direction, measured in scaled coordinates
+        lam_mat = np.diag(lam)
         dz_t = predictor(lam, res_primal, res_dual)
-        ds_t = -np.diag(lam) - dz_t
+        ds_t = -lam_mat - dz_t
         step_s, step_z = _predictor_steps(root, dz_t)
         alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
-        gap_aff = float(np.vdot(np.diag(lam) + alpha * ds_t,
-                                np.diag(lam) + alpha * dz_t))
+        gap_aff = float(np.vdot(lam_mat + alpha * ds_t,
+                                lam_mat + alpha * dz_t))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # corrector with Mehrotra second-order term
-        theta = sigma * mu * np.eye(lam.size) - np.diag(lam * lam) \
+        theta = np.diag(sigma * mu - lam * lam) \
             - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
         k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
         da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import ntfforge
-from ntfforge.cli import main
+from ntfforge.cli import main, write_curve
+from ntfforge.filters import FrequencyGrid
+from oracles import polyval_zinv
 
 FS = 256000.0
 
@@ -207,6 +209,15 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("orders", ["5,x", "2.5", "3, 4e"])
+    def test_malformed_order_is_validation_error(self, spec_path, tmp_path,
+                                                 orders):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--config", str(spec_path), "--orders", orders,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_roundtrip_reproduces_design_sigma2(self, spec_path, tmp_path):
@@ -240,6 +251,18 @@ class TestEvaluate:
                      "--ntf", str(ntf_path), "--amplitude", "0.4",
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("signal", ["sine:abc", "multitone:1000,x"])
+    def test_malformed_signal_frequency_is_validation_error(
+            self, spec_path, tmp_path, signal):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": [1.0, -0.5]}))
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--config", str(spec_path),
+                     "--ntf", str(ntf_path), "--amplitude", "0.4",
+                     "--signal", signal, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_external_rational_ntf_scored_by_quadrature(self, spec_path,
                                                         tmp_path):
@@ -320,6 +343,36 @@ class TestCurves:
                      "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    def test_ntf_curve_keeps_the_bits_of_a_fresh_grid(self, spec_path,
+                                                      tmp_path):
+        # the CSV of a response evaluated on a grid built for this call and
+        # written line by line
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": [1.0, -1.2, 0.5, 0.1]}))
+        out = tmp_path / "ntf.csv"
+        code = main(["curves", "--what", "ntf", "--config", str(spec_path),
+                     "--ntf", str(ntf_path), "--grid", "1025",
+                     "--out", str(out)])
+        assert code == 0
+        omegas = np.linspace(0.0, np.pi, 1025)
+        response = polyval_zinv([1.0, -1.2, 0.5, 0.1], np.exp(-1j * omegas))
+        values = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
+        want = "freq_hz,magnitude_db\n" + "".join(
+            f"{f:.10g},{v:.12e}\n"
+            for f, v in zip(omegas * FS / (2.0 * np.pi), values))
+        assert out.read_text() == want
+
+    def test_curve_bytes_match_the_per_line_form(self, tmp_path):
+        values = np.array([0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf,
+                           -2.5e-7, 1.0 / 3.0])
+        grid = FrequencyGrid.uniform(values.size)
+        out = tmp_path / "curve.csv"
+        write_curve(str(out), "value", grid, FS, values)
+        freq_hz = grid.omegas * FS / (2.0 * np.pi)
+        want = "freq_hz,value\n" + "".join(
+            f"{f:.10g},{v:.12e}\n" for f, v in zip(freq_hz, values))
+        assert out.read_bytes() == want.encode()
 
     def test_unknown_kind_rejected(self, spec_path, tmp_path):
         with pytest.raises(SystemExit):

@@ -387,6 +387,28 @@ class TestPolynomialRoots:
         with pytest.raises(InvalidSpecError):
             polynomial_roots((0.0, 0.0))
 
+    def test_first_root_off_its_polynomial_is_named(self, monkeypatch):
+        # (z - 1)(z - 2) with the second and third roots wrong
+        monkeypatch.setattr(np, "roots",
+                            lambda c: np.array([1.0, 2.5, 3.0], dtype=complex))
+        with pytest.raises(ConditioningError, match=r"root 2\.5\+0j has"):
+            polynomial_roots((1.0, -3.0, 2.0))
+
+    @pytest.mark.parametrize("shift, passes", [(5e-8, True), (2e-7, False)])
+    def test_residual_threshold_is_1e_8_of_the_scale(self, monkeypatch,
+                                                     shift, passes):
+        # at z = 1 + d, (z - 1)(z - 2) has residual about d against the
+        # scale |z|^2 + 3|z| + 2, about 6
+        roots = np.array([1.0 + shift, 2.0], dtype=complex)
+        monkeypatch.setattr(np, "roots", lambda c: roots)
+        resid = abs(np.polyval((1.0, -3.0, 2.0), roots[0]))
+        assert (resid <= 6e-8) == passes
+        if passes:
+            assert polynomial_roots((1.0, -3.0, 2.0)) is roots
+        else:
+            with pytest.raises(ConditioningError):
+                polynomial_roots((1.0, -3.0, 2.0))
+
     @given(st.lists(st.complex_numbers(max_magnitude=2.0,
                                        allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=4))
@@ -430,6 +452,17 @@ class TestFrequencyGrid:
     def test_rejects_missing_endpoints(self):
         with pytest.raises(InvalidSpecError):
             FrequencyGrid(np.array([0.1, np.pi]))
+
+    def test_points_are_computed_once_and_read_only(self):
+        omegas = np.linspace(0.0, np.pi, 65)
+        grid = FrequencyGrid(omegas)
+        omegas[1] = 0.5  # the grid keeps its own copy
+        assert grid.omegas[1] == np.pi / 64
+        assert grid.zinv is grid.zinv
+        assert grid.zinv.tobytes() == np.exp(-1j * grid.omegas).tobytes()
+        for arr in (grid.omegas, grid.zinv):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestSerialization:

@@ -5,10 +5,18 @@ from hypothesis import strategies as st
 
 from ntfforge.design import MAX_FIR_ORDER
 from ntfforge.errors import BoundViolationError, InvalidSpecError
-from ntfforge.kyp import assemble_lmi, grid_gain_max, verify_bounded_real
+from ntfforge.filters import FrequencyGrid
+from ntfforge.kyp import (
+    VERIFY_GRID,
+    _VERIFY_GRID,
+    assemble_lmi,
+    grid_gain_max,
+    verify_bounded_real,
+)
 from oracles import (
     bounded_real_matrix,
     canonical_realization,
+    polyval_zinv,
     schur_equivalence_check,
 )
 
@@ -222,6 +230,34 @@ class TestVerifyBoundedReal:
             gamma = grid_gain_max(coeffs) / 0.9
             cert = verify_bounded_real(coeffs, gamma)
             assert cert.grid_max <= gamma * (1.0 + 1e-4)
+
+
+class TestGridGainMax:
+    @pytest.mark.parametrize("order_p", [1, 12, 49, 64])
+    def test_shared_grid_keeps_the_bits_of_a_fresh_grid(self, order_p):
+        # the verify grid is built once per process; its maxima are those
+        # of a grid built from scratch for every call, FIR and rational
+        rng = np.random.default_rng(order_p)
+        coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
+        den = np.array([1.0, -0.5, 0.25])
+        zinv = np.exp(-1j * np.linspace(0.0, np.pi, VERIFY_GRID))
+        fir = float(np.max(np.abs(polyval_zinv(coeffs, zinv))))
+        rational = float(np.max(np.abs(
+            polyval_zinv(coeffs, zinv) / polyval_zinv(den, zinv))))
+        for _ in range(2):
+            assert grid_gain_max(coeffs) == fir
+            assert grid_gain_max(coeffs, den=den) == rational
+
+    def test_shared_grid_is_read_only(self):
+        for arr in (_VERIFY_GRID.omegas, _VERIFY_GRID.zinv):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_other_grid_sizes_are_built_fresh(self):
+        coeffs = np.array([1.0, -1.0])
+        zinv = FrequencyGrid.uniform(513).zinv
+        assert grid_gain_max(coeffs, points=513) == float(
+            np.max(np.abs(polyval_zinv(coeffs, zinv))))
 
 
 class TestWitnessAroundGridMax:

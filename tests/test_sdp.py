@@ -502,3 +502,53 @@ class TestDualSubspace:
             canonical_realization(np.concatenate(([1.0], a))),
             cone.lmi.certificate(s), gamma)
         assert_close(got, -s)
+
+
+def spd_with_spectrum(rng, n, log_cond):
+    """A random symmetric matrix with eigenvalues spread evenly in log scale
+    over [10^-log_cond, 1]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mat = (q * np.logspace(0, -log_cond, n)) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+def graded_spd(rng, n, log_cond):
+    """D A D with A well conditioned and D graded over 10^-log_cond/2..1, a
+    badly scaled matrix of condition about 10^log_cond."""
+    m = rng.normal(size=(n, n))
+    d = np.logspace(0, -log_cond / 2, n)
+    return (m @ m.T / n + np.eye(n)) * np.outer(d, d)
+
+
+class TestDenseKernels:
+    @given(st.integers(1, 66), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_nt_scaling_makes_both_sides_diag_lam(self, n, seed):
+        # S and Z with spectra in [1, 1e3] keep lam_max / lam_min <= 1e3
+        rng = np.random.default_rng(seed)
+        s = 1e3 * spd_with_spectrum(rng, n, 3)
+        z = 1e3 * spd_with_spectrum(rng, n, 3)
+        r, lam = sdp._nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
+        assert np.all(lam > 0.0) and lam.max() / lam.min() <= 1e3 * (1 + 1e-9)
+        # R^-1 S R^-T, by two solves since S is symmetric
+        scaled_s = np.linalg.solve(r, np.linalg.solve(r, s).T)
+        for got in (scaled_s, r.T @ z @ r):
+            assert np.max(np.abs(got - np.diag(lam))) <= 1e-10 * lam.max()
+
+    @pytest.mark.parametrize("n", [23, 24, 25, 47, 48, 49, 101, 131])
+    @pytest.mark.parametrize("log_cond", [0, 8, 16])
+    @pytest.mark.parametrize("family", [spd_with_spectrum, graded_spd])
+    def test_inverse_factor_is_triangular_and_as_accurate_as_lu(
+            self, n, log_cond, family):
+        # the block-recursive inverse against the flipped LU inverse of the
+        # same Cholesky factor, which is what orders below
+        # BLOCK_INVERSE_MIN use
+        eye = np.eye(n)
+        for seed in range(3):
+            mat = family(np.random.default_rng(seed), n, log_cond)
+            lower = np.linalg.cholesky(mat)
+            got = sdp._inverse_factor(mat)
+            assert not np.triu(got, 1).any()
+            lu = np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+            assert (np.linalg.norm(got @ lower - eye)
+                    <= 2.0 * np.linalg.norm(lu @ lower - eye))
