@@ -33,7 +33,7 @@ direction only sets the centering and the second-order term, so it takes
 one unrefined solve and one eigendecomposition for both of its step
 lengths; refinement and dS are kept for the step taken.
 The subspace's basis is sparse and Toeplitz, so the system's matrix comes
-from the scaling W = R R^T alone, through one 2-D FFT autocorrelation and
+from the scaling W = R R^T alone, through one FFT autocorrelation and
 Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever
 formed.
 
@@ -172,8 +172,13 @@ class _KypCone:
         self._toeplitz = np.where(lag[None, :] >= lag[:, None],
                                   lag[None, :] - lag[:, None], p + 1)
         self._hankel = np.minimum(lag[None, :] + lag[:, None], p + 1)
-        self._fft_shape = (2 * p + 2, 2 * p + 2)  # lags -P..P do not wrap
-        self._negative_lags = -lag % (2 * p + 2)
+        # gram's autocorrelation runs over the rows of V laid end to end,
+        # each followed by P+1 zeros, so lag (j, k) sits at j (2P+2) + k and
+        # no lag wraps in 2 (P+1) (2P+2) points
+        self._fft_size = 2 * (p + 1) * (2 * p + 2)
+        self._acf_lags = lag[:, None] * (2 * p + 2) + lag[None, :]
+        self._acf_mirrors = (lag[:, None] * (2 * p + 2) - lag[None, :]) \
+            % self._fft_size
         # F_a(e_k) = -M_k is -1 on a_k's entry and on its mirror, which share
         # one slot, so it has one coordinate
         slot = self.slot.reshape(n, n)[lmi.coeff_rows, -1]
@@ -199,7 +204,8 @@ class _KypCone:
         diagonal of the top-left block, E_j = e_j e_l^T + e_l e_j^T with
         l = P+1, V = W[:P+1, :P+1] and w = W[:, l].  Then
         tr(D_j W D_k W) = 2 (A(j, k) + A(j, -k)) with A the 2-D
-        autocorrelation of V, tr(E_i W E_j W) = 2 (w_i w_j + W[l, l] W_ij),
+        autocorrelation of V, taken by one 1-D FFT of V's zero-padded rows
+        laid end to end, tr(E_i W E_j W) = 2 (w_i w_j + W[l, l] W_ij),
         and tr(D_j W E_i W) = 2 ((T_w + H_w) W[:P+1, :])_ji with T_w and H_w
         the Toeplitz and Hankel matrices of w_0..w_P.  D_0 and E_l count
         their entries twice, so they are halved, and each element is divided
@@ -207,10 +213,12 @@ class _KypCone:
         """
         m = self.lmi.order + 1
         v, col = w[:m, :m], w[:, -1]
-        spec = np.fft.rfft2(v, s=self._fft_shape)
-        acf = np.fft.irfft2(spec.real**2 + spec.imag**2, s=self._fft_shape)
+        rows = np.zeros((m, 2 * m))
+        rows[:, :m] = v
+        spec = np.fft.rfft(rows.ravel(), n=self._fft_size)
+        acf = np.fft.irfft(spec.real**2 + spec.imag**2, n=self._fft_size)
         out = np.empty_like(self._gram_scale)
-        out[:m, :m] = acf[:m, :m] + acf[:m, self._negative_lags]
+        out[:m, :m] = acf[self._acf_lags] + acf[self._acf_mirrors]
         out[m:, m:] = np.outer(col, col) + col[-1] * w
         padded = np.append(col[:m], 0.0)
         out[:m, m:] = (padded[self._toeplitz] + padded[self._hankel]) @ w[:m]
