@@ -162,6 +162,8 @@ def _parse_signal(text: str):
 
 def cmd_evaluate(args) -> int:
     spec = load_design_spec(args.config)
+    grid = FrequencyGrid.uniform(
+        spec.grid_points if args.grid is None else args.grid)
     artifact = load_ntf(args.ntf)
     num, den = ntf_from_artifact(artifact)
     if args.signal:
@@ -176,7 +178,6 @@ def cmd_evaluate(args) -> int:
                           certificate=artifact.get("certificate"), filt=filt)
     atomic_write(args.out, dump_json(report.to_json_dict()))
     base, _ = os.path.splitext(args.out)
-    grid = FrequencyGrid.uniform(args.grid or spec.grid_points)
     write_curve(base + "_integrand.csv", "integrand_linear", grid, spec.fs_hz,
                 merit_integrand(num, den, filt, grid))
     print(f"expected {report.expected_snr_db:.2f} dB, "
@@ -190,7 +191,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_curves(args) -> int:
     spec = load_design_spec(args.config)
-    grid = FrequencyGrid.uniform(args.grid or spec.grid_points)
+    grid = FrequencyGrid.uniform(
+        spec.grid_points if args.grid is None else args.grid)
     filt = design_filter(spec.filter_spec)
     if args.what == "filter":
         header, values = "magnitude_db", magnitude_db(filt.response(grid))

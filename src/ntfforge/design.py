@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import InvalidSpecError, SolverError, spec_int
 from .filters import (
-    DEFAULT_ENERGY_TOL,
     DEFAULT_GRID_POINTS,
     FilterSpec,
     FrequencyGrid,
@@ -49,17 +48,16 @@ class DesignSpec:
     quantizer_levels: tuple = (-1.0, 1.0)
     solver: SolverSettings = field(default_factory=SolverSettings)
     grid_points: int = DEFAULT_GRID_POINTS
-    energy_tol: float = DEFAULT_ENERGY_TOL
 
     def __post_init__(self):
         if not (1 <= self.fir_order <= MAX_FIR_ORDER):
             raise InvalidSpecError(
                 f"fir_order must be in [1, {MAX_FIR_ORDER}]"
             )
-        if self.gamma <= 1.0:
+        if not 1.0 < self.gamma < np.inf:
             raise InvalidSpecError(
-                "gamma must exceed 1 (a flat NTF already has unit peak gain)"
-            )
+                "gamma must be finite and exceed 1 (a flat NTF already has "
+                "unit peak gain)")
         object.__setattr__(self, "quantizer_levels",
                            Quantizer(levels=self.quantizer_levels).levels)
 
@@ -106,7 +104,6 @@ class DesignSpec:
                 solver=SolverSettings.from_json_dict(d.get("solver", {})),
                 grid_points=spec_int(d.get("grid_points", DEFAULT_GRID_POINTS),
                                      "grid_points"),
-                energy_tol=float(d.get("energy_tol", DEFAULT_ENERGY_TOL)),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed design spec: {exc}") from None
@@ -153,7 +150,7 @@ def run_design(spec: DesignSpec) -> DesignResult:
     the gain bound, or the dense grid sees the gain above gamma.
     """
     filt = design_filter(spec.filter_spec)
-    h = impulse_response(filt, energy_tol=spec.energy_tol)
+    h = impulse_response(filt)
     q = build_q_matrix(h, spec.fir_order)
     quadratic, linear, constant = reduce_objective(q)
     lmi = assemble_lmi(spec.fir_order, spec.gamma)
@@ -164,9 +161,10 @@ def run_design(spec: DesignSpec) -> DesignResult:
         res = solution.kkt_residuals
         raise SolverError(
             f"design solve ended with status {solution.status!r} after "
-            f"{solution.iterations} iterations: relative gap {res['gap']:.3e}, "
-            f"primal residual {res['primal']:.3e}, "
-            f"dual residual {res['dual']:.3e}")
+            f"{solution.iterations} iterations: relative gap "
+            f"{res['rel_gap']:.3e}, primal residual "
+            f"{res['primal_residual']:.3e}, dual residual "
+            f"{res['dual_residual']:.3e}")
     sigma2 = spec.budget.sigma2_eps * noise_gain(h, solution.ntf_coeffs)
     cert = certificate_from_solution(solution, spec.gamma)
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
@@ -246,7 +244,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     fir = NtfFir(coeffs=num) if den.size == 1 and den[0] == 1.0 else None
     if fir is not None:
-        h = impulse_response(filt, energy_tol=spec.energy_tol)
+        h = impulse_response(filt)
         sigma2 = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
     else:
         grid = FrequencyGrid.uniform(spec.grid_points)

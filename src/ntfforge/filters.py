@@ -100,8 +100,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise InvalidSpecError(f"unknown filter kind {self.kind!r}")
-        if self.fs_hz <= 0:
-            raise InvalidSpecError("sample rate must be positive")
+        if not 0.0 < self.fs_hz < np.inf:
+            raise InvalidSpecError("sample rate must be positive and finite")
         object.__setattr__(self, "bands_hz", tuple(tuple(b) for b in self.bands_hz))
         object.__setattr__(self, "num", tuple(float(c) for c in self.num))
         object.__setattr__(self, "den", tuple(float(c) for c in self.den))

@@ -139,12 +139,11 @@ def assemble_lmi(order_p: int, gamma: float) -> LmiSystem:
 _VERIFY_GRID = FrequencyGrid.uniform(VERIFY_GRID)  # shared, read-only
 
 
-def grid_gain_max(coeffs, points: int = VERIFY_GRID, den=(1.0,)) -> float:
-    """Dense-grid maximum of |NTF| over [0, pi]; FIR unless a denominator
-    ``den`` is given.  The default grid is built once per process."""
+def grid_gain_max(coeffs, den=(1.0,)) -> float:
+    """Maximum of |NTF| over [0, pi] on the ``VERIFY_GRID`` points, built
+    once per process; FIR unless a denominator ``den`` is given."""
     a = np.asarray(coeffs, dtype=float)
-    grid = _VERIFY_GRID if points == VERIFY_GRID else FrequencyGrid.uniform(points)
-    return float(np.max(np.abs(frequency_response(a, den, grid))))
+    return float(np.max(np.abs(frequency_response(a, den, _VERIFY_GRID))))
 
 
 def bounded_real_certificate(a: np.ndarray, p_matrix,

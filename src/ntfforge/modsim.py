@@ -67,6 +67,8 @@ class Quantizer:
         levels = tuple(float(v) for v in self.levels)
         if len(levels) < 2:
             raise InvalidSpecError("need at least two quantizer levels")
+        if not np.all(np.isfinite(levels)):
+            raise InvalidSpecError("quantizer levels must be finite")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise InvalidSpecError("levels must be strictly increasing")
         object.__setattr__(self, "levels", levels)

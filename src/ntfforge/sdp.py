@@ -31,7 +31,9 @@ Steps are measured where the NT scaling makes S and Z both diag(lambda),
 as in ``coneqp``, so no inverse factor of S or Z is formed.  The predictor
 direction only sets the centering and the second-order term, so it takes
 one unrefined solve and one eigendecomposition for both of its step
-lengths; refinement and dS are kept for the step taken.
+lengths; refinement and dS are kept for the step taken.  Its right-hand
+side is -(F0 + C a), which never touches S.  The coefficient map C is held
+once, as each a_k's slot and weight: C a scatters and C^T y gathers.
 The subspace's basis is sparse and Toeplitz, so the system's matrix comes
 from the scaling W = R R^T alone, through one FFT autocorrelation and
 Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +77,8 @@ class SolverSettings:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.feas_tol <= 0:
-            raise InvalidSpecError("tolerances must be positive")
+        if not (0.0 < self.gap_tol < np.inf and 0.0 < self.feas_tol < np.inf):
+            raise InvalidSpecError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise InvalidSpecError("max_iter must be >= 1")
 
@@ -128,8 +130,8 @@ class SdpSolution:
     p_matrix: np.ndarray
     iterations: int
     status: str
-    runtime_seconds: float = 0.0
-    kkt_residuals: dict = field(default_factory=dict)
+    runtime_seconds: float
+    kkt_residuals: dict
 
 
 class _KypCone:
@@ -146,8 +148,8 @@ class _KypCone:
     entries to basis elements and ``norm`` holds each element's norm before
     normalization, so ``project`` sums entries by slot and ``lift`` gathers
     them back.  The constant F0 = -M(0; 0) is kept as its coordinates
-    ``f0``, and ``coeff_map`` holds those of the coefficients' placements
-    F_a(e_k), one entry each; both are read off ``LmiSystem``'s layout.
+    ``f0`` and each F_a(e_k) as its one coordinate, ``coeff_weight`` at
+    ``coeff_slot``; both are read off ``LmiSystem``'s layout.
     """
 
     def __init__(self, lmi: LmiSystem):
@@ -183,8 +185,6 @@ class _KypCone:
         # one slot, so it has one coordinate
         slot = self.slot.reshape(n, n)[lmi.coeff_rows, -1]
         self.coeff_slot, self.coeff_weight = slot, -2.0 / self.norm[slot]
-        self.coeff_map = np.zeros((2 * p + 3, p))
-        self.coeff_map[slot, np.arange(p)] = self.coeff_weight
 
     def project(self, mat):
         """Coordinates <B_k, mat> of a matrix's part in the dual subspace."""
@@ -194,6 +194,11 @@ class _KypCone:
     def lift(self, y):
         """The matrix sum_k y_k B_k."""
         return (y / self.norm)[self.slot].reshape(self.size, self.size)
+
+    def place(self, a):
+        """C a, the coordinates of F_a(a): each a_k scattered to its slot."""
+        return np.bincount(self.coeff_slot, self.coeff_weight * a,
+                           self.f0.size)
 
     def gram(self, w):
         """tr(B_j W B_k W) for every pair of basis elements, from a symmetric
@@ -242,24 +247,24 @@ def _newton_system(cone: _KypCone, r, quadratic):
     matrix products.
 
     The predictor only sets sigma and the second-order term (Mehrotra, SIAM
-    J. Optim. 2 (1992) 575-601), so it takes one solve with K = -diag(lam)
-    and returns dZ~ = R^T dZ R alone; dS~ = -diag(lam) - dZ~ follows from it.
+    J. Optim. 2 (1992) 575-601), so it takes one solve with K = -diag(lam),
+    whose right-hand side is -(F0 + C a) as R K R^T = -S, and returns
+    dZ~ = R^T dZ R alone; dS~ = -diag(lam) - dZ~ follows from it.
     The step taken gets two refinement passes against the unregularized
     system, which apply H through the matrices, as dS does, so they shrink
     the primal residual the step leaves: near gamma = 1 the coefficients sit
     above the bound by about that residual.  dS is formed in the scaled
     space, R (K - R^T dZ R) R^T.
 
-    Returns ``(predictor, step)``: ``predictor(lam, res_p, res_d) ->
-    dz_scaled`` and ``step(kmat, res_p, res_d) -> (da, dy, ds, dz_scaled)``,
-    with ``res_p`` the projected primal residual and dz_scaled = R^T dZ R.
+    Returns ``(predictor, step)``: ``predictor(placed, res_d) -> dz_scaled``
+    with ``placed`` = F0 + C a, and ``step(kmat, res_p, res_d) -> (da, dy,
+    ds, dz_scaled)``, with ``res_p`` = placed - project(S), both projected.
     """
     w = r @ r.T
     h = cone.gram(w)
     h.flat[::h.shape[0] + 1] += 1e-14 * np.trace(h) / h.shape[0]
     inv_h = _inverse_factor(h)
-    cmap = cone.coeff_map
-    # each column of coeff_map has one nonzero, so inv_h @ coeff_map gathers
+    # each a_k has one coordinate, so inv_h @ C gathers
     u = inv_h[:, cone.coeff_slot] * cone.coeff_weight
     inv_schur = _inverse_factor(quadratic + u.T @ u)
 
@@ -269,8 +274,8 @@ def _newton_system(cone: _KypCone, r, quadratic):
         dy = inv_h.T @ (t - u @ da)
         return dy, da
 
-    def predictor(lam, res_p, res_d):
-        dy, _ = solve(cone.project(-(r * lam) @ r.T) - res_p, res_d)
+    def predictor(placed, res_d):
+        dy, _ = solve(-placed, res_d)
         return r.T @ cone.lift(dy) @ r
 
     def step(kmat, res_p, res_d):
@@ -278,8 +283,9 @@ def _newton_system(cone: _KypCone, r, quadratic):
         dy, da = solve(rhs_y, res_d)
         for _ in range(REFINEMENT_PASSES):
             ey, ea = solve(rhs_y - cone.project(w @ cone.lift(dy) @ w)
-                           - cmap @ da,
-                           res_d - cmap.T @ dy + quadratic @ da)
+                           - cone.place(da),
+                           res_d - cone.coeff_weight * dy[cone.coeff_slot]
+                           + quadratic @ da)
             dy, da = dy + ey, da + ea
         dz_scaled = r.T @ cone.lift(dy) @ r
         ds = r @ (kmat - dz_scaled) @ r.T
@@ -396,12 +402,11 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     c_scale = 1.0 + float(np.max(np.abs(c)))
 
     status = "max_iterations"
-    iters = 0
-    info = {}
     for iters in range(1, settings.max_iter + 1):
-        res_primal = cone.f0 + cone.coeff_map @ a - cone.project(s)
+        placed = cone.f0 + cone.place(a)
+        res_primal = placed - cone.project(s)
         ga = quadratic @ a
-        res_dual = c + ga - cone.coeff_map.T @ y
+        res_dual = c + ga - cone.coeff_weight * y[cone.coeff_slot]
         gap = float(np.vdot(s, z))
         mu = gap / cone.size
         half_aga = 0.5 * float(a @ ga)
@@ -431,7 +436,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
         # predictor (affine scaling) direction, measured in scaled coordinates
         lam_mat = np.diag(lam)
-        dz_t = predictor(lam, res_primal, res_dual)
+        dz_t = predictor(placed, res_dual)
         ds_t = -lam_mat - dz_t
         step_s, step_z = _predictor_steps(root, dz_t)
         alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
@@ -493,17 +498,14 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     sol = SdpSolution(
         ntf_coeffs=np.concatenate(([1.0], coeffs)),
         p_matrix=p_matrix,
-        iterations=info.get("iterations", 0),
+        iterations=info["iterations"],
         status=status,
-        runtime_seconds=info.get("runtime_seconds", 0.0),
-        kkt_residuals={
-            "primal": info.get("primal_residual", np.inf),
-            "dual": info.get("dual_residual", np.inf),
-            "gap": info.get("rel_gap", np.inf),
-        },
+        runtime_seconds=info["runtime_seconds"],
+        kkt_residuals={key: info[key] for key in (
+            "rel_gap", "primal_residual", "dual_residual")},
     )
     log.info("solve order=%d status=%s iters=%d gap=%.2e (%.2fs)",
-             p, status, sol.iterations, sol.kkt_residuals["gap"],
+             p, status, sol.iterations, sol.kkt_residuals["rel_gap"],
              sol.runtime_seconds)
     return sol
 

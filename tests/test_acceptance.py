@@ -124,8 +124,7 @@ class TestCriterion1LowpassReproduction:
         # Delta^2/12 and no frequency-domain convention, so a density
         # changed in one place only fails this check, the window or
         # criterion 8.
-        h = impulse_response(va_design.filt,
-                             energy_tol=va_design.spec.energy_tol)
+        h = impulse_response(va_design.filt)
         shaped = np.convolve(va_design.ntf.coeffs, h.samples)
         sigma2_eps = va_design.spec.quantizer.delta ** 2 / 12.0
         time_domain = sigma2_eps * float(shaped @ shaped)
@@ -263,7 +262,7 @@ class TestCriterion6LeeBound:
         worst = ""
         passed = True
         for result in (va_design, va_design_gamma2, vb_design, vc_design):
-            gmax = grid_gain_max(result.ntf.coeffs, points=8192)
+            gmax = grid_gain_max(result.ntf.coeffs)
             gamma = result.spec.gamma
             margin = gmax / (gamma * (1 + 1e-4))
             if gmax > gamma * (1 + 1e-4):

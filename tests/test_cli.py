@@ -118,6 +118,13 @@ class TestDesign:
         ("grid_points", 2048.5),
         ("solver", {"max_iter": 10.5}),
         ("fir_order", float("inf")),
+        # non-finite numbers are rejected by the constructor that owns them
+        ("gamma", float("nan")),
+        ("fs_hz", float("inf")),
+        ("quantizer_levels", [-1.0, float("nan"), 1.0]),
+        ("quantizer_levels", [-1.0, float("inf")]),
+        ("solver", {"gap_tol": float("nan")}),
+        ("solver", {"feas_tol": float("inf")}),
     ])
     def test_malformed_value_is_validation_error(self, tmp_path, field, value):
         spec = {
@@ -131,6 +138,17 @@ class TestDesign:
         path.write_text(json.dumps(spec))
         out = tmp_path / "x.json"
         code = main(["design", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_override_is_validation_error(
+            self, spec_path, tmp_path, command, gamma):
+        out = tmp_path / "x.out"
+        orders = ["--orders", "2,3"] if command == "sweep" else []
+        code = main([command, "--config", str(spec_path), "--out", str(out),
+                     "--gamma", gamma, *orders])
         assert code == 2
         assert not out.exists()
 
@@ -299,6 +317,34 @@ class TestEvaluate:
                         spec.budget, FrequencyGrid.uniform(4096))
         assert report["sigma2_h"] == pytest.approx(quad, rel=1e-6)
 
+    def test_non_finite_quantizer_level_is_validation_error(self, tmp_path):
+        # a spec that the design step rejects is rejected by evaluate too
+        spec = {"fs_hz": FS,
+                "filter": {"kind": "lowpass_butterworth", "order": 1,
+                           "bands_hz": [[0.0, 2000.0]]},
+                "fir_order": 1, "quantizer_levels": [-1.0, float("nan"), 1.0]}
+        spec_file = tmp_path / "levels.json"
+        spec_file.write_text(json.dumps(spec))
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": [1.0, -1.0]}))
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--config", str(spec_file), "--ntf",
+                     str(ntf_path), "--amplitude", "0.4", "--out", str(out)])
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == sorted([spec_file, ntf_path])
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    def test_grid_below_two_is_validation_error(self, spec_path, tmp_path,
+                                                grid):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": [1.0, -1.0]}))
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--config", str(spec_path), "--ntf",
+                     str(ntf_path), "--amplitude", "0.4", "--grid", grid,
+                     "--out", str(out)])
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == sorted([spec_path, ntf_path])
+
     def test_strict_mode_fails_on_gain_violation(self, spec_path, tmp_path):
         ext = tmp_path / "hot.json"
         ext.write_text(json.dumps({"a": [1.0, -0.8, 0.3]}))
@@ -373,6 +419,15 @@ class TestCurves:
         want = "freq_hz,value\n" + "".join(
             f"{f:.10g},{v:.12e}\n" for f, v in zip(freq_hz, values))
         assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    def test_grid_below_two_is_validation_error(self, spec_path, tmp_path,
+                                                grid):
+        out = tmp_path / "filter.csv"
+        code = main(["curves", "--what", "filter", "--config", str(spec_path),
+                     "--grid", grid, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_kind_rejected(self, spec_path, tmp_path):
         with pytest.raises(SystemExit):

@@ -299,7 +299,7 @@ class TestNoisePowerWithoutCancellation:
     def test_design_and_evaluation_match_exact_arithmetic(self, fir_order):
         spec = bandpass_spec(fir_order, 4.0)
         result = run_design(spec)
-        h = impulse_response(result.filt, energy_tol=spec.energy_tol)
+        h = impulse_response(result.filt)
         want = spec.budget.sigma2_eps * exact_noise_gain(h.samples,
                                                          result.ntf.coeffs)
         report = evaluate_ntf(result.ntf, spec, 0.3, n_samples=2**12,
@@ -407,3 +407,22 @@ class TestStudyScripts:
         assert calls
         for call in calls:
             assert {kw.arg for kw in call.keywords} <= set(accepted)
+
+    def test_same_answer_designs_build(self, monkeypatch):
+        # the same-answer check's 38 designs, built without solving; the
+        # script imports bench_pairs from its own directory
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        monkeypatch.syspath_prepend(str(scripts))
+        module_spec = importlib.util.spec_from_file_location(
+            "same_answers", scripts / "same_answers.py")
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        specs = {name: DesignSpec.from_json_dict(config)
+                 for name, config in module.designs().items()}
+        assert len(specs) == 38
+        assert sorted(spec.fir_order for spec in specs.values()) == sorted(
+            [*range(5, 26), 64, 49, 49, 64, 64, 50, 25, 25, 25, 49, 49, 49,
+             64, 64, 64, 35, 35])
+        tight = [spec for spec in specs.values()
+                 if spec.solver == SolverSettings(gap_tol=1e-10, feas_tol=1e-9)]
+        assert len(tight) == 10

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ntfforge.design import MAX_FIR_ORDER
 from ntfforge.errors import BoundViolationError, InvalidSpecError
-from ntfforge.filters import FrequencyGrid
 from ntfforge.kyp import (
     VERIFY_GRID,
     _VERIFY_GRID,
@@ -252,12 +251,6 @@ class TestGridGainMax:
         for arr in (_VERIFY_GRID.omegas, _VERIFY_GRID.zinv):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-
-    def test_other_grid_sizes_are_built_fresh(self):
-        coeffs = np.array([1.0, -1.0])
-        zinv = FrequencyGrid.uniform(513).zinv
-        assert grid_gain_max(coeffs, points=513) == float(
-            np.max(np.abs(polyval_zinv(coeffs, zinv))))
 
 
 class TestWitnessAroundGridMax:

@@ -61,9 +61,9 @@ class TestSolve:
 
     def test_kkt_residuals_small_at_optimal(self):
         sol = solve(toy_problem(), TIGHT)
-        assert sol.kkt_residuals["primal"] <= 1e-6
-        assert sol.kkt_residuals["dual"] <= 1e-6
-        assert sol.kkt_residuals["gap"] <= 1e-6
+        assert sol.kkt_residuals["primal_residual"] <= 1e-6
+        assert sol.kkt_residuals["dual_residual"] <= 1e-6
+        assert sol.kkt_residuals["rel_gap"] <= 1e-6
 
     def test_ntf_coeffs_lead_with_exact_one(self):
         sol = solve(toy_problem(), TIGHT)
@@ -377,10 +377,13 @@ class TestStepLength:
 class TestDualSubspace:
     def test_placements_in_closed_form_match_evaluate(self, monkeypatch):
         # the cone places F0's and each a_k's coordinates from LmiSystem's
-        # layout, with the bits the projections of LmiSystem.evaluate give
+        # layout, with the bits the projections of LmiSystem.evaluate give:
+        # each a_k has one coordinate, coeff_weight at coeff_slot, and the
+        # scatter C a gives the dense map's bits
         def refuse(*args):
             raise AssertionError("the cone called LmiSystem.evaluate")
 
+        rng = np.random.default_rng(0)
         for order_p in range(1, 65):
             lmi = assemble_lmi(order_p, (1.0, 1.02, 1.5, 4.0)[order_p % 4])
             with monkeypatch.context() as patch:
@@ -388,7 +391,11 @@ class TestDualSubspace:
                 cone = sdp._KypCone(lmi)
             f0, coeff_map = cone_placements(cone)
             assert np.array_equal(cone.f0, cone.project(f0))
-            assert cone.coeff_map.tobytes() == coeff_map.tobytes()
+            held = np.zeros_like(coeff_map)
+            held[cone.coeff_slot, np.arange(order_p)] = cone.coeff_weight
+            assert held.tobytes() == coeff_map.tobytes()
+            a = rng.normal(size=order_p)
+            assert cone.place(a).tobytes() == (coeff_map @ a).tobytes()
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -474,22 +481,43 @@ class TestDualSubspace:
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_predictor_matches_the_refined_step(self, order_p, gamma, seed):
-        # the predictor's one unrefined solve gives the dZ~ of the refined
-        # step with K = -diag(lam)
+        # the predictor's one unrefined solve on F0 + C a gives the dZ~ of
+        # the refined step with K = -diag(lam) at the slack S = R diag(lam) R^T
         rng = np.random.default_rng(seed)
-        cone, _, _, _ = random_kyp_point(rng, order_p, gamma)
+        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
         n = order_p + 2
         half = rng.normal(size=(order_p, order_p))
         quad = half @ half.T
-        r, lam = sdp._nt_scaling(np.linalg.cholesky(random_spd(rng, n)),
+        s = random_spd(rng, n)
+        r, lam = sdp._nt_scaling(np.linalg.cholesky(s),
                                  np.linalg.cholesky(random_spd(rng, n)))
-        res_p = cone.project(symmetric(rng, n))
+        placed = cone.f0 + cone.place(rng.normal(size=order_p))
         res_d = rng.normal(size=order_p)
 
         predictor, step = sdp._newton_system(cone, r, quad)
-        want = step(np.diag(-lam), res_p, res_d)[3]
-        got = predictor(lam, res_p, res_d)
+        want = step(np.diag(-lam), placed - cone.project(s), res_d)[3]
+        got = predictor(placed, res_d)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_predictor_right_hand_side_in_closed_form(self, order_p, gamma,
+                                                      seed, log_cond):
+        # R diag(lam) R^T = S at an NT pair, so the predictor's right-hand
+        # side project(R (-diag(lam)) R^T) - r_p, r_p = F0 + C a - project(S),
+        # is -(F0 + C a) up to the rounding of the terms it cancels
+        rng = np.random.default_rng(seed)
+        cone = sdp._KypCone(assemble_lmi(order_p, gamma))
+        n = order_p + 2
+        s = spd_with_spectrum(rng, n, log_cond)
+        r, lam = sdp._nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(
+            spd_with_spectrum(rng, n, log_cond)))
+        placed = cone.f0 + cone.place(rng.normal(size=order_p))
+        res_p = placed - cone.project(s)
+        scaled = cone.project(-(r * lam) @ r.T) - res_p
+        scale = max(np.max(np.abs(placed)), np.max(np.abs(cone.project(s))))
+        assert np.max(np.abs(scaled + placed)) <= 1e-12 * scale
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
