@@ -17,13 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .design import (
-    DesignSpec,
-    default_tone_freqs,
-    evaluate_ntf,
-    run_design,
-    sweep_orders,
-)
+from .design import DesignSpec, evaluate_ntf, run_design, sweep_orders
 from .errors import BoundViolationError, InvalidSpecError, NtfForgeError, SolverError
 from .filters import FrequencyGrid, design_filter, frequency_response
 from .kyp import verify_bounded_real
@@ -162,24 +156,18 @@ def _parse_signal(text: str):
 
 def cmd_evaluate(args) -> int:
     spec = load_design_spec(args.config)
-    grid = FrequencyGrid.uniform(
-        spec.grid_points if args.grid is None else args.grid)
     artifact = load_ntf(args.ntf)
     num, den = ntf_from_artifact(artifact)
-    if args.signal:
-        kind, freqs = _parse_signal(args.signal)
-    else:
-        # evaluate_ntf supplies the default tones, one per band
-        kind = "multitone" if len(default_tone_freqs(spec)) > 1 else "sine"
-        freqs = ()
+    kind, freqs = ("multitone", ()) if args.signal is None \
+        else _parse_signal(args.signal)
     filt = design_filter(spec.filter_spec)
     report = evaluate_ntf((num, den), spec, args.amplitude, signal_kind=kind,
                           freqs_hz=freqs,
                           certificate=artifact.get("certificate"), filt=filt)
     atomic_write(args.out, dump_json(report.to_json_dict()))
     base, _ = os.path.splitext(args.out)
-    write_curve(base + "_integrand.csv", "integrand_linear", grid, spec.fs_hz,
-                merit_integrand(num, den, filt, grid))
+    write_curve(base + "_integrand.csv", "integrand_linear", spec.grid,
+                spec.fs_hz, merit_integrand(num, den, filt, spec.grid))
     print(f"expected {report.expected_snr_db:.2f} dB, "
           f"simulated {report.simulated_snr_db:.2f} dB, "
           f"grid max {report.grid_max_ntf:.6f}"
@@ -191,8 +179,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_curves(args) -> int:
     spec = load_design_spec(args.config)
-    grid = FrequencyGrid.uniform(
-        spec.grid_points if args.grid is None else args.grid)
+    grid = spec.grid
     filt = design_filter(spec.filter_spec)
     if args.what == "filter":
         header, values = "magnitude_db", magnitude_db(filt.response(grid))
@@ -277,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ntf", required=True)
     p_eval.add_argument("--amplitude", type=float, required=True)
     p_eval.add_argument("--signal", default=None,
-                        help="dc | sine:FREQ_HZ | multitone:F1,F2,...")
+                        help="dc | sine:FREQ_HZ | multitone:F1,F2,...; "
+                             "default one tone per filter band")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--grid", type=int, default=None)
     p_eval.add_argument("--strict", action="store_true")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -288,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("filter", "ntf", "integrand"))
     p_curves.add_argument("--config", required=True)
     p_curves.add_argument("--ntf", default=None)
-    p_curves.add_argument("--grid", type=int, default=None)
     p_curves.add_argument("--out", required=True)
     p_curves.set_defaults(func=cmd_curves)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -10,7 +11,6 @@ import numpy as np
 
 from .errors import InvalidSpecError, SolverError, spec_int
 from .filters import (
-    DEFAULT_GRID_POINTS,
     FilterSpec,
     FrequencyGrid,
     RationalFilter,
@@ -35,12 +35,14 @@ log = logging.getLogger("ntfforge.design")
 
 MAX_FIR_ORDER = 64
 DEFAULT_SIM_SAMPLES = 2**16
+DEFAULT_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
 class DesignSpec:
     """Complete description of one NTF design task; the sample rate is the
-    filter's."""
+    filter's, and ``grid_points`` sets the one frequency grid (``grid``) of
+    its curves and quadratures."""
 
     filter_spec: FilterSpec
     fir_order: int
@@ -54,10 +56,13 @@ class DesignSpec:
             raise InvalidSpecError(
                 f"fir_order must be in [1, {MAX_FIR_ORDER}]"
             )
-        if not 1.0 < self.gamma < np.inf:
+        # gamma * gamma is inf where gamma**2 raises OverflowError
+        if not (1.0 < self.gamma and self.gamma * self.gamma < np.inf):
             raise InvalidSpecError(
-                "gamma must be finite and exceed 1 (a flat NTF already has "
-                "unit peak gain)")
+                "gamma must exceed 1 (a flat NTF already has unit peak gain) "
+                "and have a finite square")
+        if self.grid_points < 2:
+            raise InvalidSpecError("grid_points must be >= 2")
         object.__setattr__(self, "quantizer_levels",
                            Quantizer(levels=self.quantizer_levels).levels)
 
@@ -72,6 +77,10 @@ class DesignSpec:
     @property
     def budget(self) -> NoiseBudget:
         return NoiseBudget(delta=self.quantizer.delta)
+
+    @functools.cached_property
+    def grid(self) -> FrequencyGrid:
+        return FrequencyGrid.uniform(self.grid_points)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DesignSpec":
@@ -105,7 +114,7 @@ class DesignSpec:
                 grid_points=spec_int(d.get("grid_points", DEFAULT_GRID_POINTS),
                                      "grid_points"),
             )
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpecError(f"malformed design spec: {exc}") from None
 
 
@@ -223,7 +232,7 @@ def default_tone_freqs(spec: DesignSpec):
 
 
 def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
-                 signal_kind: str = "sine", freqs_hz=None,
+                 signal_kind: str = "multitone", freqs_hz=None,
                  n_samples: int = DEFAULT_SIM_SAMPLES,
                  certificate: dict | None = None,
                  filt: RationalFilter | None = None) -> EvaluationReport:
@@ -232,12 +241,24 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     ``ntf`` is either an NtfFir or a (num, den) pair; a pair whose den is
     (1.0,) is an FIR NTF.  FIR noise powers are the energy of h * a
     (``noise_gain``, exactly reproducing the design-time value); rational
-    ones are scored by quadrature.  Time-domain simulation runs for FIR NTFs
-    only, and shares the one truncated impulse response with the noise
-    power.  ``filt`` is the spec's filter when the caller has already
-    designed it.
+    ones are scored by quadrature on the spec's ``grid``.  Time-domain
+    simulation runs for FIR NTFs only, and shares the one truncated impulse
+    response with the noise power.  ``filt`` is the spec's filter when the
+    caller has already designed it.
+
+    The test signal plays ``freqs_hz``, by default one tone per filter band
+    (``default_tone_freqs``); a sine takes exactly one tone and dc one level
+    (``make_test_signal``).  The expected SNR reads the power of that signal.
     """
     t0 = time.perf_counter()
+    if signal_kind == "dc":
+        freqs, power = (), amplitude**2
+    else:
+        freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
+        power = len(freqs) * amplitude**2 / 2.0
+    # built for rational NTFs too, so that they meet the same signal rules
+    w = make_test_signal(signal_kind, freqs, (amplitude,) * max(len(freqs), 1),
+                         spec.fs_hz, n_samples)
     if filt is None:
         filt = design_filter(spec.filter_spec)
     num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
@@ -247,19 +268,11 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         h = impulse_response(filt)
         sigma2 = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
     else:
-        grid = FrequencyGrid.uniform(spec.grid_points)
-        sigma2 = quad_sigma2_h(num, den, filt, spec.budget, grid)
-    freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
-    if signal_kind != "multitone":
-        freqs = freqs[:1]
-    power = amplitude**2 if signal_kind == "dc" \
-        else len(freqs) * amplitude**2 / 2.0
+        sigma2 = quad_sigma2_h(num, den, filt, spec.budget, spec.grid)
     expected_db = expected_snr(amplitude, sigma2, signal_power=power)
     simulated_db = float("nan")
     overloaded = False
     if fir is not None:
-        amps = (amplitude,) * len(freqs)
-        w = make_test_signal(signal_kind, freqs, amps, spec.fs_hz, n_samples)
         trace = simulate(fir, w, spec.quantizer)
         simulated_db = measure_snr(trace, filt, h)
         overloaded = trace.overloaded

@@ -5,9 +5,10 @@ A filter is held only as parallel branches of cascaded low-order sections
 Narrowband high-order designs are unusable as one flat numerator/denominator
 pair in double precision (their computed polynomial roots scatter off the unit
 disk), so every numeric operation here runs section-wise and no flat form is
-built.  Butterworth sections come from closed-form poles, and signals are
-filtered by blocks through one state space per branch; numpy is the only
-numerical dependency.
+built; the section roots are found once per filter, for its ``pole_radius``.
+Butterworth sections come from closed-form poles, and signals are filtered by
+blocks through one state space per branch; numpy is the only numerical
+dependency.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
 
 TRUNCATION_HARD_CAP = 2**20
 DEFAULT_ENERGY_TOL = 1e-12
-DEFAULT_GRID_POINTS = 4096
 _STABILITY_MARGIN = 1e-12
 FILTER_BLOCK = 128  # samples per block of filter_signal; a power of two
 
@@ -72,7 +72,7 @@ class FrequencyGrid:
         return points
 
     @classmethod
-    def uniform(cls, count: int = DEFAULT_GRID_POINTS) -> "FrequencyGrid":
+    def uniform(cls, count: int) -> "FrequencyGrid":
         if count < 2:
             raise InvalidSpecError("grid count must be >= 2")
         return cls(np.linspace(0.0, np.pi, count))
@@ -191,30 +191,27 @@ class RationalFilter:
         if any(not a or a[0] == 0.0 for branch in branches for _, a in branch):
             raise InvalidSpecError("denominator leading coefficient must be nonzero")
         object.__setattr__(self, "branches", branches)
-        radius = self.max_pole_radius()
-        if radius >= 1.0 - _STABILITY_MARGIN:
+        if self.pole_radius >= 1.0 - _STABILITY_MARGIN:
             raise ConditioningError(
-                f"pole radius {radius:.15f} at or beyond the stability margin"
-            )
+                f"pole radius {self.pole_radius:.15f} at or beyond the "
+                "stability margin")
 
     @classmethod
     def from_polynomials(cls, num, den) -> "RationalFilter":
         """The one-section filter num(z^-1)/den(z^-1)."""
         return cls(branches=(((num, den),),))
 
-    def poles(self) -> np.ndarray:
-        """Poles gathered section-wise (well-conditioned per low-order section)."""
-        roots = []
+    @functools.cached_property
+    def pole_radius(self) -> float:
+        """Largest pole magnitude, 0 without poles; the roots are found
+        section-wise (well-conditioned per low-order section), once."""
+        radius = 0.0
         for branch in self.branches:
             for _, a in branch:
-                arr = np.trim_zeros(np.asarray(a, dtype=float), "b")
-                if arr.size > 1:
-                    roots.extend(np.roots(arr))
-        return np.asarray(roots, dtype=complex)
-
-    def max_pole_radius(self) -> float:
-        p = self.poles()
-        return float(np.max(np.abs(p))) if p.size else 0.0
+                den = np.trim_zeros(np.asarray(a), "b")
+                if den.size > 1:
+                    radius = max(radius, float(np.max(np.abs(np.roots(den)))))
+        return radius
 
     def response(self, grid: FrequencyGrid) -> np.ndarray:
         """H(e^{i omega}) on the grid, evaluated branch/section-wise."""
@@ -476,12 +473,12 @@ def impulse_response(
 
     Samples come from the filter's block operators (built once) run on a
     unit impulse; the window is extended until it passes every numerator tap
-    and the geometric pole-radius bound certifies that the energy beyond it
-    is negligible against the tolerance.
+    and the geometric bound of the filter's ``pole_radius`` certifies that
+    the energy beyond it is negligible against the tolerance.
     """
     if not (0.0 < energy_tol < 1.0):
         raise InvalidSpecError("energy_tol must be in (0, 1)")
-    radius = filt.max_pole_radius()
+    radius = filt.pole_radius
     # the 16-sample tail probe says nothing until it lies past every numerator tap
     reach = max(sum(len(b) - 1 for b, _ in branch) for branch in filt.branches)
     operators = _filter_operators(filt)

@@ -177,11 +177,13 @@ def verify_bounded_real(coeffs, gamma: float,
     A zero-order NTF (a_0 = 1 alone) is judged the same way: its P is empty
     and its block matrix is ``LmiSystem.corner``, which is negative
     semidefinite exactly when gamma >= 1.
-    The coefficients must be a finite vector with a_0 = 1 (``NtfFir``).
+    The coefficients must be a finite vector with a_0 = 1 (``NtfFir``), and
+    gamma positive with a finite square.
     """
     a = NtfFir(coeffs).coeffs
-    if gamma <= 0:
-        raise InvalidSpecError("gamma must be positive")
+    # gamma * gamma is inf where gamma**2 raises OverflowError
+    if not (gamma > 0 and gamma * gamma < np.inf):
+        raise InvalidSpecError("gamma must be positive with a finite square")
     if p_matrix is None:
         from .sdp import solve_gain_feasibility
 

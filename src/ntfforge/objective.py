@@ -97,14 +97,14 @@ def merit_integrand(ntf_num, ntf_den, filt: RationalFilter,
 
 
 def sigma2_h(ntf_num, ntf_den, filt: RationalFilter, budget: NoiseBudget,
-             grid: FrequencyGrid | None = None) -> float:
-    """Quantization-noise power at the filter output by trapezoid quadrature.
+             grid: FrequencyGrid) -> float:
+    """Quantization-noise power at the filter output by trapezoid quadrature
+    on ``grid``.
 
     Accepts arbitrary rational NTFs so externally supplied designs can be
     scored.  Emits a warning when doubling the grid moves the result by more
     than 0.1% (the grid is then too coarse for this integrand).
     """
-    grid = grid or FrequencyGrid.uniform()
     integrand = merit_integrand(ntf_num, ntf_den, filt, grid)
     if not np.all(np.isfinite(integrand)):
         w_bad = grid.omegas[int(np.argmax(~np.isfinite(integrand)))]

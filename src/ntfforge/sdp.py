@@ -466,8 +466,11 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
 
 def _interior_start(problem: SdpProblem):
-    """Strictly interior start (a, P): zero coefficients and a ramped
-    diagonal certificate (strict feasibility needs gamma > 1)."""
+    """Start (a, P): zero coefficients and a ramped diagonal certificate of
+    margin max(gamma^2 - 1, 1e-6) / 2.  Within about 1e-6 of gamma = 1 the
+    start's slack -M(a; P) has its least eigenvalue below 1e-8, or negative
+    (-2.3e-7 on lowpass P=12 at gamma = 1 + 1e-10), and ``solve_conic``
+    shifts the slack."""
     p = problem.order
     gamma = problem.lmi.gamma
     margin = max(gamma * gamma - 1.0, 1e-6) / 2.0

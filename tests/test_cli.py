@@ -44,6 +44,14 @@ def identity_spec_path(tmp_path):
     return path
 
 
+def set_grid_points(spec_path, points):
+    """Rewrite the spec file with ``grid_points`` = points; returns its path."""
+    spec = json.loads(spec_path.read_text())
+    spec["grid_points"] = points
+    spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
 def run_design(spec_path, tmp_path, name="ntf.json"):
     out = tmp_path / name
     code = main(["design", "--config", str(spec_path), "--out", str(out)])
@@ -116,6 +124,7 @@ class TestDesign:
         ("filter", {"kind": "lowpass_butterworth", "order": 1.9,
                     "bands_hz": [[0.0, 2000.0]]}),
         ("grid_points", 2048.5),
+        ("grid_points", 1),
         ("solver", {"max_iter": 10.5}),
         ("fir_order", float("inf")),
         # non-finite numbers are rejected by the constructor that owns them
@@ -149,6 +158,17 @@ class TestDesign:
         orders = ["--orders", "2,3"] if command == "sweep" else []
         code = main([command, "--config", str(spec_path), "--out", str(out),
                      "--gamma", gamma, *orders])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_gamma_with_overflowing_square_is_validation_error(
+            self, spec_path, tmp_path, command):
+        # 1e200 is finite, but its square is not
+        out = tmp_path / "x.out"
+        orders = ["--orders", "2,3"] if command == "sweep" else []
+        code = main([command, "--config", str(spec_path), "--out", str(out),
+                     "--gamma", "1e200", *orders])
         assert code == 2
         assert not out.exists()
 
@@ -295,6 +315,42 @@ class TestEvaluate:
         assert report["sigma2_h"] > 0
         assert report["simulated_snr_db"] is None
 
+    @pytest.mark.parametrize("ntf", [{"a": [1.0, -0.5]},
+                                     {"num": [1.0, -1.0], "den": [1.0, -0.5]}])
+    def test_sine_with_two_tones_is_validation_error(self, spec_path,
+                                                     tmp_path, ntf):
+        # a sine is one tone, for FIR and rational NTFs alike
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps(ntf))
+        code = main(["evaluate", "--config", str(spec_path), "--ntf",
+                     str(ntf_path), "--amplitude", "0.4",
+                     "--signal", "sine:900,1300",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == sorted([spec_path, ntf_path])
+
+    def test_rational_ntf_quadrature_and_curve_share_the_spec_grid(
+            self, spec_path, tmp_path):
+        from ntfforge.design import DesignSpec
+        from ntfforge.filters import design_filter
+        from ntfforge.objective import sigma2_h
+
+        set_grid_points(spec_path, 513)
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"num": [1.0, -1.0], "den": [1.0, -0.5]}))
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--config", str(spec_path),
+                     "--ntf", str(ext), "--amplitude", "0.4",
+                     "--out", str(out)])
+        assert code == 0
+        lines = (tmp_path / "report_integrand.csv").read_text().splitlines()
+        assert len(lines) == 1 + 513
+        spec = DesignSpec.from_json_dict(json.loads(spec_path.read_text()))
+        quad = sigma2_h((1.0, -1.0), (1.0, -0.5),
+                        design_filter(spec.filter_spec), spec.budget,
+                        FrequencyGrid.uniform(513))
+        assert json.loads(out.read_text())["sigma2_h"] == quad
+
     def test_external_fir_quadrature_matches_autocorrelation_path(
             self, spec_path, tmp_path):
         coeffs = [1.0, -0.8, 0.3]
@@ -333,15 +389,15 @@ class TestEvaluate:
         assert code == 2
         assert sorted(tmp_path.iterdir()) == sorted([spec_file, ntf_path])
 
-    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    @pytest.mark.parametrize("grid", [0, 1, -5])
     def test_grid_below_two_is_validation_error(self, spec_path, tmp_path,
                                                 grid):
+        set_grid_points(spec_path, grid)
         ntf_path = tmp_path / "ntf.json"
         ntf_path.write_text(json.dumps({"a": [1.0, -1.0]}))
         out = tmp_path / "report.json"
         code = main(["evaluate", "--config", str(spec_path), "--ntf",
-                     str(ntf_path), "--amplitude", "0.4", "--grid", grid,
-                     "--out", str(out)])
+                     str(ntf_path), "--amplitude", "0.4", "--out", str(out)])
         assert code == 2
         assert sorted(tmp_path.iterdir()) == sorted([spec_path, ntf_path])
 
@@ -372,9 +428,9 @@ class TestCurves:
         ntf_path = tmp_path / "diff.json"
         ntf_path.write_text(json.dumps({"a": [1.0, -1.0]}))
         out = tmp_path / "ntf.csv"
-        code = main(["curves", "--what", "ntf", "--config", str(spec_path),
-                     "--ntf", str(ntf_path), "--grid", "513",
-                     "--out", str(out)])
+        code = main(["curves", "--what", "ntf",
+                     "--config", str(set_grid_points(spec_path, 513)),
+                     "--ntf", str(ntf_path), "--out", str(out)])
         assert code == 0
         last = out.read_text().strip().split("\n")[-1]
         freq, value = last.split(",")
@@ -397,9 +453,9 @@ class TestCurves:
         ntf_path = tmp_path / "ntf.json"
         ntf_path.write_text(json.dumps({"a": [1.0, -1.2, 0.5, 0.1]}))
         out = tmp_path / "ntf.csv"
-        code = main(["curves", "--what", "ntf", "--config", str(spec_path),
-                     "--ntf", str(ntf_path), "--grid", "1025",
-                     "--out", str(out)])
+        code = main(["curves", "--what", "ntf",
+                     "--config", str(set_grid_points(spec_path, 1025)),
+                     "--ntf", str(ntf_path), "--out", str(out)])
         assert code == 0
         omegas = np.linspace(0.0, np.pi, 1025)
         response = polyval_zinv([1.0, -1.2, 0.5, 0.1], np.exp(-1j * omegas))
@@ -420,12 +476,13 @@ class TestCurves:
             f"{f:.10g},{v:.12e}\n" for f, v in zip(freq_hz, values))
         assert out.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    @pytest.mark.parametrize("grid", [0, 1, -5])
     def test_grid_below_two_is_validation_error(self, spec_path, tmp_path,
                                                 grid):
         out = tmp_path / "filter.csv"
-        code = main(["curves", "--what", "filter", "--config", str(spec_path),
-                     "--grid", grid, "--out", str(out)])
+        code = main(["curves", "--what", "filter",
+                     "--config", str(set_grid_points(spec_path, grid)),
+                     "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -540,6 +597,19 @@ class TestVerify:
         code = main(["verify", "--ntf", str(ntf_path), "--gamma", "2.0"])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("override", [True, False])
+    def test_gamma_with_overflowing_square_is_validation_error(
+            self, tmp_path, override):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps(
+            {"a": [1.0, 0.25], "gamma": 1.5 if override else 1e200}))
+        out = tmp_path / "cert.json"
+        gamma = ["--gamma", "1e200"] if override else []
+        code = main(["verify", "--ntf", str(ntf_path), *gamma,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_bound_violation_exit_code(self, tmp_path):
         ntf_path = tmp_path / "diff.json"

@@ -113,20 +113,29 @@ class TestExpectedSnrPerSignalKind:
         assert dc.expected_snr_db - sine.expected_snr_db == pytest.approx(
             10.0 * np.log10(2.0), abs=1e-12)
 
-    def test_dc_on_two_band_spec_uses_one_amplitude(self):
-        # the default tones are one per band; dc must still get one level
-        fs = 2 * 64 * 4400.0
-        spec = DesignSpec(
-            filter_spec=FilterSpec(kind="multiband_butterworth", fs_hz=fs,
-                                   order=4, bands_hz=((800.0, 1200.0),
-                                                      (8000.0, 12000.0))),
+    def two_band_spec(self):
+        return DesignSpec(
+            filter_spec=FilterSpec(kind="multiband_butterworth",
+                                   fs_hz=2 * 64 * 4400.0, order=4,
+                                   bands_hz=((800.0, 1200.0),
+                                             (8000.0, 12000.0))),
             fir_order=4,
         )
+
+    def test_dc_on_two_band_spec_uses_one_amplitude(self):
+        # the default tones are one per band; dc must still get one level
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
-        rep = evaluate_ntf(ntf, spec, 0.3, signal_kind="dc", n_samples=2**14)
+        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3, signal_kind="dc",
+                           n_samples=2**14)
         assert rep.expected_snr_db == pytest.approx(
             10.0 * np.log10(0.3**2 / rep.sigma2_h), abs=1e-12)
         assert np.isfinite(rep.simulated_snr_db)
+
+    def test_default_signal_on_two_band_spec_plays_a_tone_per_band(self):
+        ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
+        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3, n_samples=2**14)
+        assert rep.expected_snr_db == pytest.approx(
+            10.0 * np.log10(2 * 0.3**2 / 2 / rep.sigma2_h), abs=1e-12)
 
 
 NARROWBAND_P49 = {
@@ -241,6 +250,32 @@ class TestOrderLimitNearUnitGamma:
         out = json.loads(proc.stdout.strip().splitlines()[-1])
         assert out == {"status": "optimal", "feasible": True,
                        "verified": True}
+
+
+class TestNonInteriorStart:
+    # At gamma = 1 + 1e-10 the start's margin is floored at 5e-7, far above
+    # gamma^2 - 1, so the start's slack -M is indefinite (least eigenvalue
+    # -2.3e-7) and solve_conic shifts it before the first step.
+    def test_shifted_start_ends_optimal_and_certified(self, monkeypatch):
+        import ntfforge.sdp as sdp
+
+        spec = DesignSpec.from_json_dict({
+            **ORDER_LIMIT_NEAR_UNIT_GAMMA["lowpass"], "fir_order": 12,
+            "gamma": 1.0000000001})
+        start_lam_min = []
+        genuine = sdp.solve_conic
+
+        def spy(cone, c, x0, *args, **kwargs):
+            slack = -cone.lmi.evaluate(*x0)
+            start_lam_min.append(float(np.linalg.eigvalsh(slack)[0]))
+            return genuine(cone, c, x0, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_conic", spy)
+        result = run_design(spec)
+        assert start_lam_min[0] < 1e-8  # the threshold of the shift
+        assert result.solution.status == "optimal"
+        assert result.certificate.feasible
+        assert verify_bounded_real(result.ntf.coeffs, spec.gamma).feasible
 
 
 def bandpass_spec(fir_order, gamma):
@@ -408,15 +443,20 @@ class TestStudyScripts:
         for call in calls:
             assert {kw.arg for kw in call.keywords} <= set(accepted)
 
-    def test_same_answer_designs_build(self, monkeypatch):
-        # the same-answer check's 38 designs, built without solving; the
-        # script imports bench_pairs from its own directory
+    @staticmethod
+    def load_check(monkeypatch, name):
+        # the check scripts import bench_pairs from their own directory
         scripts = Path(__file__).resolve().parents[1] / "scripts"
         monkeypatch.syspath_prepend(str(scripts))
         module_spec = importlib.util.spec_from_file_location(
-            "same_answers", scripts / "same_answers.py")
+            name, scripts / f"{name}.py")
         module = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(module)
+        return module
+
+    def test_same_answer_designs_build(self, monkeypatch):
+        # the same-answer check's 38 designs, built without solving
+        module = self.load_check(monkeypatch, "same_answers")
         specs = {name: DesignSpec.from_json_dict(config)
                  for name, config in module.designs().items()}
         assert len(specs) == 38
@@ -426,3 +466,27 @@ class TestStudyScripts:
         tight = [spec for spec in specs.values()
                  if spec.solver == SolverSettings(gap_tol=1e-10, feas_tol=1e-9)]
         assert len(tight) == 10
+
+    def test_same_output_commands_parse(self, monkeypatch):
+        # the same-output check's 30 commands, parsed and their specs built
+        # without running one; each reads inputs or earlier outputs
+        from collections import Counter
+
+        from ntfforge.cli import build_parser
+
+        module = self.load_check(monkeypatch, "same_outputs")
+        parsed = [build_parser().parse_args(argv)
+                  for argv in module.commands()]
+        assert Counter(args.command for args in parsed) == {
+            "design": 3, "verify": 6, "evaluate": 12, "curves": 9}
+        inputs = module.inputs()
+        written = []
+        for args in parsed:
+            if args.command != "verify":
+                DesignSpec.from_json_dict(json.loads(inputs[args.config]))
+            if args.command != "design":
+                assert args.ntf in [*inputs, *written, None]
+            written.append(args.out)
+            if args.command == "evaluate":
+                written.append(args.out[:-len(".json")] + "_integrand.csv")
+        assert len(set(written) - set(inputs)) == len(written) == 42

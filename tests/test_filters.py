@@ -37,11 +37,12 @@ class TestDesignFilter:
         filt = design_filter(lp1_spec())
         warped = math.tan(math.pi * 2000.0 / FS_LP)
         pole_expected = (1.0 - warped) / (1.0 + warped)
-        poles = filt.poles()
+        (b, a), = filt.branches[0]
+        poles = np.roots(np.trim_zeros(a, "b"))
         assert poles.size == 1
         assert poles[0].real == pytest.approx(pole_expected, abs=1e-12)
         assert pole_expected == pytest.approx(0.99388, abs=5e-6)
-        (b, _), = filt.branches[0]
+        assert filt.pole_radius == abs(poles[0])
         zeros = np.roots(np.trim_zeros(b, "b"))
         assert zeros.size == 1
         assert zeros[0].real == pytest.approx(-1.0, abs=1e-9)
@@ -94,7 +95,7 @@ class TestDesignFilter:
             # band-center gain (peak sits at the geometric center)
             assert 1.0 / math.sqrt(2.0) < mag <= 1.0 + 1e-9
             assert mag == pytest.approx(1.0, abs=5e-3)
-        assert filt.max_pole_radius() < 1.0
+        assert filt.pole_radius < 1.0
 
     def test_band_edge_at_nyquist_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -251,6 +252,26 @@ class TestImpulseResponse:
         expected = 0.5 ** np.arange(20)
         assert np.allclose(resp.samples, expected, rtol=1e-12)
         assert resp.tail_energy_fraction <= 1e-12
+
+    def test_poles_are_found_once_per_filter(self, monkeypatch):
+        # the stability check at construction finds the section roots; the
+        # truncation's tail bound reads the same pole_radius
+        calls = []
+        genuine = np.roots
+
+        def counted(p):
+            calls.append(p)
+            return genuine(p)
+
+        monkeypatch.setattr(np, "roots", counted)
+        filt = design_filter(FilterSpec(kind="bandpass_butterworth",
+                                        fs_hz=51200.0, order=8,
+                                        bands_hz=((800.0, 1200.0),)))
+        assert len(calls) == 4  # one per biquad
+        impulse_response(filt)
+        assert len(calls) == 4
+        assert filt.pole_radius == max(
+            float(np.max(np.abs(genuine(a)))) for b, a in filt.branches[0])
 
     def test_first_order_output_filter_truncation_matches_direct_tail_scan(self):
         filt = design_filter(lp1_spec())
@@ -501,4 +522,4 @@ def test_stability_invariant_for_random_designed_filters():
                           order=2 * int(rng.integers(1, 5)),
                           bands_hz=((lo, hi),))
         filt = design_filter(spec)
-        assert filt.max_pole_radius() < 1.0
+        assert filt.pole_radius < 1.0
