@@ -251,14 +251,6 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     (``make_test_signal``).  The expected SNR reads the power of that signal.
     """
     t0 = time.perf_counter()
-    if signal_kind == "dc":
-        freqs, power = (), amplitude**2
-    else:
-        freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
-        power = len(freqs) * amplitude**2 / 2.0
-    # built for rational NTFs too, so that they meet the same signal rules
-    w = make_test_signal(signal_kind, freqs, (amplitude,) * max(len(freqs), 1),
-                         spec.fs_hz, n_samples)
     if filt is None:
         filt = design_filter(spec.filter_spec)
     num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
@@ -269,6 +261,14 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         sigma2 = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
     else:
         sigma2 = quad_sigma2_h(num, den, filt, spec.budget, spec.grid)
+    if signal_kind == "dc":
+        freqs, power = (), amplitude**2
+    else:
+        freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
+        power = len(freqs) * amplitude**2 / 2.0
+    # built for rational NTFs too, so that they meet the same signal rules
+    w = make_test_signal(signal_kind, freqs, (amplitude,) * max(len(freqs), 1),
+                         spec.fs_hz, n_samples)
     expected_db = expected_snr(amplitude, sigma2, signal_power=power)
     simulated_db = float("nan")
     overloaded = False
