@@ -89,7 +89,7 @@ from ntfforge.modsim import make_test_signal, simulate
 spec = DesignSpec.from_json_dict(json.loads(sys.argv[1]))
 ntf = run_design(spec).ntf
 w = make_test_signal("sine", default_tone_freqs(spec)[:1],
-                     (float(sys.argv[2]),), spec.fs_hz, 2**16)
+                     float(sys.argv[2]), spec.fs_hz, 2**16)
 start = time.perf_counter()
 trace = simulate(ntf, w, spec.quantizer)
 seconds = time.perf_counter() - start

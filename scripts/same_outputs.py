@@ -12,6 +12,8 @@ bandpass P=49 and the two-band P=50.  Each is designed; verified with its
 stored gamma and with ``--gamma 1.6``; evaluated with the default signal,
 with ``dc``, with an explicit sine (one band) or multitone (two bands) and
 as a rational NTF; and exported as the filter, NTF and integrand curves.
+Each case also runs the evaluate arguments of ``REJECTED``, which must
+exit 2 and write nothing.
 
 Compares the exit codes and every file that either side wrote, byte for
 byte, after dropping the ``runtime_seconds`` line of the evaluate reports.
@@ -35,6 +37,10 @@ CASES = {
     "twoband-p50": (DESIGNS["twoband-p50"], 0.3, "multitone:900,11000"),
 }
 RATIONAL_NTF = {"num": [1.0, -1.0], "den": [1.0, -0.5]}
+# evaluate arguments that exit 2: a dc with a tone, an unknown signal kind
+# and a negative amplitude; their reports are named ``*-rejected.json``
+REJECTED = (["--signal", "dc:900"], ["--signal", "square:1000"],
+            ["--amplitude", "-0.4"])
 RUNTIME_LINE = re.compile(rb'^ *"runtime_seconds": .*\n', re.M)
 
 RUN_SCRIPT = """
@@ -72,6 +78,8 @@ def commands() -> list:
                     "--out", f"{name}-{signal.split(':')[0]}.json"])
         out.append([*evaluate, "--ntf", "rational.json",
                     "--out", f"{name}-rational.json"])
+        out += [[*evaluate, "--ntf", ntf, *args,
+                 "--out", f"{name}-rejected.json"] for args in REJECTED]
         for what in ("filter", "ntf", "integrand"):
             ntf_arg = [] if what == "filter" else ["--ntf", ntf]
             out.append(["curves", "--what", what, "--config", spec, *ntf_arg,

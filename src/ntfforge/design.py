@@ -34,7 +34,7 @@ from .sdp import SdpProblem, SdpSolution, SolverSettings, solve
 log = logging.getLogger("ntfforge.design")
 
 MAX_FIR_ORDER = 64
-DEFAULT_SIM_SAMPLES = 2**16
+SIM_SAMPLES = 2**16  # evaluate_ntf's simulation length
 DEFAULT_GRID_POINTS = 4096
 
 
@@ -233,7 +233,6 @@ def default_tone_freqs(spec: DesignSpec):
 
 def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
                  signal_kind: str = "multitone", freqs_hz=None,
-                 n_samples: int = DEFAULT_SIM_SAMPLES,
                  certificate: dict | None = None,
                  filt: RationalFilter | None = None) -> EvaluationReport:
     """Score an NTF against a design spec: noise power, SNRs, gain check.
@@ -242,13 +241,13 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     (1.0,) is an FIR NTF.  FIR noise powers are the energy of h * a
     (``noise_gain``, exactly reproducing the design-time value); rational
     ones are scored by quadrature on the spec's ``grid``.  Time-domain
-    simulation runs for FIR NTFs only, and shares the one truncated impulse
-    response with the noise power.  ``filt`` is the spec's filter when the
-    caller has already designed it.
+    simulation runs for FIR NTFs only, over ``SIM_SAMPLES`` samples, and
+    shares the one truncated impulse response with the noise power.
+    ``filt`` is the spec's filter when the caller has already designed it.
 
-    The test signal plays ``freqs_hz``, by default one tone per filter band
-    (``default_tone_freqs``); a sine takes exactly one tone and dc one level
-    (``make_test_signal``).  The expected SNR reads the power of that signal.
+    The test signal plays ``freqs_hz`` at ``amplitude``, and a sine or
+    multitone given no tone one per filter band (``default_tone_freqs``);
+    ``make_test_signal`` judges it, and the expected SNR reads its power.
     """
     t0 = time.perf_counter()
     if filt is None:
@@ -261,15 +260,15 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
         sigma2 = spec.budget.sigma2_eps * noise_gain(h, fir.coeffs)
     else:
         sigma2 = quad_sigma2_h(num, den, filt, spec.budget, spec.grid)
-    if signal_kind == "dc":
-        freqs, power = (), amplitude**2
-    else:
-        freqs = tuple(freqs_hz) if freqs_hz else default_tone_freqs(spec)
-        power = len(freqs) * amplitude**2 / 2.0
+    freqs = tuple(freqs_hz or ())
+    if not freqs and signal_kind != "dc":
+        freqs = default_tone_freqs(spec)
     # built for rational NTFs too, so that they meet the same signal rules
-    w = make_test_signal(signal_kind, freqs, (amplitude,) * max(len(freqs), 1),
-                         spec.fs_hz, n_samples)
-    expected_db = expected_snr(amplitude, sigma2, signal_power=power)
+    w = make_test_signal(signal_kind, freqs, amplitude, spec.fs_hz,
+                         SIM_SAMPLES)
+    power = amplitude**2 if signal_kind == "dc" \
+        else len(freqs) * amplitude**2 / 2.0
+    expected_db = expected_snr(power, sigma2)
     simulated_db = float("nan")
     overloaded = False
     if fir is not None:

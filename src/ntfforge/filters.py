@@ -27,7 +27,7 @@ from .errors import (
 )
 
 TRUNCATION_HARD_CAP = 2**20
-DEFAULT_ENERGY_TOL = 1e-12
+ENERGY_TOL = 1e-12  # tail energy impulse_response discards, relative
 _STABILITY_MARGIN = 1e-12
 FILTER_BLOCK = 128  # samples per block of filter_signal; a power of two
 
@@ -235,7 +235,6 @@ class ImpulseResponse:
 
     samples: np.ndarray
     tail_energy_fraction: float
-    energy_tol: float
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -243,7 +242,7 @@ class ImpulseResponse:
             raise InvalidSpecError("impulse response must be a nonempty vector")
         if not (0.0 <= self.tail_energy_fraction < 1.0):
             raise InvalidSpecError("tail energy fraction must be in [0, 1)")
-        if self.tail_energy_fraction > self.energy_tol:
+        if self.tail_energy_fraction > ENERGY_TOL:
             raise InvalidSpecError("tail energy exceeds the truncation tolerance")
         object.__setattr__(self, "samples", arr)
 
@@ -464,20 +463,15 @@ def design_filter(spec: FilterSpec) -> RationalFilter:
         _band_branch(spec.order, lo, hi, spec.fs_hz) for lo, hi in spec.bands_hz))
 
 
-def impulse_response(
-    filt: RationalFilter,
-    energy_tol: float = DEFAULT_ENERGY_TOL,
-) -> ImpulseResponse:
+def impulse_response(filt: RationalFilter) -> ImpulseResponse:
     """Truncate the impulse response at the smallest M whose discarded tail
-    energy is at most energy_tol times the total energy.
+    energy is at most ``ENERGY_TOL`` times the total energy.
 
     Samples come from the filter's block operators (built once) run on a
     unit impulse; the window is extended until it passes every numerator tap
     and the geometric bound of the filter's ``pole_radius`` certifies that
     the energy beyond it is negligible against the tolerance.
     """
-    if not (0.0 < energy_tol < 1.0):
-        raise InvalidSpecError("energy_tol must be in (0, 1)")
     radius = filt.pole_radius
     # the 16-sample tail probe says nothing until it lies past every numerator tap
     reach = max(sum(len(b) - 1 for b, _ in branch) for branch in filt.branches)
@@ -490,8 +484,7 @@ def impulse_response(
             h = _run_filter(operators, impulse)
             total = float(np.dot(h, h))
             if total == 0.0:
-                return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0,
-                                       energy_tol=energy_tol)
+                return ImpulseResponse(samples=h[:1], tail_energy_fraction=0.0)
             # energy beyond the window, bounded by the geometric decay of the tail
             if radius == 0.0:
                 beyond = 0.0
@@ -499,17 +492,15 @@ def impulse_response(
                 r2 = radius * radius
                 tail_amp = float(np.max(np.abs(h[-16:])))
                 beyond = tail_amp * tail_amp * r2 / (1.0 - r2) * 16.0
-            if beyond <= 0.01 * energy_tol * total:
+            if beyond <= 0.01 * ENERGY_TOL * total:
                 tail = np.concatenate((np.cumsum(h[::-1] ** 2)[::-1][1:], [0.0]))
                 tail += beyond
-                ok = np.nonzero(tail <= energy_tol * total)[0]
+                ok = np.nonzero(tail <= ENERGY_TOL * total)[0]
                 if ok.size:
                     m = int(ok[0])
                     return ImpulseResponse(
                         samples=h[: m + 1],
-                        tail_energy_fraction=float(tail[m] / total),
-                        energy_tol=energy_tol,
-                    )
+                        tail_energy_fraction=float(tail[m] / total))
         if n >= TRUNCATION_HARD_CAP:
             raise TruncationOverflowError(
                 f"truncation needs more than {TRUNCATION_HARD_CAP} samples"

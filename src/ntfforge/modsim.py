@@ -232,50 +232,56 @@ def measure_snr(trace: ModTrace, filt: RationalFilter,
     return min(SNR_DB_CAP, 10.0 * math.log10(signal_power / noise_power))
 
 
-def expected_snr(amplitude: float, sigma2_h: float,
-                 signal_power: float | None = None) -> float:
+def expected_snr(signal_power: float, sigma2_h: float) -> float:
     """White-noise SNR prediction, in dB, for a test signal of the given
-    amplitude.
+    mean square (N A^2/2 for N tones of amplitude A, A^2 for dc).
 
-    The signal power defaults to A^2/2, one sine of amplitude A; other test
-    signals pass their own (N A^2/2 for N tones, A^2 for dc).  The noise power
-    sigma2_h is that of white quantization error of variance Delta^2/12
-    shaped by the NTF and the output filter, i.e. the density Delta^2/(12 pi)
-    on omega in [0, pi] (``NoiseBudget.pds_constant``).  A figure quoted with
-    half that density reads 10 log10(2) = 3.01 dB higher.
+    The noise power sigma2_h is that of white quantization error of variance
+    Delta^2/12 shaped by the NTF and the output filter, i.e. the density
+    Delta^2/(12 pi) on omega in [0, pi] (``NoiseBudget.pds_constant``).  A
+    figure quoted with half that density reads 10 log10(2) = 3.01 dB higher.
     """
-    if amplitude <= 0:
-        raise InvalidSpecError("amplitude must be positive")
+    if signal_power <= 0:
+        raise InvalidSpecError("signal power must be positive")
     if sigma2_h <= 0:
         raise InvalidSpecError("noise power must be positive")
-    if signal_power is None:
-        signal_power = amplitude**2 / 2.0
     return 10.0 * math.log10(signal_power / sigma2_h)
 
 
-def make_test_signal(kind: str, freqs_hz, amplitudes, fs_hz: float,
+def make_test_signal(kind: str, freqs_hz, amplitude: float, fs_hz: float,
                      n: int) -> np.ndarray:
-    """Coherently sampled test input: every tone is snapped to an integer
-    number of cycles over the n samples to avoid leakage."""
+    """Coherently sampled test input of one finite positive amplitude A: dc
+    (no tone), one sine or a multitone, each tone snapped to its own whole
+    number of cycles below n/2 over the n samples.  The mean square is then
+    exactly N A^2/2 for N tones, or A^2 for dc."""
     if n <= 0:
         raise InvalidSpecError("length must be positive")
-    freqs = [float(f) for f in np.atleast_1d(freqs_hz)]
-    amps = [float(a) for a in np.atleast_1d(amplitudes)]
-    if kind == "dc":
-        if len(amps) != 1:
-            raise InvalidSpecError("dc takes exactly one amplitude")
-        return np.full(n, amps[0])
-    if kind not in ("sine", "multitone"):
+    if kind not in ("dc", "sine", "multitone"):
         raise InvalidSpecError(f"unknown signal kind {kind!r}")
+    freqs = [float(f) for f in np.atleast_1d(freqs_hz)]
+    if kind == "dc" and freqs:
+        raise InvalidSpecError("dc takes no frequency")
     if kind == "sine" and len(freqs) != 1:
         raise InvalidSpecError("sine takes exactly one frequency")
-    if len(freqs) != len(amps):
-        raise InvalidSpecError("amplitude/frequency length mismatch")
+    if kind == "multitone" and not freqs:
+        raise InvalidSpecError("multitone takes at least one frequency")
+    amplitude = float(amplitude)
+    if not (0.0 < amplitude < math.inf):
+        raise InvalidSpecError("amplitude must be finite and positive")
+    if kind == "dc":
+        return np.full(n, amplitude)
     t = np.arange(n)
     out = np.zeros(n)
-    for f, a in zip(freqs, amps):
+    taken = set()
+    for f in freqs:
         if not (0.0 < f < fs_hz / 2.0):
             raise InvalidSpecError(f"frequency {f} Hz outside (0, Nyquist)")
         cycles = max(1, round(f * n / fs_hz))
-        out += a * np.sin(2.0 * np.pi * cycles * t / n)
+        if 2 * cycles >= n:
+            raise InvalidSpecError(f"frequency {f} Hz snaps to n/2 cycles")
+        if cycles in taken:
+            raise InvalidSpecError(
+                f"frequency {f} Hz snaps to another tone's {cycles} cycles")
+        taken.add(cycles)
+        out += amplitude * np.sin(2.0 * np.pi * cycles * t / n)
     return out

@@ -426,31 +426,32 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             status = "optimal"
             break
 
+        # any factorization or eigenvalue routine that fails ends the solve
         try:
             r, lam = _nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
             predictor, newton_step = _newton_system(cone, r, quadratic)
+            root = 1.0 / np.sqrt(lam)
+
+            # predictor (affine scaling) direction, in scaled coordinates
+            lam_mat = np.diag(lam)
+            dz_t = predictor(placed, res_dual)
+            ds_t = -lam_mat - dz_t
+            step_s, step_z = _predictor_steps(root, dz_t)
+            alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
+            gap_aff = float(np.vdot(lam_mat + alpha * ds_t,
+                                    lam_mat + alpha * dz_t))
+            sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
+
+            # corrector with Mehrotra second-order term
+            theta = np.diag(sigma * mu - lam * lam) \
+                - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
+            k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
+            da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)
+            alpha = min(1.0, STEP_FRACTION * _max_step(root, k_cor - dz_c),
+                        STEP_FRACTION * _max_step(root, dz_c))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        root = 1.0 / np.sqrt(lam)
-
-        # predictor (affine scaling) direction, measured in scaled coordinates
-        lam_mat = np.diag(lam)
-        dz_t = predictor(placed, res_dual)
-        ds_t = -lam_mat - dz_t
-        step_s, step_z = _predictor_steps(root, dz_t)
-        alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
-        gap_aff = float(np.vdot(lam_mat + alpha * ds_t,
-                                lam_mat + alpha * dz_t))
-        sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
-
-        # corrector with Mehrotra second-order term
-        theta = np.diag(sigma * mu - lam * lam) \
-            - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
-        k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
-        da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)
-        alpha = min(1.0, STEP_FRACTION * _max_step(root, k_cor - dz_c),
-                    STEP_FRACTION * _max_step(root, dz_c))
         if alpha < STALL_STEP:
             status = "numerical_failure"
             break
@@ -536,12 +537,20 @@ def solve_gain_feasibility(coeffs, gamma: float):
     2 WITNESS_MARGIN gamma^2, 2% of ``FEAS_EIG_TOL`` gamma^2.
 
     Returns (p_matrix, feasible), feasible as ``bounded_real_certificate``
-    judges it.
+    judges it; InvalidSpecError where the polynomial leaves the float range.
     """
     a = np.asarray(coeffs, dtype=float)
     p = a.size - 1
+    level = gamma * (1.0 + WITNESS_MARGIN)
     poly = -np.correlate(a, a, "full")
-    poly[p] += (gamma * (1.0 + WITNESS_MARGIN)) ** 2
+    # level**2 overflows past 1.34e154; np.roots divides by the leading
+    # coefficient -a_Q (a_Q the last nonzero tap), where more can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly[p] += level**2 if level * level < np.inf else np.inf
+        lead = poly[np.flatnonzero(poly)[:1]]
+        if not np.all(np.isfinite(poly / lead if lead.size else poly)):
+            raise InvalidSpecError(f"gamma {gamma:g} is too large for a "
+                                   "witness: its polynomial overflows")
     roots = np.roots(poly[::-1])
     roots = roots[np.argsort(np.abs(roots))[:p]]
     n = 1 << (2 * p + 1).bit_length()  # the power of two >= 2P + 2

@@ -87,8 +87,7 @@ def vc_spec():
 
 def simulate_snr(result, freqs, amplitude, kind="sine"):
     spec = result.spec
-    amps = (amplitude,) * len(freqs)
-    w = make_test_signal(kind, freqs, amps, spec.fs_hz, SIM_SAMPLES)
+    w = make_test_signal(kind, freqs, amplitude, spec.fs_hz, SIM_SAMPLES)
     trace = simulate(result.ntf, w, spec.quantizer)
     return measure_snr(trace, result.filt), trace.overloaded, trace
 
@@ -129,7 +128,7 @@ class TestCriterion1LowpassReproduction:
         sigma2_eps = va_design.spec.quantizer.delta ** 2 / 12.0
         time_domain = sigma2_eps * float(shaped @ shaped)
         deviation = abs(va_design.sigma2_h - time_domain) / time_domain
-        expected_db = expected_snr(0.4, va_design.sigma2_h)
+        expected_db = expected_snr(0.4**2 / 2.0, va_design.sigma2_h)
         ok = report(
             f"1a (expected SNR {PAPER_LOWPASS_SNR_DB} - 10 log10 2 = "
             f"{LOWPASS_EXPECTED_SNR_DB:.2f} +- 0.5 dB; sigma2_h = "
@@ -200,7 +199,7 @@ class TestCriterion4MultibandReproduction:
         snr, overloaded, _ = simulate_snr(vc_design, (1000.0, 10000.0), 0.40,
                                           kind="multitone")
         # linear model: two tones of power A^2/2 each over white shaped noise
-        predicted = (expected_snr(0.40, vc_design.sigma2_h)
+        predicted = (expected_snr(0.40**2 / 2.0, vc_design.sigma2_h)
                      + 10.0 * np.log10(2.0))
         ok = report("4a (two-tone A=0.40 SNR 48.2 +- 2 dB)",
                     abs(snr - 48.2) <= 2.0,
@@ -282,7 +281,7 @@ class TestCriterion7ParsevalOracle:
             gain = rng.uniform(0.2, 2.0)
             filt = RationalFilter.from_polynomials(
                 num=(gain, -gain * zero), den=(1.0, -pole))
-            h = impulse_response(filt, 1e-12)
+            h = impulse_response(filt)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
@@ -386,8 +385,8 @@ class TestSupplementaryReproduction:
         filt = design_filter(va_spec().filter_spec)
         conv_sigma2 = sigma2_h(num, den, filt, BINARY,
                                FrequencyGrid.uniform(8192))
-        gap = (expected_snr(0.4, va_design.sigma2_h)
-               - expected_snr(0.4, conv_sigma2))
+        gap = (expected_snr(0.4**2 / 2.0, va_design.sigma2_h)
+               - expected_snr(0.4**2 / 2.0, conv_sigma2))
         ok = report("supplementary (predicted advantage ~4.5 dB)",
                     abs(gap - 4.5) <= 1.0, f"advantage = {gap:.2f} dB")
         assert ok
@@ -412,7 +411,7 @@ class TestSupplementaryReproduction:
 
     def test_predicted_vs_simulated_within_three_db(self, va_design):
         snr, _, _ = simulate_snr(va_design, (900.0,), 0.4)
-        predicted = expected_snr(0.4, va_design.sigma2_h)
+        predicted = expected_snr(0.4**2 / 2.0, va_design.sigma2_h)
         ok = report("supplementary (prediction within 3 dB of simulation)",
                     abs(snr - predicted) <= 3.0,
                     f"predicted {predicted:.2f} dB vs simulated {snr:.2f} dB")

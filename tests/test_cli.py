@@ -44,6 +44,16 @@ def identity_spec_path(tmp_path):
     return path
 
 
+# the paper's lowpass case: a first-order 2 kHz Butterworth at 2.048 MHz
+PAPER_LOWPASS = {
+    "fs_hz": 2.048e6,
+    "filter": {"kind": "lowpass_butterworth", "order": 1,
+               "bands_hz": [[0.0, 2000.0]]},
+    "fir_order": 12,
+    "gamma": 1.5,
+}
+
+
 def set_grid_points(spec_path, points):
     """Rewrite the spec file with ``grid_points`` = points; returns its path."""
     spec = json.loads(spec_path.read_text())
@@ -171,6 +181,33 @@ class TestDesign:
                      "--gamma", "1e200", *orders])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_gamma_where_eigenvalues_fail_is_solver_failure(
+            self, tmp_path, capsys, command):
+        # on the paper's lowpass P=12, gamma = 1e150 makes an eigenvalue
+        # routine of the predictor step fail; the solve ends as a numerical
+        # failure, design exits 3 and sweep records it for every order
+        path = tmp_path / "paper-lowpass.json"
+        path.write_text(json.dumps(PAPER_LOWPASS))
+        out = tmp_path / "x.out"
+        orders = ["--orders", "5,12"] if command == "sweep" else []
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", str(path), "--out", str(out),
+                         "--gamma", "1e150", *orders])
+        failure = "design solve ended with status 'numerical_failure' after "
+        if command == "design":
+            assert code == 3
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert failure in err and "primal residual" in err
+        else:
+            assert code == 0
+            rows = [line.split(",", 3)
+                    for line in out.read_text().splitlines()[1:]]
+            assert [row[0] for row in rows] == ["5", "12"]
+            assert all(row[3].startswith(f"failed: {failure}")
+                       for row in rows)
 
     def test_integral_float_fields_are_accepted(self, tmp_path):
         spec = {
@@ -328,6 +365,47 @@ class TestEvaluate:
                      "--out", str(tmp_path / "report.json")])
         assert code == 2
         assert sorted(tmp_path.iterdir()) == sorted([spec_path, ntf_path])
+
+    # signals whose power is not the expected SNR's N A^2/2 (A^2 for dc):
+    # two tones on one whole-cycle bin play one tone of twice the amplitude,
+    # a tone on n/2 = 32768 cycles plays sin(pi t) = 0, a dc with a tone
+    # drops the tone, and a non-finite amplitude has no power
+    @pytest.mark.parametrize("ntf", [{"a": [1.0, -0.5]},
+                                     {"num": [1.0, -1.0], "den": [1.0, -0.5]}],
+                             ids=("fir", "rational"))
+    @pytest.mark.parametrize("args", [
+        ["--signal", "multitone:900,900"],
+        ["--signal", f"sine:{FS / 2.0 - 1.0}"],
+        ["--signal", "dc:900"],
+        ["--amplitude", "nan"],
+        ["--amplitude", "inf"],
+    ], ids=("same-bin", "half-rate", "dc-with-tone", "nan", "inf"))
+    def test_signal_off_the_power_rule_is_validation_error(
+            self, spec_path, tmp_path, ntf, args):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps(ntf))
+        code = main(["evaluate", "--config", str(spec_path), "--ntf",
+                     str(ntf_path), "--amplitude", "0.4", *args,
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == sorted([spec_path, ntf_path])
+
+    def test_dc_with_empty_tone_list_plays_dc(self, spec_path, tmp_path):
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"a": [1.0, -0.5]}))
+        reports = []
+        for name, signal in (("dc", "dc"), ("dc-colon", "dc:")):
+            out = tmp_path / f"{name}.json"
+            code = main(["evaluate", "--config", str(spec_path), "--ntf",
+                         str(ntf_path), "--amplitude", "0.4",
+                         "--signal", signal, "--out", str(out)])
+            assert code == 0
+            report = json.loads(out.read_text())
+            del report["runtime_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["expected_snr_db"] == pytest.approx(
+            10.0 * np.log10(0.4**2 / reports[0]["sigma2_h"]), abs=1e-12)
 
     def test_rational_ntf_quadrature_and_curve_share_the_spec_grid(
             self, spec_path, tmp_path):
@@ -610,6 +688,34 @@ class TestVerify:
                      "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", [True, False])
+    def test_gamma_whose_witness_overflows_is_validation_error(
+            self, tmp_path, override):
+        # 1.3e154 has a finite square, but the witness polynomial
+        # g^2 - |A|^2 over its leading coefficient 0.25 has not
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps(
+            {"a": [1.0, 0.25], "gamma": 1.5 if override else 1.3e154}))
+        out = tmp_path / "cert.json"
+        gamma = ["--gamma", "1.3e154"] if override else []
+        code = main(["verify", "--ntf", str(ntf_path), *gamma,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("den, code", [([1.0, -0.5], 2), ([1.0], 0)])
+    def test_artifact_read_as_evaluate_reads_it(self, tmp_path, capsys, den,
+                                                code):
+        # a num/den artifact is an FIR NTF when den is [1], as in evaluate
+        ntf_path = tmp_path / "ntf.json"
+        ntf_path.write_text(json.dumps({"num": [1.0, 0.25], "den": den}))
+        out = tmp_path / "cert.json"
+        assert main(["verify", "--ntf", str(ntf_path), "--gamma", "1.5",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "verify takes an FIR 'a'" in capsys.readouterr().err
 
     def test_bound_violation_exit_code(self, tmp_path):
         ntf_path = tmp_path / "diff.json"

@@ -20,7 +20,7 @@ from ntfforge.design import (
     evaluate_ntf,
     run_design,
 )
-from ntfforge.errors import BoundViolationError, SolverError
+from ntfforge.errors import BoundViolationError, InvalidSpecError, SolverError
 from ntfforge.filters import FilterSpec, impulse_response
 from ntfforge.kyp import verify_bounded_real
 from ntfforge.modsim import NtfFir
@@ -98,8 +98,7 @@ class TestExpectedSnrPerSignalKind:
     def report(self, kind, freqs):
         spec = lowpass_spec()
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
-        return evaluate_ntf(ntf, spec, 0.3, signal_kind=kind, freqs_hz=freqs,
-                            n_samples=2**14)
+        return evaluate_ntf(ntf, spec, 0.3, signal_kind=kind, freqs_hz=freqs)
 
     def test_two_tones_read_two_tone_powers_above_one_sine(self):
         sine = self.report("sine", (900.0,))
@@ -125,17 +124,34 @@ class TestExpectedSnrPerSignalKind:
     def test_dc_on_two_band_spec_uses_one_amplitude(self):
         # the default tones are one per band; dc must still get one level
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
-        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3, signal_kind="dc",
-                           n_samples=2**14)
+        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3, signal_kind="dc")
         assert rep.expected_snr_db == pytest.approx(
             10.0 * np.log10(0.3**2 / rep.sigma2_h), abs=1e-12)
         assert np.isfinite(rep.simulated_snr_db)
 
     def test_default_signal_on_two_band_spec_plays_a_tone_per_band(self):
         ntf = NtfFir(coeffs=np.array([1.0, -1.0]))
-        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3, n_samples=2**14)
+        rep = evaluate_ntf(ntf, self.two_band_spec(), 0.3)
         assert rep.expected_snr_db == pytest.approx(
             10.0 * np.log10(2 * 0.3**2 / 2 / rep.sigma2_h), abs=1e-12)
+
+    # signals whose power is not the power rule's: a dc with a tone (the
+    # tone was dropped), two tones on one whole-cycle bin (one tone of twice
+    # the amplitude, 3 dB above the prediction) and a tone on n/2 cycles
+    # (sin(pi t) is zero at every sample); FIR and rational NTFs alike
+    @pytest.mark.parametrize("ntf", [NtfFir(coeffs=np.array([1.0, -1.0])),
+                                     ((1.0, -1.0), (1.0, -0.5))],
+                             ids=("fir", "rational"))
+    @pytest.mark.parametrize("kind, freqs, match", [
+        ("dc", (900.0,), "dc takes no frequency"),
+        ("multitone", (900.0, 900.0), "another tone's"),
+        ("sine", (FS / 2.0 - 1.0,), "snaps to n/2"),
+    ], ids=("dc-with-tone", "same-bin", "half-rate"))
+    def test_signal_off_the_power_rule_is_rejected(self, ntf, kind, freqs,
+                                                   match):
+        with pytest.raises(InvalidSpecError, match=match):
+            evaluate_ntf(ntf, lowpass_spec(), 0.3, signal_kind=kind,
+                         freqs_hz=freqs)
 
 
 NARROWBAND_P49 = {
@@ -337,8 +353,7 @@ class TestNoisePowerWithoutCancellation:
         h = impulse_response(result.filt)
         want = spec.budget.sigma2_eps * exact_noise_gain(h.samples,
                                                          result.ntf.coeffs)
-        report = evaluate_ntf(result.ntf, spec, 0.3, n_samples=2**12,
-                              filt=result.filt)
+        report = evaluate_ntf(result.ntf, spec, 0.3, filt=result.filt)
         for got in (result.sigma2_h, report.sigma2_h):
             assert abs(got - want) <= 1e-9 * want
 
@@ -468,8 +483,9 @@ class TestStudyScripts:
         assert len(tight) == 10
 
     def test_same_output_commands_parse(self, monkeypatch):
-        # the same-output check's 30 commands, parsed and their specs built
-        # without running one; each reads inputs or earlier outputs
+        # the same-output check's 39 commands, parsed and their specs built
+        # without running one; each reads inputs or earlier outputs, and the
+        # 9 rejected evaluations write nothing
         from collections import Counter
 
         from ntfforge.cli import build_parser
@@ -478,15 +494,20 @@ class TestStudyScripts:
         parsed = [build_parser().parse_args(argv)
                   for argv in module.commands()]
         assert Counter(args.command for args in parsed) == {
-            "design": 3, "verify": 6, "evaluate": 12, "curves": 9}
+            "design": 3, "verify": 6, "evaluate": 21, "curves": 9}
         inputs = module.inputs()
         written = []
+        rejected = 0
         for args in parsed:
             if args.command != "verify":
                 DesignSpec.from_json_dict(json.loads(inputs[args.config]))
             if args.command != "design":
                 assert args.ntf in [*inputs, *written, None]
+            if args.out.endswith("-rejected.json"):
+                rejected += 1
+                continue
             written.append(args.out)
             if args.command == "evaluate":
                 written.append(args.out[:-len(".json")] + "_integrand.csv")
         assert len(set(written) - set(inputs)) == len(written) == 42
+        assert rejected == 9

@@ -12,6 +12,7 @@ from ntfforge.errors import (
     InvalidSpecError,
 )
 from ntfforge.filters import (
+    ENERGY_TOL,
     FilterSpec,
     FrequencyGrid,
     RationalFilter,
@@ -214,7 +215,7 @@ class TestScipyOracle:
     @pytest.mark.parametrize("name", BUTTERWORTH_CASES)
     def test_impulse_response_matches_lfilter(self, name):
         filt = butterworth_case(name)
-        h = impulse_response(filt, 1e-12).samples
+        h = impulse_response(filt).samples
         impulse = np.zeros(h.size)
         impulse[0] = 1.0
         expected = lfilter_cascade(filt, impulse)
@@ -239,7 +240,7 @@ class TestScipyOracle:
 class TestImpulseResponse:
     def test_identity(self):
         filt = RationalFilter.from_polynomials((1.0,), (1.0,))
-        resp = impulse_response(filt, 1e-12)
+        resp = impulse_response(filt)
         assert resp.samples.size == 1
         assert resp.samples.tolist() == [1.0]
 
@@ -247,7 +248,7 @@ class TestImpulseResponse:
         # H = 1/(1 - 0.5 z^-1): h_i = 0.5^i, tail(M)/E = 0.25^(M+1), so the
         # smallest M with tail <= 1e-12 E is 19
         filt = RationalFilter.from_polynomials(num=(1.0,), den=(1.0, -0.5))
-        resp = impulse_response(filt, 1e-12)
+        resp = impulse_response(filt)
         assert resp.samples.size == 20
         expected = 0.5 ** np.arange(20)
         assert np.allclose(resp.samples, expected, rtol=1e-12)
@@ -275,7 +276,7 @@ class TestImpulseResponse:
 
     def test_first_order_output_filter_truncation_matches_direct_tail_scan(self):
         filt = design_filter(lp1_spec())
-        resp = impulse_response(filt, 1e-12)
+        resp = impulse_response(filt)
         # independent oracle: long direct recursion, empirical tail energies
         n = 4 * resp.samples.size
         impulse = np.zeros(n)
@@ -291,20 +292,21 @@ class TestImpulseResponse:
 
     def test_energy_reconstruction(self):
         filt = design_filter(lp1_spec())
-        resp = impulse_response(filt, 1e-10)
+        resp = impulse_response(filt)
         n = 8 * resp.samples.size
         impulse = np.zeros(n)
         impulse[0] = 1.0
         full = filt.filter_signal(impulse)
         energy = np.dot(resp.samples, resp.samples)
-        assert energy == pytest.approx(np.dot(full, full), rel=1e-9)
+        assert energy == pytest.approx(np.dot(full, full),
+                                       rel=10.0 * ENERGY_TOL)
 
     def test_fir_taps_beyond_first_window_are_kept(self):
         taps = np.zeros(3000)
         taps[0] = taps[2000] = 1.0
         spec = FilterSpec(kind="explicit_impulse", fs_hz=1.0,
                           impulse=tuple(taps))
-        resp = impulse_response(design_filter(spec), 1e-12)
+        resp = impulse_response(design_filter(spec))
         assert resp.samples.size == 2001
         assert np.dot(resp.samples, resp.samples) == 2.0
 
@@ -314,7 +316,7 @@ class TestImpulseResponse:
         num = np.zeros(1101)
         num[0] = num[1100] = 1.0
         filt = RationalFilter.from_polynomials(num=tuple(num), den=(1.0, -0.5))
-        resp = impulse_response(filt, 1e-12)
+        resp = impulse_response(filt)
         impulse = np.zeros(4096)
         impulse[0] = 1.0
         h = filt.filter_signal(impulse)
@@ -322,13 +324,6 @@ class TestImpulseResponse:
         assert np.array_equal(resp.samples, h[:1120])
         energy = np.dot(resp.samples, resp.samples)
         assert energy == pytest.approx(np.dot(h, h), rel=1e-12)
-
-    def test_tolerance_validation(self):
-        filt = RationalFilter.from_polynomials((1.0,), (1.0,))
-        with pytest.raises(InvalidSpecError):
-            impulse_response(filt, 0.0)
-        with pytest.raises(InvalidSpecError):
-            impulse_response(filt, 1.0)
 
 
 class TestFrequencyResponse:
@@ -355,12 +350,12 @@ class TestFrequencyResponse:
     def test_truncated_response_matches_rational(self):
         # frequency/time consistency on the truncated impulse response
         filt = design_filter(lp1_spec())
-        tol = 1e-10
-        resp = impulse_response(filt, tol)
+        resp = impulse_response(filt)
         grid = FrequencyGrid.uniform(257)
         via_fir = frequency_response(resp.samples, (1.0,), grid)
         via_rational = filt.response(grid)
-        assert np.max(np.abs(via_fir - via_rational)) <= 10.0 * math.sqrt(tol)
+        assert np.max(np.abs(via_fir - via_rational)) \
+            <= 10.0 * math.sqrt(ENERGY_TOL)
 
 
     @given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 2**32 - 1))

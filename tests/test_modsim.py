@@ -292,7 +292,7 @@ class TestBlockLoopOnDesigns:
         spec = DesignSpec.from_json_dict(config)
         result = run_design(spec)
         w = make_test_signal("sine", default_tone_freqs(spec)[:1],
-                             (amplitude,), spec.fs_hz, 2**16)
+                             amplitude, spec.fs_hz, 2**16)
         trace = simulate(result.ntf, w, spec.quantizer)
         ref = reference_simulate(result.ntf, w, spec.quantizer)
         assert np.max(np.abs(ref.quant_error_e)) >= max_e
@@ -313,7 +313,7 @@ class TestDivergingLoop:
         coeffs = run_design(spec).ntf.coeffs.copy()
         coeffs[1:] *= 2.0
         ntf = NtfFir(coeffs=coeffs)
-        w = make_test_signal("sine", default_tone_freqs(spec)[:1], (0.4,),
+        w = make_test_signal("sine", default_tone_freqs(spec)[:1], 0.4,
                              spec.fs_hz, 2**16)
         with np.errstate(invalid="ignore", over="ignore"):
             trace = simulate(ntf, w, spec.quantizer)
@@ -380,8 +380,7 @@ class TestMeasureSnr:
 class TestExpectedSnr:
     def test_ratio_of_two_is_three_db(self):
         sigma2 = 0.04
-        amplitude = math.sqrt(4 * sigma2)  # A^2 / (2 sigma2) = 2
-        assert expected_snr(amplitude, sigma2) == pytest.approx(
+        assert expected_snr(2.0 * sigma2, sigma2) == pytest.approx(
             10 * math.log10(2.0), abs=1e-9)
 
     def test_rejects_nonpositive(self):
@@ -393,30 +392,54 @@ class TestExpectedSnr:
 
 class TestMakeTestSignal:
     def test_sine_peak_is_exact_for_coherent_tone(self):
-        w = make_test_signal("sine", (1000.0,), (0.4,), 2.048e6, 2**16)
+        w = make_test_signal("sine", (1000.0,), 0.4, 2.048e6, 2**16)
         assert np.max(np.abs(w)) == pytest.approx(0.4, abs=1e-12)
 
     def test_coherence_no_leakage(self):
         n = 2**12
-        w = make_test_signal("sine", (997.0,), (1.0,), 48000.0, n)
+        w = make_test_signal("sine", (997.0,), 1.0, 48000.0, n)
         spectrum = np.abs(np.fft.rfft(w))
         peak_bin = int(np.argmax(spectrum))
         others = np.delete(spectrum, peak_bin)
         assert np.max(others) < 1e-9 * spectrum[peak_bin]
 
     def test_multitone_peak_bounded(self):
-        w = make_test_signal("multitone", (1000.0, 10000.0), (0.45, 0.45),
+        w = make_test_signal("multitone", (1000.0, 10000.0), 0.45,
                              563200.0, 2**16)
         assert np.max(np.abs(w)) <= 0.9 + 1e-12
 
     def test_dc(self):
-        w = make_test_signal("dc", (), (0.5,), 1000.0, 64)
+        w = make_test_signal("dc", (), 0.5, 1000.0, 64)
         assert np.array_equal(w, np.full(64, 0.5))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            make_test_signal("multitone", (100.0, 200.0), (0.1,), 1000.0, 64)
+    @pytest.mark.parametrize("freqs", [(100.0,), (100.0, 200.0, 300.0),
+                                       (15.625,), (484.375,)])
+    def test_mean_square_is_one_half_per_tone(self, freqs):
+        # distinct whole-cycle counts below n/2 (1 and 31 of 64 included)
+        # make the tones orthogonal, so each adds A^2/2 exactly
+        w = make_test_signal("multitone", freqs, 0.3, 1000.0, 64)
+        assert np.mean(w**2) == pytest.approx(len(freqs) * 0.3**2 / 2.0,
+                                              rel=1e-12)
 
-    def test_frequency_above_nyquist_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            make_test_signal("sine", (600.0,), (1.0,), 1000.0, 64)
+    @pytest.mark.parametrize("kind, freqs, amplitude, match", [
+        ("square", (100.0,), 0.5, "unknown signal kind"),
+        ("dc", (100.0,), 0.5, "dc takes no frequency"),
+        ("sine", (), 0.5, "sine takes exactly one frequency"),
+        ("sine", (100.0, 200.0), 0.5, "sine takes exactly one frequency"),
+        ("multitone", (), 0.5, "multitone takes at least one frequency"),
+        ("sine", (100.0,), 0.0, "amplitude must be finite and positive"),
+        ("dc", (), -0.5, "amplitude must be finite and positive"),
+        ("sine", (100.0,), math.inf, "amplitude must be finite and positive"),
+        ("dc", (), math.nan, "amplitude must be finite and positive"),
+        ("sine", (600.0,), 1.0, "outside"),
+        ("sine", (0.0,), 1.0, "outside"),
+        # 495 Hz is 31.68 cycles of 64 samples at 1 kHz: it snaps to
+        # n/2 = 32, where sin(pi t) vanishes at every sample
+        ("sine", (495.0,), 1.0, "snaps to n/2"),
+        # 100 and 101 Hz both snap to 6 cycles: one tone of twice the
+        # amplitude, whose mean square is 2 A^2 and not 2 A^2/2
+        ("multitone", (100.0, 101.0), 1.0, "another tone's 6 cycles"),
+    ])
+    def test_rejected(self, kind, freqs, amplitude, match):
+        with pytest.raises(InvalidSpecError, match=match):
+            make_test_signal(kind, freqs, amplitude, 1000.0, 64)

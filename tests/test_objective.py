@@ -118,7 +118,7 @@ class TestQMatrix:
             zero = rng.uniform(-1.5, 1.5)
             filt = RationalFilter.from_polynomials(
                 num=(1.0, -zero), den=(1.0, -pole))
-            h = impulse_response(filt, 1e-10)
+            h = impulse_response(filt)
             full_q = toeplitz(build_q_matrix(h, order_p))
             assert np.linalg.eigvalsh(full_q)[0] \
                 >= -1e-9 * np.trace(full_q)
@@ -190,7 +190,7 @@ class TestSigma2H:
             pole = rng.uniform(-0.85, 0.85)
             filt = RationalFilter.from_polynomials(
                 num=(1.0, rng.normal()), den=(1.0, -pole))
-            h = impulse_response(filt, 1e-12)
+            h = impulse_response(filt)
             order_p = int(rng.integers(1, 9))
             coeffs = np.concatenate(([1.0], rng.normal(size=order_p)))
             q = build_q_matrix(h, order_p)
