@@ -549,8 +549,8 @@ def solve_gain_feasibility(coeffs, gamma: float):
         poly[p] += level**2 if level * level < np.inf else np.inf
         lead = poly[np.flatnonzero(poly)[:1]]
         if not np.all(np.isfinite(poly / lead if lead.size else poly)):
-            raise InvalidSpecError(f"gamma {gamma:g} is too large for a "
-                                   "witness: its polynomial overflows")
+            raise InvalidSpecError(f"the witness polynomial at gamma "
+                                   f"{gamma:g} leaves the float range")
     roots = np.roots(poly[::-1])
     roots = roots[np.argsort(np.abs(roots))[:p]]
     n = 1 << (2 * p + 1).bit_length()  # the power of two >= 2P + 2
