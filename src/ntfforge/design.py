@@ -27,7 +27,7 @@ from .kyp import (
     verify_bounded_real,
 )
 from .modsim import NtfFir, Quantizer, expected_snr, make_test_signal, measure_snr, simulate
-from .objective import NoiseBudget, build_q_matrix, noise_gain, reduce_objective
+from .objective import NoiseBudget, build_q_matrix, noise_floor, noise_gain, reduce_objective
 from .objective import sigma2_h as quad_sigma2_h
 from .sdp import SdpProblem, SdpSolution, SolverSettings, solve
 
@@ -164,7 +164,7 @@ def run_design(spec: DesignSpec) -> DesignResult:
     quadratic, linear, constant = reduce_objective(q)
     lmi = assemble_lmi(spec.fir_order, spec.gamma)
     problem = SdpProblem(quadratic=quadratic, linear=linear, lmi=lmi,
-                         constant=constant)
+                         scale=noise_floor(h, spec.gamma), constant=constant)
     solution = solve(problem, spec.solver)
     if solution.status != "optimal":
         res = solution.kkt_residuals

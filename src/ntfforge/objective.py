@@ -18,6 +18,7 @@ from .errors import DegenerateFilterError, EvaluationError, InvalidSpecError
 from .filters import FrequencyGrid, RationalFilter, frequency_response
 
 GRID_DOUBLING_WARN = 1e-3
+FLOOR_POINTS = 4096  # the DFT length of noise_floor's spectrum
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,48 @@ def noise_gain(h, coeffs) -> float:
         raise DegenerateFilterError("impulse response is identically zero")
     filtered = np.convolve(samples, np.asarray(coeffs, dtype=float))
     return float(filtered @ filtered)
+
+
+def noise_floor(h, gamma: float) -> float:
+    """f_inf, the least a^T Q a that a monic FIR NTF of any order with gain
+    at most gamma could reach: the minimum of the mean of W R over the
+    spectra 0 <= R <= gamma^2 with mean ln R >= 0, W = |H|^2.
+
+    By Jensen's formula every monic A has mean ln |A|^2 >= 0 (Gerzon &
+    Craven, AES Convention 1989), so R = |A|^2 lies in that set.  Its
+    minimizer is water-filling, R = min(gamma^2, c / W), with c set by the
+    mean of ln R being 0.  W is sampled on the ``FLOOR_POINTS``-point DFT of
+    the truncated h folded modulo that length, so the grid mean of W |A|^2
+    is a^T Q a while h is no longer than the grid less P (longer ones alias
+    their lags).  The series q_0 + 2 sum q_k cos k omega cannot stand in for
+    W: truncated at P it goes negative.  c is exact: with the W sorted in
+    descending order, let the k largest take c / W and the rest gamma^2;
+    then the condition is linear in ln c, and a cumulative sum gives it for
+    every k at once.  ln W is clamped at the least normal float, since H
+    may vanish (the bilinear lowpass has H(pi) = 0).
+    """
+    samples = np.asarray(getattr(h, "samples", h), dtype=float)
+    n = FLOOR_POINTS
+    padded = np.zeros(-(-samples.size // n) * n)
+    padded[:samples.size] = samples
+    spec = np.fft.rfft(padded.reshape(-1, n).sum(axis=0))
+    w = spec.real**2 + spec.imag**2
+    # weights of the half spectrum's points in the mean over the circle
+    weight = np.full(w.size, 2.0 / n)
+    weight[[0, -1]] = 1.0 / n
+    order = np.argsort(w)[::-1]
+    w, weight = w[order], weight[order]
+    log_w = np.log(np.maximum(w, np.finfo(float).tiny))
+    log_cap = 2.0 * np.log(gamma)
+    free = np.cumsum(weight)
+    # ln c when the k largest W take c / W: sum_{i<k} weight_i (ln c -
+    # ln W_i) + (1 - free_k) ln gamma^2 = 0
+    log_c = (np.cumsum(weight * log_w) - (1.0 - free) * log_cap) / free
+    # the first k whose next W would take more than gamma^2 under its c
+    level = log_c - log_cap
+    k = int(np.argmax(np.append(log_w[1:], -np.inf) <= level))
+    capped = float(weight[k + 1:] @ w[k + 1:])
+    return float(free[k] * np.exp(log_c[k]) + gamma * gamma * capped)
 
 
 def reduce_objective(q: np.ndarray):

@@ -9,6 +9,9 @@ power, is the quadratic in the coefficients a, and the one PSD block is the
 As in cone QP solvers (CVXOPT's ``coneqp``), G enters the Newton system next
 to the block's Schur complement, so the objective needs no epigraph variable
 or cone of its own.
+``solve`` divides the objective by the problem's one ``scale``; a design
+passes its noise floor, the infinite-order lower bound, so the optimum sits
+near 1 from the first iteration.
 No separate certificate cone is needed either: the LMI gives
 P - A^T P A >= C^T C >= 0 and the delay-chain A is nilpotent, so
 P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
@@ -93,14 +96,20 @@ class SolverSettings:
 @dataclass(frozen=True)
 class SdpProblem:
     """NTF design problem: reduced quadratic objective + gain-bound LMI.
-    No NTF meets gamma < 1, and a = 0 meets every other gamma."""
+    No NTF meets gamma < 1, and a = 0 meets every other gamma.  ``scale`` is
+    the objective's size, which ``solve`` divides it by: a design passes its
+    noise floor (``objective.noise_floor``), a lower bound near the
+    optimum."""
 
     quadratic: np.ndarray
     linear: np.ndarray
     lmi: LmiSystem
+    scale: float
     constant: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 < self.scale < np.inf:
+            raise InvalidSpecError("objective scale must be positive and finite")
         quad = np.asarray(self.quadratic, dtype=float)
         lin = np.asarray(self.linear, dtype=float)
         p = self.lmi.order
@@ -483,22 +492,22 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     in the coefficients, on the KYP block alone (which already implies the
     certificate is PSD).
 
-    The objective data is divided by its largest entry so the solver sees an
-    O(1) objective; the reported duality gap is relative to the whole
-    objective, constant included, which is what the order sweep's
-    monotonicity is judged against.
+    The objective data is divided by the problem's ``scale``.  Near the
+    optimum the solver then sees an O(1) objective, and mu need not be
+    worked down through the decades between the flat NTF's noise q_0 and
+    the optimum, which dividing by the largest entry (about q_0) cost.  The
+    reported duality gap is relative to the whole objective, constant
+    included, which is what the order sweep's monotonicity is judged
+    against.
     """
     settings = settings or SolverSettings()
     p = problem.order
-    obj_scale = max(abs(problem.constant),
-                    float(np.max(np.abs(problem.quadratic))),
-                    float(np.max(np.abs(problem.linear))) if p else 0.0,
-                    1e-300)
+    scale = problem.scale
     (coeffs, p_matrix), status, info = solve_conic(
-        _KypCone(problem.lmi), problem.linear / obj_scale,
+        _KypCone(problem.lmi), problem.linear / scale,
         _interior_start(problem), settings,
-        quadratic=2.0 * problem.quadratic / obj_scale,
-        constant=problem.constant / obj_scale)
+        quadratic=2.0 * problem.quadratic / scale,
+        constant=problem.constant / scale)
     sol = SdpSolution(
         ntf_coeffs=np.concatenate(([1.0], coeffs)),
         p_matrix=p_matrix,

@@ -41,7 +41,7 @@ def toy_problem(gamma=100.0):
     # unconstrained stationarity: 2 Q x + c = 0 at x = (-0.5, 0)
     return SdpProblem(quadratic=np.diag([2.0, 2.0]),
                       linear=np.array([2.0, 0.0]),
-                      lmi=assemble_lmi(2, gamma), constant=2.0)
+                      lmi=assemble_lmi(2, gamma), scale=2.0, constant=2.0)
 
 
 class TestSolve:
@@ -54,7 +54,8 @@ class TestSolve:
     @pytest.mark.parametrize("gamma", [1.02, 1.5, 4.0])
     def test_identity_objective_gives_flat_ntf(self, gamma):
         prob = SdpProblem(quadratic=np.eye(4), linear=np.zeros(4),
-                          lmi=assemble_lmi(4, gamma), constant=1.0)
+                          lmi=assemble_lmi(4, gamma), scale=1.0,
+                          constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
         assert np.max(np.abs(sol.ntf_coeffs[1:])) < 1e-6
@@ -83,7 +84,7 @@ class TestSolve:
         quadratic = np.array([[1.0]])
         linear = np.array([2.0])  # minimized unconstrained at a_1 = -1
         prob = SdpProblem(quadratic=quadratic, linear=linear,
-                          lmi=assemble_lmi(1, 1.5), constant=1.0)
+                          lmi=assemble_lmi(1, 1.5), scale=1.0, constant=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
         gmax = grid_gain_max(sol.ntf_coeffs)
@@ -93,7 +94,7 @@ class TestSolve:
         # only the quadratic block must be PSD: constant 0 with a linear term
         # has its minimum -1 at a = (-1, 0)
         prob = SdpProblem(quadratic=np.eye(2), linear=np.array([2.0, 0.0]),
-                          lmi=assemble_lmi(2, 100.0))
+                          lmi=assemble_lmi(2, 100.0), scale=1.0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
         assert sol.ntf_coeffs[1:] == pytest.approx([-1.0, 0.0], abs=1e-6)
@@ -104,13 +105,14 @@ class TestSolve:
         for gamma in (0.5, 0.9, 0.99):
             with pytest.raises(InvalidSpecError, match="Parseval"):
                 SdpProblem(quadratic=np.eye(2), linear=np.zeros(2),
-                           lmi=assemble_lmi(2, gamma), constant=1.0)
+                           lmi=assemble_lmi(2, gamma), scale=1.0,
+                           constant=1.0)
 
     def test_unit_gamma_leaves_only_the_flat_ntf(self):
         # the objective pulls toward a = (-1, 0), but gamma = 1 admits a = 0
         # alone
         prob = SdpProblem(quadratic=np.eye(2), linear=np.array([2.0, 0.0]),
-                          lmi=assemble_lmi(2, 1.0), constant=1.0)
+                          lmi=assemble_lmi(2, 1.0), scale=1.0, constant=1.0)
         sol = solve(prob)
         assert sol.status == "optimal"
         assert np.max(np.abs(sol.ntf_coeffs[1:])) < 1e-6
@@ -118,7 +120,11 @@ class TestSolve:
     def test_monotone_in_order_for_shared_filter(self):
         rng = np.random.default_rng(12)
         h = rng.normal(size=24)
-        from ntfforge.objective import build_q_matrix, reduce_objective
+        from ntfforge.objective import (
+            build_q_matrix,
+            noise_floor,
+            reduce_objective,
+        )
 
         values = []
         for order_p in (2, 4, 6):
@@ -126,7 +132,7 @@ class TestSolve:
                 build_q_matrix(h, order_p))
             prob = SdpProblem(quadratic=quadratic, linear=linear,
                               lmi=assemble_lmi(order_p, 1.5),
-                              constant=constant)
+                              scale=noise_floor(h, 1.5), constant=constant)
             sol = solve(prob)
             assert sol.status == "optimal"
             values.append(objective(prob, sol))
@@ -147,7 +153,7 @@ class TestFirstOrderClosedForm:
     def test_clipped_stationary_point(self, q0, ratio, gamma):
         q1 = ratio * q0
         prob = SdpProblem(quadratic=[[q0]], linear=[2.0 * q1],
-                          lmi=assemble_lmi(1, gamma), constant=q0)
+                          lmi=assemble_lmi(1, gamma), scale=q0, constant=q0)
         sol = solve(prob, TIGHT)
         assert sol.status == "optimal"
         a1 = float(np.clip(-ratio, 1.0 - gamma, gamma - 1.0))
@@ -222,12 +228,18 @@ class TestProblemValidation:
     def test_rejects_indefinite_quadratic(self):
         with pytest.raises(InvalidSpecError):
             SdpProblem(quadratic=np.diag([1.0, -1.0]), linear=np.zeros(2),
-                       lmi=assemble_lmi(2, 1.5))
+                       lmi=assemble_lmi(2, 1.5), scale=1.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_scale_not_positive_and_finite(self, scale):
+        with pytest.raises(InvalidSpecError, match="scale"):
+            SdpProblem(quadratic=np.eye(2), linear=np.zeros(2),
+                       lmi=assemble_lmi(2, 1.5), scale=scale)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidSpecError):
             SdpProblem(quadratic=np.eye(3), linear=np.zeros(3),
-                       lmi=assemble_lmi(2, 1.5))
+                       lmi=assemble_lmi(2, 1.5), scale=1.0)
 
 
 def dense_kyp_basis(order_p, gamma):
