@@ -173,7 +173,9 @@ def run_design(spec: DesignSpec) -> DesignResult:
             f"{solution.iterations} iterations: relative gap "
             f"{res['rel_gap']:.3e}, primal residual "
             f"{res['primal_residual']:.3e}, dual residual "
-            f"{res['dual_residual']:.3e}")
+            f"{res['dual_residual']:.3e}",
+            iterations=solution.iterations,
+            runtime_seconds=solution.runtime_seconds)
     sigma2 = spec.budget.sigma2_eps * noise_gain(h, solution.ntf_coeffs)
     cert = certificate_from_solution(solution, spec.gamma)
     log.info("designed order %d: sigma_h=%.6e grid max %.6f (%.2fs)",
@@ -295,7 +297,8 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
 def sweep_orders(spec: DesignSpec, orders) -> list:
     """One design per order; failures are recorded and the sweep continues.
 
-    Returns a list of dicts with keys order, sigma_h, runtime_seconds, status.
+    Returns a list of dicts with keys order, sigma_h, runtime_seconds, status;
+    a failed solve records its own runtime, other failures 0.
     """
     orders = list(orders)
     if any(b <= a for a, b in zip(orders, orders[1:])):
@@ -311,6 +314,8 @@ def sweep_orders(spec: DesignSpec, orders) -> list:
             row["status"] = result.solution.status
         except Exception as exc:  # record and continue per the sweep contract
             row["status"] = f"failed: {exc}"
+            if isinstance(exc, SolverError):
+                row["runtime_seconds"] = exc.runtime_seconds
             log.warning("order %d failed: %s", p, exc)
         rows.append(row)
     return rows

@@ -34,7 +34,13 @@ class BoundViolationError(NtfForgeError):
 
 
 class SolverError(NtfForgeError):
-    """The SDP solver failed to produce a usable solution."""
+    """The SDP solver failed to produce a usable solution; ``iterations``
+    and ``runtime_seconds`` are the failed solve's."""
+
+    def __init__(self, message, iterations: int, runtime_seconds: float):
+        super().__init__(message)
+        self.iterations = iterations
+        self.runtime_seconds = runtime_seconds
 
 
 def spec_int(value, name: str) -> int:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from ntfforge.design import (
     DesignSpec,
     evaluate_ntf,
     run_design,
+    sweep_orders,
 )
 from ntfforge.errors import BoundViolationError, InvalidSpecError, SolverError
 from ntfforge.filters import FilterSpec, impulse_response
@@ -369,6 +371,33 @@ class TestSolverErrorMessage:
         for name in ("relative gap", "primal residual", "dual residual"):
             value = msg.split(name + " ")[1].split(",")[0]
             assert np.isfinite(float(value))
+
+
+    def test_carries_the_failed_solve_iterations_and_runtime(self):
+        spec = dataclasses.replace(lowpass_spec(),
+                                   solver=SolverSettings(max_iter=2))
+        t0 = time.perf_counter()
+        with pytest.raises(SolverError) as err:
+            run_design(spec)
+        assert err.value.iterations == 2
+        assert 0.0 < err.value.runtime_seconds < time.perf_counter() - t0
+
+
+class TestSweepOrders:
+    def test_failed_order_records_its_solve_runtime(self):
+        # the solver ran for each order before it stopped at max_iter
+        spec = dataclasses.replace(lowpass_spec(),
+                                   solver=SolverSettings(max_iter=1))
+        t0 = time.perf_counter()
+        rows = sweep_orders(spec, [3, 5])
+        wall = time.perf_counter() - t0
+        assert [row["order"] for row in rows] == [3, 5]
+        for row in rows:
+            assert row["status"].startswith(
+                "failed: design solve ended with status 'max_iterations' "
+                "after 1 iterations")
+            assert 0.0 < row["runtime_seconds"] < wall
+        assert sum(row["runtime_seconds"] for row in rows) < wall
 
 
 def load_bench_module(name):
