@@ -10,8 +10,8 @@ As in cone QP solvers (CVXOPT's ``coneqp``), G enters the Newton system next
 to the block's Schur complement, so the objective needs no epigraph variable
 or cone of its own.
 ``solve`` divides the objective by the problem's one ``scale``; a design
-passes its noise floor, the infinite-order lower bound, so the optimum sits
-near 1 from the first iteration.
+passes its noise floor, the infinite-order lower bound, so the scaled
+optimum is of order 1.
 No separate certificate cone is needed either: the LMI gives
 P - A^T P A >= C^T C >= 0 and the delay-chain A is nilpotent, so
 P = sum_k (A^T)^k (P - A^T P A) A^k >= 0.
@@ -492,11 +492,10 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     in the coefficients, on the KYP block alone (which already implies the
     certificate is PSD).
 
-    The objective data is divided by the problem's ``scale``.  Near the
-    optimum the solver then sees an O(1) objective, and mu need not be
-    worked down through the decades between the flat NTF's noise q_0 and
-    the optimum, which dividing by the largest entry (about q_0) cost.  The
-    reported duality gap is relative to the whole objective, constant
+    The objective data is divided by the problem's ``scale``.  A scale near
+    the optimum gives an O(1) objective there, so mu is not worked down
+    through the decades between the flat NTF's noise q_0 and the optimum.
+    The reported duality gap is relative to the whole objective, constant
     included, which is what the order sweep's monotonicity is judged
     against.
     """

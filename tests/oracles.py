@@ -7,8 +7,9 @@ places its entries directly), its Schur-reduced dissipation form, the
 in-band noise power of an NTF alone by quadrature, the reduced objective's
 value, the interior-point step length measured through an inverse Cholesky
 factor, the solver cone's dense constant and coefficient map built through
-``LmiSystem.evaluate``, Horner's rule with a new array per step, and the
-per-sample simulation loop's quantizer.
+``LmiSystem.evaluate``, Horner's rule with a new array per step, the
+per-sample simulation loop's quantizer, and the objective's noise floor and
+an NTF's mean log gain on a fine grid of the whole circle.
 """
 
 from __future__ import annotations
@@ -193,3 +194,39 @@ def quantize(quantizer: Quantizer, value: float) -> float:
     """The nearest of the quantizer's levels; midpoints round toward the
     higher level."""
     return quantizer.levels[bisect_right(quantizer.midpoints, value)]
+
+
+FINE_POINTS = 2**16  # the grid of the noise-floor and mean-log oracles
+
+
+def noise_floor_bisection(h, gamma: float, points: int = FINE_POINTS):
+    """(f_inf, c): the least mean of W R over 0 <= R <= gamma^2 with
+    mean ln R >= 0, W = |H|^2 of the truncated response h on the
+    ``points``-point DFT grid of the whole circle, and the level c of its
+    minimizer R = min(gamma^2, c / W).  ln c is found by bisection on the
+    mean of ln R, which grows with it, until the bracket stops shrinking.
+    h must be shorter than the grid, so that the grid mean of W |A|^2 is
+    ||h * a||^2 for every a of order below points - len(h)."""
+    samples = np.asarray(getattr(h, "samples", h), dtype=float)
+    if samples.size >= points:
+        raise ValueError("the response must be shorter than the grid")
+    w = np.abs(np.fft.fft(samples, points)) ** 2
+    log_w = np.log(np.maximum(w, np.finfo(float).tiny))
+    log_cap = 2.0 * np.log(gamma)
+    lo, hi = float(log_w.min()), float(log_w.max()) + log_cap
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.mean(np.minimum(log_cap, mid - log_w)) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = np.exp(np.minimum(log_cap, hi - log_w))
+    return float(np.mean(w * r)), float(np.exp(hi))
+
+
+def mean_log_gain(coeffs, points: int = FINE_POINTS) -> float:
+    """The mean of ln |A|^2 over a ``points``-point grid of the whole
+    circle; 0 for a monic minimum-phase A, by Jensen's formula."""
+    return float(np.mean(np.log(np.abs(np.fft.fft(coeffs, points)) ** 2)))
