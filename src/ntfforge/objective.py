@@ -115,8 +115,7 @@ def noise_floor(h, gamma: float) -> float:
     # ln W_i) + (1 - free_k) ln gamma^2 = 0
     log_c = (np.cumsum(weight * log_w) - (1.0 - free) * log_cap) / free
     # the first k whose next W would take more than gamma^2 under its c
-    level = log_c - log_cap
-    k = int(np.argmax(np.append(log_w[1:], -np.inf) <= level))
+    k = int(np.argmax(np.append(log_w[1:], -np.inf) <= log_c - log_cap))
     capped = float(weight[k + 1:] @ w[k + 1:])
     return float(free[k] * np.exp(log_c[k]) + gamma * gamma * capped)
 

@@ -98,8 +98,8 @@ class SdpProblem:
     """NTF design problem: reduced quadratic objective + gain-bound LMI.
     No NTF meets gamma < 1, and a = 0 meets every other gamma.  ``scale`` is
     the objective's size, which ``solve`` divides it by: a design passes its
-    noise floor (``objective.noise_floor``), a lower bound near the
-    optimum."""
+    noise floor (``objective.noise_floor``), a lower bound within a small
+    factor of the optimum."""
 
     quadratic: np.ndarray
     linear: np.ndarray
