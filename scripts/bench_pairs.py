@@ -18,12 +18,13 @@ side makes one traced run (``--trace 1``, seed 1) of every workload.
 
 Writes ``BENCH_<label>.json`` in the repository root: per workload and side,
 the median and quartiles of every end-to-end metric with the runs behind
-them, failed/attempted counts and the pairs the change won; per design and
-side, the wall times, solver iterations and sigma2_h; per simulation and
-side, the wall times, the largest |e| and a hash of the output bits; per
-traced run, its exit code, whether its last line is strict JSON (no NaN or
-Infinity), the per-layer metrics of BENCHMARK.json it lacks and its
-"absent span targets" line.
+them, failed/attempted counts and the pairs the change won, and per metric
+two verdicts (``summarize``); per design and side, the wall times, solver
+iterations and sigma2_h; per simulation and side, the wall times, the
+largest |e| and a hash of the output bits; per traced run, its exit code,
+whether its last line is strict JSON (no NaN or Infinity), its per-layer
+metrics of BENCHMARK.json, those it lacks and its "absent span targets"
+line.
 """
 
 import argparse
@@ -39,6 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHANGE = "HEAD"
 REPEATS = 3
+# a change carries a claimed gain when it is better in at least 9 of 10
+# pairs and its median gap exceeds the parent's interquartile range
+CLAIM_SHARE = (9, 10)
 
 BANDPASS = {"fs_hz": 2 * 64 * 400.0,
             "filter": {"kind": "bandpass_butterworth", "order": 8,
@@ -139,8 +143,9 @@ def _reject_constant(name):
 
 def traced_run(checkout, workload, seconds, per_layer) -> dict:
     """One traced run at seed 1, judged as a result line must be: its exit
-    code, whether its last line parses as strict JSON, which of the
-    ``per_layer`` metrics it lacks and its "absent span targets" line."""
+    code, whether its last line parses as strict JSON, the values of the
+    ``per_layer`` metrics it has, those it lacks and its "absent span
+    targets" line."""
     proc = run_bench(checkout, workload, 1, seconds, 1)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -150,6 +155,8 @@ def traced_run(checkout, workload, seconds, per_layer) -> dict:
     except (IndexError, KeyError, TypeError, ValueError):
         metrics, strict = {}, False
     return {"returncode": proc.returncode, "strict_json": strict,
+            "per_layer": {m: metrics[m]["value"] for m in per_layer
+                          if m in metrics},
             "missing_per_layer": [m for m in per_layer if m not in metrics],
             "absent_targets": next(
                 (line for line in lines
@@ -191,24 +198,51 @@ def spread(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent, change, pairs, better, bound) -> dict:
+    """Whether the change would carry a claim on a metric (better in at
+    least ``CLAIM_SHARE`` of the pairs, and a median gap larger than the
+    parent's interquartile range), and whether its median is worse than the
+    parent's by more than ``bound`` of it.  ``parent`` and ``change`` are
+    ``spread`` results, ``pairs`` the (parent, change) values of each pair
+    and ``better`` "lower" or "higher"."""
+    if parent["median"] is None or change["median"] is None:
+        return {"claim": False, "regressed": change["median"] is None}
+    sign = 1.0 if better == "lower" else -1.0
+    gain = sign * (parent["median"] - change["median"])
+    iqr = parent["q3"] - parent["q1"]
+    won = sum(sign * (p - c) > 0 for p, c in pairs)
+    wins, of = CLAIM_SHARE
+    return {"claim": bool(pairs) and won * of >= wins * len(pairs)
+            and gain > iqr,
+            "regressed": -gain > bound * abs(parent["median"]),
+            "change_better": won, "pairs": len(pairs),
+            "median_gain": gain, "parent_iqr": iqr}
+
+
 def summarize(runs, metrics) -> dict:
-    """runs[side] is the list of run results, in pair order."""
+    """runs[side] is the list of run results, in pair order; ``metrics``
+    are BENCHMARK.json's end-to-end entries (name, better, bound)."""
     out = {}
     for side, results in runs.items():
         out[side] = {
-            name: spread([r["metrics"][name]["value"] for r in results
-                          if name in r.get("metrics", {})])
-            for name in metrics}
+            m["name"]: spread([r["metrics"][m["name"]]["value"]
+                               for r in results
+                               if m["name"] in r.get("metrics", {})])
+            for m in metrics}
         out[side]["attempted"] = [r.get("attempted") for r in results]
         out[side]["failed"] = [r.get("failed") for r in results]
-    wins = {}
-    for name in metrics:
+    wins, verdicts = {}, {}
+    for m in metrics:
+        name = m["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(runs["parent"], runs["change"])
                  if name in p.get("metrics", {}) and name in c.get("metrics", {})]
         wins[name] = {"change_lower": sum(c < p for p, c in pairs),
                       "pairs": len(pairs)}
+        verdicts[name] = verdict(out["parent"][name], out["change"][name],
+                                 pairs, m["better"], m["bound"])
     out["wins"] = wins
+    out["verdicts"] = verdicts
     return out
 
 
@@ -224,7 +258,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    metrics = bench["end_to_end"]
     seconds = float(bench["run_seconds"])
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench_pairs-")
     os.makedirs(workdir, exist_ok=True)
@@ -284,6 +318,10 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for w in workloads:
+        for name, v in report["workloads"][w]["verdicts"].items():
+            print(f"{w} {name}: claim {v['claim']}, "
+                  f"regressed {v['regressed']}")
     print(f"wrote {path}")
     return 0
 

@@ -155,7 +155,7 @@ def cmd_evaluate(args) -> int:
     filt = design_filter(spec.filter_spec)
     report = evaluate_ntf((num, den), spec, args.amplitude, signal_kind=kind,
                           freqs_hz=freqs,
-                          certificate=artifact.get("certificate"), filt=filt)
+                          certificate=artifact.get("certificate"))
     atomic_write(args.out, dump_json(report.to_json_dict()))
     base, _ = os.path.splitext(args.out)
     write_curve(base + "_integrand.csv", "integrand_linear", spec.grid,

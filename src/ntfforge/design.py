@@ -235,25 +235,23 @@ def default_tone_freqs(spec: DesignSpec):
 
 def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
                  signal_kind: str = "multitone", freqs_hz=None,
-                 certificate: dict | None = None,
-                 filt: RationalFilter | None = None) -> EvaluationReport:
+                 certificate: dict | None = None) -> EvaluationReport:
     """Score an NTF against a design spec: noise power, SNRs, gain check.
 
     ``ntf`` is either an NtfFir or a (num, den) pair; a pair whose den is
     (1.0,) is an FIR NTF.  FIR noise powers are the energy of h * a
     (``noise_gain``, exactly reproducing the design-time value); rational
     ones are scored by quadrature on the spec's ``grid``.  Time-domain
-    simulation runs for FIR NTFs only, over ``SIM_SAMPLES`` samples, and
-    shares the one truncated impulse response with the noise power.
-    ``filt`` is the spec's filter when the caller has already designed it.
+    simulation runs for FIR NTFs only, over ``SIM_SAMPLES`` samples.  The
+    spec's filter and its truncated impulse response are the ones its design
+    built (``design_filter`` and ``impulse_response`` keep them).
 
     The test signal plays ``freqs_hz`` at ``amplitude``, and a sine or
     multitone given no tone one per filter band (``default_tone_freqs``);
     ``make_test_signal`` judges it, and the expected SNR reads its power.
     """
     t0 = time.perf_counter()
-    if filt is None:
-        filt = design_filter(spec.filter_spec)
+    filt = design_filter(spec.filter_spec)
     num, den = (ntf.coeffs, (1.0,)) if isinstance(ntf, NtfFir) else ntf
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     fir = NtfFir(coeffs=num) if den.size == 1 and den[0] == 1.0 else None
@@ -275,7 +273,7 @@ def evaluate_ntf(ntf, spec: DesignSpec, amplitude: float,
     overloaded = False
     if fir is not None:
         trace = simulate(fir, w, spec.quantizer)
-        simulated_db = measure_snr(trace, filt, h)
+        simulated_db = measure_snr(trace, filt)
         overloaded = trace.overloaded
     zeros = polynomial_roots(num)
     grid_max = grid_gain_max(num, den=den)

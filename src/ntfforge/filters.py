@@ -9,6 +9,12 @@ built; the section roots are found once per filter, for its ``pole_radius``.
 Butterworth sections come from closed-form poles, and signals are filtered by
 blocks through one state space per branch; numpy is the only numerical
 dependency.
+
+``design_filter`` and ``impulse_response`` keep their last ``CACHE_SIZE``
+results, keyed on the spec's or the filter's value, so the designs of an
+order sweep and the evaluation after them build one filter and truncate it
+once per process.  Both results are immutable: a filter is a frozen value,
+and a truncated response holds its own read-only copy of the samples.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ TRUNCATION_HARD_CAP = 2**20
 ENERGY_TOL = 1e-12  # tail energy impulse_response discards, relative
 _STABILITY_MARGIN = 1e-12
 FILTER_BLOCK = 128  # samples per block of filter_signal; a power of two
+# filters and truncated responses design_filter / impulse_response keep; a
+# response holds at most TRUNCATION_HARD_CAP samples of 8 bytes
+CACHE_SIZE = 4
 
 FILTER_KINDS = (
     "lowpass_butterworth",
@@ -231,19 +240,23 @@ class RationalFilter:
 
 @dataclass(frozen=True)
 class ImpulseResponse:
-    """Truncated impulse response h_0..h_M with truncation metadata."""
+    """Truncated impulse response h_0..h_M with truncation metadata.
+
+    The samples are a read-only copy, so one response can be shared and the
+    caller's array is left as it was."""
 
     samples: np.ndarray
     tail_energy_fraction: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        arr = np.array(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidSpecError("impulse response must be a nonempty vector")
         if not (0.0 <= self.tail_energy_fraction < 1.0):
             raise InvalidSpecError("tail energy fraction must be in [0, 1)")
         if self.tail_energy_fraction > ENERGY_TOL:
             raise InvalidSpecError("tail energy exceeds the truncation tolerance")
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
 
@@ -452,9 +465,11 @@ def _pair_sections(poles, zeros, gain):
     return tuple(tuple(sec) for sec in sections)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def design_filter(spec: FilterSpec) -> RationalFilter:
     """Build the stable rational filter described by a FilterSpec: one
-    Butterworth branch per band, or one section for an explicit filter."""
+    Butterworth branch per band, or one section for an explicit filter.
+    Equal specs share one filter (``CACHE_SIZE``)."""
     if spec.kind == "explicit_rational":
         return RationalFilter.from_polynomials(spec.num, spec.den)
     if spec.kind == "explicit_impulse":
@@ -463,9 +478,11 @@ def design_filter(spec: FilterSpec) -> RationalFilter:
         _band_branch(spec.order, lo, hi, spec.fs_hz) for lo, hi in spec.bands_hz))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def impulse_response(filt: RationalFilter) -> ImpulseResponse:
     """Truncate the impulse response at the smallest M whose discarded tail
-    energy is at most ``ENERGY_TOL`` times the total energy.
+    energy is at most ``ENERGY_TOL`` times the total energy.  Equal filters
+    share one response (``CACHE_SIZE``).
 
     Samples come from the filter's block operators (built once) run on a
     unit impulse; the window is extended until it passes every numerator tap

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, NtfForgeError
-from .filters import (
-    ImpulseResponse,
-    RationalFilter,
-    impulse_response,
-    settling_length,
-)
+from .filters import RationalFilter, impulse_response, settling_length
 
 SNR_DB_CAP = 300.0
 OVERLOAD_EPS = 1e-12
@@ -121,6 +116,7 @@ def _level_indices(patterns: np.ndarray, nlev: int, length: int) -> np.ndarray:
     return patterns[:, None] // nlev ** np.arange(length - 1, -1, -1) % nlev
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTrace:
     """Run the error-feedback loop over the input sequence.
 
@@ -141,6 +137,11 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     The sums equal the per-sample recursion's to rounding, so the decisions
     are the same unless a sum lies within that rounding of a threshold.
     Decisions use ``Quantizer.midpoints``, ties going up.
+
+    A loop that diverges overflows without a warning and is flagged
+    overloaded.  Once the P errors a block reads hold a NaN, every later
+    error is NaN and every later decision the top level, so the loop stops
+    there and fills them in.
     """
     w = np.asarray(input_w, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -174,6 +175,13 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
     patterns = []
     for n0, from_w in zip(range(0, n_blocks * block, block), from_input):
         from_e = feed_past.dot(e_ext[n0:n0 + p]).tolist()
+        if from_e[0] != from_e[0] and np.isnan(e_ext[n0:n0 + p]).any():
+            # diverged: the past errors hold a NaN, so every later sum and
+            # error is NaN and every later decision the top level, which is
+            # what bisect_right returns for NaN
+            e_ext[p + n0:] = np.nan
+            patterns += [nlev**block - 1] * (n_blocks - len(patterns))
+            break
         pattern = 0
         errors = []
         for yw, ye, table in zip(from_w.tolist(), from_e, tables):
@@ -200,22 +208,18 @@ def simulate(ntf: NtfFir, input_w, quantizer: Quantizer | None = None) -> ModTra
                     overloaded=overloaded, transient_discard=n_discard)
 
 
-def measure_snr(trace: ModTrace, filt: RationalFilter,
-                response: ImpulseResponse | None = None) -> float:
+def measure_snr(trace: ModTrace, filt: RationalFilter) -> float:
     """SNR through the output filter, in dB, capped at ``SNR_DB_CAP``.
 
     Signal power is the mean square of the filtered input alone; noise power
     is the mean square of the filtered difference between input and modulator
     output, both filtered in one pass.  Both discard the same prefix: the
-    longer of the filter's settling length (from ``response``, the filter's
-    truncated impulse response, computed when not given) and the loop's
-    transient.
+    longer of the filter's settling length (from its truncated impulse
+    response) and the loop's transient.
     """
     w = trace.input_w
     x = trace.output_x
-    if response is None:
-        response = impulse_response(filt)
-    settle_len = settling_length(response)
+    settle_len = settling_length(impulse_response(filt))
     settle = max(settle_len, trace.transient_discard)
     n_post = w.size - settle
     if n_post < 8 * settle_len:

@@ -265,12 +265,17 @@ def _newton_system(cone: _KypCone, r, quadratic):
     above the bound by about that residual.  dS is formed in the scaled
     space, R (K - R^T dZ R) R^T.
 
+    A Newton matrix H that is no longer finite (W overflowed at an extreme
+    gamma) raises LinAlgError, as a failed factorization does.
+
     Returns ``(predictor, step)``: ``predictor(placed, res_d) -> dz_scaled``
     with ``placed`` = F0 + C a, and ``step(kmat, res_p, res_d) -> (da, dy,
     ds, dz_scaled)``, with ``res_p`` = placed - project(S), both projected.
     """
     w = r @ r.T
     h = cone.gram(w)
+    if not np.all(np.isfinite(h)):
+        raise np.linalg.LinAlgError("the Newton matrix is not finite")
     h.flat[::h.shape[0] + 1] += 1e-14 * np.trace(h) / h.shape[0]
     inv_h = _inverse_factor(h)
     # each a_k has one coordinate, so inv_h @ C gathers
@@ -375,6 +380,7 @@ def _nt_scaling(ls, lz):
     return r, lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
                 quadratic, constant: float):
     """Mehrotra predictor-corrector for min c.a + a^T G a / 2 + constant
@@ -435,7 +441,9 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             status = "optimal"
             break
 
-        # any factorization or eigenvalue routine that fails ends the solve
+        # any factorization or eigenvalue routine that fails ends the solve,
+        # as does a Newton matrix that overflowed (the FFT's overflow is
+        # silenced for the whole solve)
         try:
             r, lam = _nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
             predictor, newton_step = _newton_system(cone, r, quadratic)

@@ -8,8 +8,9 @@ in-band noise power of an NTF alone by quadrature, the reduced objective's
 value, the interior-point step length measured through an inverse Cholesky
 factor, the solver cone's dense constant and coefficient map built through
 ``LmiSystem.evaluate``, Horner's rule with a new array per step, the
-per-sample simulation loop's quantizer, and the objective's noise floor and
-an NTF's mean log gain on a fine grid of the whole circle.
+per-sample simulation loop's quantizer and its recursion replayed over given
+errors, and the objective's noise floor and an NTF's mean log gain on a fine
+grid of the whole circle.
 """
 
 from __future__ import annotations
@@ -194,6 +195,25 @@ def quantize(quantizer: Quantizer, value: float) -> float:
     """The nearest of the quantizer's levels; midpoints round toward the
     higher level."""
     return quantizer.levels[bisect_right(quantizer.midpoints, value)]
+
+
+def replayed_loop(coeffs, w, e, quantizer: Quantizer, start: int):
+    """The per-sample loop's decision and error at every sample from
+    ``start`` on, each from the given errors before it: y(n) = w(n) +
+    sum_k a_k e(n-k) in Python floats, x(n) = quantize(y(n)) and
+    e(n) = x(n) - y(n).  Returns (x, e) over samples start..end."""
+    tail = [float(c) for c in coeffs[1:]]
+    past = [float(v) for v in e]
+    xs, es = [], []
+    for n in range(start, len(past)):
+        acc = float(w[n])
+        for k, a_k in enumerate(tail, 1):
+            if n - k >= 0:
+                acc += a_k * past[n - k]
+        xi = quantize(quantizer, acc)
+        xs.append(xi)
+        es.append(xi - acc)
+    return np.array(xs), np.array(es)
 
 
 FINE_POINTS = 2**16  # the grid of the noise-floor and mean-log oracles

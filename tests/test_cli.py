@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -185,9 +187,9 @@ class TestDesign:
     @pytest.mark.parametrize("command", ["design", "sweep"])
     def test_gamma_where_eigenvalues_fail_is_solver_failure(
             self, tmp_path, capsys, command):
-        # on the paper's lowpass P=12, gamma = 1e150 makes an eigenvalue
-        # routine of the predictor step fail; the solve ends as a numerical
-        # failure, design exits 3 and sweep records it for every order
+        # on the paper's lowpass P=12, gamma = 1e150 overflows the Newton
+        # matrix; the solve ends as a numerical failure, design exits 3 and
+        # sweep records it for every order
         path = tmp_path / "paper-lowpass.json"
         path.write_text(json.dumps(PAPER_LOWPASS))
         out = tmp_path / "x.out"
@@ -208,6 +210,32 @@ class TestDesign:
             assert [row[0] for row in rows] == ["5", "12"]
             assert all(row[3].startswith(f"failed: {failure}")
                        for row in rows)
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_gamma_where_the_newton_matrix_overflows_stops_at_once(
+            self, tmp_path, capsys, command):
+        # at gamma = 1e150 the Newton matrix overflows within a few
+        # iterations; the solve ends there, without a numpy warning, where
+        # it used to run 138 iterations on overflowed data
+        path = tmp_path / "paper-lowpass.json"
+        path.write_text(json.dumps(PAPER_LOWPASS))
+        out = tmp_path / "x.out"
+        orders = ["--orders", "5,12"] if command == "sweep" else []
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out),
+                         "--gamma", "1e150", *orders])
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        if command == "design":
+            assert code == 3
+            text = capsys.readouterr().err
+        else:
+            assert code == 0
+            text = out.read_text()
+        counts = re.findall(r"'numerical_failure' after (\d+) iterations",
+                            text)
+        assert len(counts) == (1 if command == "design" else 2)
+        assert all(int(n) <= 10 for n in counts)
 
     def test_integral_float_fields_are_accepted(self, tmp_path):
         spec = {

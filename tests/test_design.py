@@ -355,7 +355,7 @@ class TestNoisePowerWithoutCancellation:
         h = impulse_response(result.filt)
         want = spec.budget.sigma2_eps * exact_noise_gain(h.samples,
                                                          result.ntf.coeffs)
-        report = evaluate_ntf(result.ntf, spec, 0.3, filt=result.filt)
+        report = evaluate_ntf(result.ntf, spec, 0.3)
         for got in (result.sigma2_h, report.sigma2_h):
             assert abs(got - want) <= 1e-9 * want
 
@@ -486,6 +486,49 @@ class TestStudyScripts:
         assert calls
         for call in calls:
             assert {kw.arg for kw in call.keywords} <= set(accepted)
+
+    def test_bench_pairs_verdicts(self, monkeypatch):
+        # synthetic pairs: op_s lower on 9 of 10 by more than the parent's
+        # IQR carries a claim; rss 30% higher exceeds its 0.25 bound; a
+        # higher-better metric won on 8 of 10 pairs carries none
+        module = self.load_check(monkeypatch, "bench_pairs")
+        metrics = [{"name": "op_s", "better": "lower", "bound": 0.25},
+                   {"name": "rss", "better": "lower", "bound": 0.25},
+                   {"name": "rate", "better": "higher", "bound": 0.25}]
+        parent = [{"op_s": 1.0 + 0.01 * k, "rss": 50.0, "rate": 10.0}
+                  for k in range(10)]
+        change = [{"op_s": 0.9 + 0.01 * k, "rss": 65.0,
+                   "rate": 9.0 if k < 2 else 11.0} for k in range(10)]
+        change[3]["op_s"] = 1.5
+
+        def result(values):
+            return {"attempted": 5, "failed": 0,
+                    "metrics": {k: {"value": v} for k, v in values.items()}}
+
+        out = module.summarize({"parent": [result(v) for v in parent],
+                                "change": [result(v) for v in change]},
+                               metrics)
+        verdicts = out["verdicts"]
+        assert verdicts["op_s"]["change_better"] == 9
+        assert verdicts["op_s"]["claim"] and not verdicts["op_s"]["regressed"]
+        assert not verdicts["rss"]["claim"] and verdicts["rss"]["regressed"]
+        assert verdicts["rate"]["change_better"] == 8
+        assert not verdicts["rate"]["claim"]
+        assert not verdicts["rate"]["regressed"]
+        assert out["wins"]["op_s"] == {"change_lower": 9, "pairs": 10}
+        # a median gap inside the parent's IQR carries no claim
+        for values in change:
+            values["op_s"] = 1.0 + 0.01 * 4.5 - 0.001
+        narrow = module.summarize({"parent": [result(v) for v in parent],
+                                   "change": [result(v) for v in change]},
+                                  metrics)["verdicts"]["op_s"]
+        assert not narrow["claim"]
+        # a side with no values carries no claim, and a change without
+        # them counts as regressed
+        empty = module.summarize({"parent": [result(v) for v in parent],
+                                  "change": [{"failed": 1}] * 10},
+                                 metrics)["verdicts"]["op_s"]
+        assert empty == {"claim": False, "regressed": True}
 
     @staticmethod
     def load_check(monkeypatch, name):

@@ -12,9 +12,11 @@ from ntfforge.errors import (
     InvalidSpecError,
 )
 from ntfforge.filters import (
+    CACHE_SIZE,
     ENERGY_TOL,
     FilterSpec,
     FrequencyGrid,
+    ImpulseResponse,
     RationalFilter,
     _polyval_zinv,
     design_filter,
@@ -256,7 +258,10 @@ class TestImpulseResponse:
 
     def test_poles_are_found_once_per_filter(self, monkeypatch):
         # the stability check at construction finds the section roots; the
-        # truncation's tail bound reads the same pole_radius
+        # truncation's tail bound reads the same pole_radius, and an equal
+        # spec built again is answered from the cache
+        design_filter.cache_clear()
+        impulse_response.cache_clear()
         calls = []
         genuine = np.roots
 
@@ -264,15 +269,42 @@ class TestImpulseResponse:
             calls.append(p)
             return genuine(p)
 
+        def bandpass(lo, hi):
+            return FilterSpec(kind="bandpass_butterworth", fs_hz=51200.0,
+                              order=8, bands_hz=((lo, hi),))
+
         monkeypatch.setattr(np, "roots", counted)
-        filt = design_filter(FilterSpec(kind="bandpass_butterworth",
-                                        fs_hz=51200.0, order=8,
-                                        bands_hz=((800.0, 1200.0),)))
+        filt = design_filter(bandpass(800.0, 1200.0))
         assert len(calls) == 4  # one per biquad
         impulse_response(filt)
         assert len(calls) == 4
         assert filt.pole_radius == max(
             float(np.max(np.abs(genuine(a)))) for b, a in filt.branches[0])
+        assert design_filter(bandpass(800.0, 1200.0)) is filt
+        assert len(calls) == 4
+        other = design_filter(bandpass(900.0, 1100.0))
+        assert other != filt
+        assert len(calls) == 8
+
+    def test_shared_samples_are_read_only(self):
+        resp = impulse_response(design_filter(lp1_spec()))
+        with pytest.raises(ValueError):
+            resp.samples[0] = 0.0
+        own = np.array([1.0, 0.5, 0.25])
+        held = ImpulseResponse(samples=own, tail_energy_fraction=0.0)
+        own[0] = 2.0
+        assert own.flags.writeable
+        assert held.samples[0] == 1.0
+
+    def test_caches_stay_within_their_bound(self):
+        for k in range(CACHE_SIZE + 3):
+            filt = design_filter(FilterSpec(kind="explicit_rational",
+                                            fs_hz=1.0, num=(1.0,),
+                                            den=(1.0, -0.1 * (k + 1))))
+            impulse_response(filt)
+            assert design_filter.cache_info().currsize <= CACHE_SIZE
+            assert impulse_response.cache_info().currsize <= CACHE_SIZE
+        assert design_filter.cache_info().currsize == CACHE_SIZE
 
     def test_first_order_output_filter_truncation_matches_direct_tail_scan(self):
         filt = design_filter(lp1_spec())

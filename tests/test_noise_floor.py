@@ -1,7 +1,7 @@
 """The noise floor f_inf that scales the design objective
 (``objective.noise_floor``), against independent oracles on the designs it
 scales, with the invariants of those designs that the bound rests on and
-the solver iterations it saves.
+the solver iterations it saves, and the flat NTF's noise above them.
 
 The designs are the paper's lowpass over P = 5..25, its bandpass P=49 and
 two-band P=50 cases, and the bandpass at P=64 with gamma = 1.02.
@@ -123,6 +123,16 @@ class TestNoiseFloorOracles:
         assert grid_error <= GRID_ERROR
         sigma2_eps = result.spec.budget.sigma2_eps
         assert result.sigma2_h >= sigma2_eps * floor * (1.0 - GRID_ERROR)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_noise_power_is_at_most_the_flat_ntfs(self, designs, name):
+        # the flat NTF (a = 1, unit gain) is feasible at every gamma >= 1,
+        # so the optimum is at most its noise sigma_eps^2 q_0, to the
+        # solver's relative gap
+        result, h, _ = designs[name]
+        q0 = float(np.dot(h.samples, h.samples))
+        assert result.sigma2_h <= result.spec.budget.sigma2_eps * q0 * (
+            1.0 + result.spec.solver.gap_tol)
 
     def test_lowpass_sweep_approaches_the_floor(self, designs):
         # the lowpass optimum nears the infinite-order bound as P grows
