@@ -12,10 +12,12 @@ gamma 1.001, the 800-1200 Hz bandpass at P=49 (gamma 1.5 and 4) and P=64
 tolerances over P in {25, 49, 64} and gamma in {1.02, 1.5, 4}, and the
 rank-deficient P=35 at default and tight tolerances.
 
-Prints one line per design: the iterations of both sides, the change's
-status, the relative change in sigma2_h, the largest change of a
+Prints one line per design: the iterations of both sides, the corrector's
+refinement solves of both sides ("-" where a revision does not count them),
+the change's status, the relative change in sigma2_h, the largest change of a
 coefficient, and whether the change's design is certified by its own
-witness and verified without one; then the iteration totals.  Exits 1 when
+witness and verified without one; then the iteration and refinement
+totals.  Exits 1 when
 an iteration count differs or a design of the change is not optimal,
 certified and verified, else 0.
 """
@@ -53,6 +55,8 @@ for name, config in json.loads(sys.argv[1]):
     except NtfForgeError:
         verified = False
     out[name] = {"iterations": result.solution.iterations,
+                 "refinements": getattr(result.solution, "refinement_solves",
+                                        None),
                  "status": result.solution.status,
                  "sigma2_h": result.sigma2_h,
                  "coeffs": [float(v) for v in result.ntf.coeffs],
@@ -84,9 +88,15 @@ def designs() -> dict:
     return cases
 
 
+def counted(side: dict) -> str:
+    """A design's refinement solves, or "-" where they are not counted."""
+    return "-" if side.get("refinements") is None else str(side["refinements"])
+
+
 def compare(parent: dict, change: dict) -> tuple:
     """The printed lines and whether the change gives the same answers."""
-    lines = [f"{'design':26} {'iterations':>10} {'status':>8} "
+    lines = [f"{'design':26} {'iterations':>10} {'refinements':>11} "
+             f"{'status':>8} "
              f"{'d sigma2_h':>10} {'d coeff':>9} certified verified"]
     same = True
     for name in designs():
@@ -104,12 +114,16 @@ def compare(parent: dict, change: dict) -> tuple:
         same = same and ok
         lines.append(
             f"{name:26} {old['iterations']:>4} / {new['iterations']:<3} "
-            f"{new['status']:>8} {d_sigma:10.2e} {d_coeff:9.2e} "
+            f"{counted(old):>4} / {counted(new):<4} {new['status']:>8} {d_sigma:10.2e} {d_coeff:9.2e} "
             f"{'yes' if new['certified'] else 'NO':>9} "
             f"{'yes' if new['verified'] else 'NO':>8}")
     totals = [sum(side[name].get("iterations", 0) for name in designs())
               for side in (parent, change)]
     lines.append(f"iterations in all: parent {totals[0]}, change {totals[1]}")
+    solves = [sum(side[name].get("refinements") or 0 for name in designs())
+              for side in (parent, change)]
+    lines.append(f"refinement solves in all: parent {solves[0]}, "
+                 f"change {solves[1]}")
     return lines, same
 
 

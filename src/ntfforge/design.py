@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, SolverError, spec_int
 from .filters import (
+    CACHE_SIZE,
     FilterSpec,
     FrequencyGrid,
     RationalFilter,
@@ -152,6 +153,13 @@ def certificate_from_solution(solution: SdpSolution,
     return verify_bounded_real(solution.ntf_coeffs, gamma, solution.p_matrix)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def design_floor(filt: RationalFilter, gamma: float) -> float:
+    """f_inf of a filter's truncated response at gamma (``noise_floor``);
+    the designs of an order sweep share one value (``CACHE_SIZE``)."""
+    return noise_floor(impulse_response(filt), gamma)
+
+
 def run_design(spec: DesignSpec) -> DesignResult:
     """Design the FIR NTF that minimizes the filtered quantization noise.
 
@@ -164,7 +172,8 @@ def run_design(spec: DesignSpec) -> DesignResult:
     quadratic, linear, constant = reduce_objective(q)
     lmi = assemble_lmi(spec.fir_order, spec.gamma)
     problem = SdpProblem(quadratic=quadratic, linear=linear, lmi=lmi,
-                         scale=noise_floor(h, spec.gamma), constant=constant)
+                         scale=design_floor(filt, spec.gamma),
+                         constant=constant)
     solution = solve(problem, spec.solver)
     if solution.status != "optimal":
         res = solution.kkt_residuals

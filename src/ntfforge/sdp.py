@@ -68,6 +68,9 @@ STEP_FRACTION = 0.98
 STALL_STEP = 1e-10
 WITNESS_MARGIN = 1e-9  # relative gain margin of solve_gain_feasibility
 REFINEMENT_PASSES = 2
+# refinement stops once the Newton residual is this fraction of feas_tol in
+# the stopping test's norms
+REFINED_RESIDUAL = 1e-3
 BLOCK_INVERSE_MIN = 48  # smallest order _triangular_inverse splits
 
 
@@ -138,6 +141,7 @@ class SdpSolution:
     ntf_coeffs: np.ndarray
     p_matrix: np.ndarray
     iterations: int
+    refinement_solves: int
     status: str
     runtime_seconds: float
     kkt_residuals: dict
@@ -240,7 +244,7 @@ class _KypCone:
         return out * self._gram_scale
 
 
-def _newton_system(cone: _KypCone, r, quadratic):
+def _newton_system(cone: _KypCone, r, quadratic, resolution=None):
     """Newton step solvers at the NT scaling R (W = R R^T).
 
     With dZ = lift(dy), the scaled linearization R^-1 dS R^-T + R^T dZ R = K,
@@ -259,22 +263,28 @@ def _newton_system(cone: _KypCone, r, quadratic):
     J. Optim. 2 (1992) 575-601), so it takes one solve with K = -diag(lam),
     whose right-hand side is -(F0 + C a) as R K R^T = -S, and returns
     dZ~ = R^T dZ R alone; dS~ = -diag(lam) - dZ~ follows from it.
-    The step taken gets two refinement passes against the unregularized
-    system, which apply H through the matrices, as dS does, so they shrink
-    the primal residual the step leaves: near gamma = 1 the coefficients sit
-    above the bound by about that residual.  dS is formed in the scaled
-    space, R (K - R^T dZ R) R^T.
+    The step taken gets up to ``REFINEMENT_PASSES`` refinement passes
+    against the unregularized system, which apply H through the matrices,
+    as dS does, so they shrink the primal residual the step leaves: near
+    gamma = 1 the coefficients sit above the bound by about that residual.
+    Each pass forms that residual first and stops refinement once its
+    primal part over ``cone.norm`` is at most ``resolution[0]`` and its dual
+    part at most ``resolution[1]`` (``solve_conic`` passes
+    ``REFINED_RESIDUAL`` times feas_tol in its stopping norms); with no
+    resolution every pass is taken.  dS is formed in the scaled space,
+    R (K - R^T dZ R) R^T.
 
     A Newton matrix H that is no longer finite (W overflowed at an extreme
     gamma) raises LinAlgError, as a failed factorization does.
 
     Returns ``(predictor, step)``: ``predictor(placed, res_d) -> dz_scaled``
     with ``placed`` = F0 + C a, and ``step(kmat, res_p, res_d) -> (da, dy,
-    ds, dz_scaled)``, with ``res_p`` = placed - project(S), both projected.
+    ds, dz_scaled, solves)``, with ``res_p`` = placed - project(S), both
+    projected, and ``solves`` the refinement solves taken.
     """
     w = r @ r.T
     h = cone.gram(w)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("the Newton matrix is not finite")
     h.flat[::h.shape[0] + 1] += 1e-14 * np.trace(h) / h.shape[0]
     inv_h = _inverse_factor(h)
@@ -295,15 +305,21 @@ def _newton_system(cone: _KypCone, r, quadratic):
     def step(kmat, res_p, res_d):
         rhs_y = cone.project(r @ kmat @ r.T) - res_p
         dy, da = solve(rhs_y, res_d)
-        for _ in range(REFINEMENT_PASSES):
-            ey, ea = solve(rhs_y - cone.project(w @ cone.lift(dy) @ w)
-                           - cone.place(da),
-                           res_d - cone.coeff_weight * dy[cone.coeff_slot]
-                           + quadratic @ da)
+        solves = 0
+        while solves < REFINEMENT_PASSES:
+            ry = rhs_y - cone.project(w @ cone.lift(dy) @ w) - cone.place(da)
+            ra = res_d - cone.coeff_weight * dy[cone.coeff_slot] \
+                + quadratic @ da
+            if resolution is not None \
+                    and np.abs(ry / cone.norm).max() <= resolution[0] \
+                    and np.abs(ra).max() <= resolution[1]:
+                break
+            ey, ea = solve(ry, ra)
             dy, da = dy + ey, da + ea
+            solves += 1
         dz_scaled = r.T @ cone.lift(dy) @ r
         ds = r @ (kmat - dz_scaled) @ r.T
-        return da, dy, 0.5 * (ds + ds.T), dz_scaled
+        return da, dy, 0.5 * (ds + ds.T), dz_scaled, solves
 
     return predictor, step
 
@@ -338,23 +354,24 @@ def _triangular_inverse(lower):
     return out
 
 
-def _max_step(root, direction):
-    """Largest alpha with diag(lam) + alpha*D > 0, given root = lam^-1/2:
-    1 / -lambda_min(D o root root^T), or inf when D does not point out."""
-    w = direction * np.outer(root, root)
+def _max_step(outer, direction):
+    """Largest alpha with diag(lam) + alpha*D > 0, given outer = root root^T
+    with root = lam^-1/2: 1 / -lambda_min(D o outer), or inf when D does not
+    point out."""
+    w = direction * outer
     lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
     if lam_min >= 0.0:
         return np.inf
     return 1.0 / (-lam_min)
 
 
-def _predictor_steps(root, dz_scaled):
+def _predictor_steps(outer, dz_scaled):
     """Largest steps from diag(lam) along dS~ = -diag(lam) - dZ~ and along
-    dZ~, given root = lam^-1/2, from one eigendecomposition: with
-    V = dZ~ o root root^T the scaled directions are -I - V and V, so the
-    steps are 1 / (1 + lambda_max(V)) and 1 / -lambda_min(V), each inf when
-    its direction does not point out."""
-    ends = np.linalg.eigvalsh(dz_scaled * np.outer(root, root))
+    dZ~, given outer = root root^T with root = lam^-1/2, from one
+    eigendecomposition: with V = dZ~ o outer the scaled directions are
+    -I - V and V, so the steps are 1 / (1 + lambda_max(V)) and
+    1 / -lambda_min(V), each inf when its direction does not point out."""
+    ends = np.linalg.eigvalsh(dz_scaled * outer)
     low, high = float(ends[0]), float(ends[-1])
     step_s = np.inf if high <= -1.0 else 1.0 / (1.0 + high)
     step_z = np.inf if low >= 0.0 else 1.0 / (-low)
@@ -394,11 +411,14 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     the final S (``LmiSystem.certificate``).  G couples a and Z, so both
     sides take one step length.  Step lengths and the predictor's gap are
     taken in scaled coordinates, diag(lambda) = R^-1 S R^-T = R^T Z R, along
-    dZ~ = R^T dZ R and dS~ = K - dZ~.  The predictor (K = -diag(lambda)) is one unrefined solve
-    whose two step lengths come from one eigendecomposition
-    (``_predictor_steps``); the corrector is refined and measured on each
-    side (``_max_step``).  ``SdpProblem`` rules out infeasible problems.
-    Returns ((a, P), status, info).  The start x0 = (a, P) need not be
+    dZ~ = R^T dZ R and dS~ = K - dZ~.  The predictor (K = -diag(lambda)) is
+    one unrefined solve whose two step lengths come from one
+    eigendecomposition (``_predictor_steps``); the corrector is refined
+    until its Newton residual is ``REFINED_RESIDUAL`` of feas_tol in the
+    stopping norms, at most ``REFINEMENT_PASSES`` times, and measured on
+    each side (``_max_step``).  ``SdpProblem`` rules out infeasible
+    problems.  Returns ((a, P), status, info); ``info`` counts the
+    refinement solves taken (``refinement_solves``).  The start x0 = (a, P) need not be
     strictly feasible; the slack is shifted onto the identity when -M(x0) is
     not PD and the residual is driven out by the iteration.
     The duality gap <S, Z> is judged relative to the whole objective
@@ -415,8 +435,11 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     z = cone.lift(y)
     f0_scale = 1.0 + float(np.max(np.abs(cone.lmi.corner)))
     c_scale = 1.0 + float(np.max(np.abs(c)))
+    resolution = (REFINED_RESIDUAL * settings.feas_tol * f0_scale,
+                  REFINED_RESIDUAL * settings.feas_tol * c_scale)
 
     status = "max_iterations"
+    refinements = 0
     for iters in range(1, settings.max_iter + 1):
         placed = cone.f0 + cone.place(a)
         res_primal = placed - cone.project(s)
@@ -429,8 +452,8 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         dobj = -float(cone.f0 @ y) - half_aga + constant
         denom = max(1e-12, abs(pobj), abs(dobj))
         rel_gap = gap / denom
-        rp_norm = float(np.max(np.abs(res_primal / cone.norm))) / f0_scale
-        rd_norm = float(np.max(np.abs(res_dual))) / c_scale
+        rp_norm = float(np.abs(res_primal / cone.norm).max()) / f0_scale
+        rd_norm = float(np.abs(res_dual).max()) / c_scale
         log.debug("iter %3d gap %.3e rp %.3e rd %.3e mu %.3e",
                   iters, rel_gap, rp_norm, rd_norm, mu)
         info = {"rel_gap": rel_gap, "primal_residual": rp_norm,
@@ -446,26 +469,30 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
         # silenced for the whole solve)
         try:
             r, lam = _nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
-            predictor, newton_step = _newton_system(cone, r, quadratic)
+            predictor, newton_step = _newton_system(cone, r, quadratic,
+                                                    resolution)
             root = 1.0 / np.sqrt(lam)
+            outer = np.outer(root, root)
 
             # predictor (affine scaling) direction, in scaled coordinates
             lam_mat = np.diag(lam)
             dz_t = predictor(placed, res_dual)
             ds_t = -lam_mat - dz_t
-            step_s, step_z = _predictor_steps(root, dz_t)
+            step_s, step_z = _predictor_steps(outer, dz_t)
             alpha = min(1.0, STEP_FRACTION * step_s, STEP_FRACTION * step_z)
             gap_aff = float(np.vdot(lam_mat + alpha * ds_t,
                                     lam_mat + alpha * dz_t))
             sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
             # corrector with Mehrotra second-order term
-            theta = np.diag(sigma * mu - lam * lam) \
-                - 0.5 * (ds_t @ dz_t + dz_t @ ds_t)
+            second = ds_t @ dz_t
+            theta = np.diag(sigma * mu - lam * lam) - 0.5 * (second + second.T)
             k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
-            da, dy, ds, dz_c = newton_step(k_cor, res_primal, res_dual)
-            alpha = min(1.0, STEP_FRACTION * _max_step(root, k_cor - dz_c),
-                        STEP_FRACTION * _max_step(root, dz_c))
+            da, dy, ds, dz_c, solves = newton_step(k_cor, res_primal,
+                                                   res_dual)
+            refinements += solves
+            alpha = min(1.0, STEP_FRACTION * _max_step(outer, k_cor - dz_c),
+                        STEP_FRACTION * _max_step(outer, dz_c))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
@@ -480,6 +507,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
 
     info["runtime_seconds"] = time.perf_counter() - t_start
     info["iterations"] = iters
+    info["refinement_solves"] = refinements
     return (a, cone.lmi.certificate(s)), status, info
 
 
@@ -519,6 +547,7 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
         ntf_coeffs=np.concatenate(([1.0], coeffs)),
         p_matrix=p_matrix,
         iterations=info["iterations"],
+        refinement_solves=info["refinement_solves"],
         status=status,
         runtime_seconds=info["runtime_seconds"],
         kkt_residuals={key: info[key] for key in (

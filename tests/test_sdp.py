@@ -333,10 +333,10 @@ class TestStepLength:
         d = random_spd(rng, n) if inward else symmetric(rng, n)
         r, lam = sdp._nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
         r_inv = np.linalg.inv(r)
-        root = 1.0 / np.sqrt(lam)
+        outer = np.outer(1.0 / np.sqrt(lam), 1.0 / np.sqrt(lam))
         for x, scaled in ((s, r_inv @ d @ r_inv.T), (z, r.T @ d @ r)):
             want = max_step(np.linalg.inv(np.linalg.cholesky(x)), d)
-            got = sdp._max_step(root, scaled)
+            got = sdp._max_step(outer, scaled)
             if inward:
                 assert got == want == np.inf
             else:
@@ -352,13 +352,13 @@ class TestStepLength:
         # (dZ~ PD, or dS~ PD) never reaches the boundary
         rng = np.random.default_rng(seed)
         lam = np.exp(rng.uniform(-2.0, 2.0, size=n))
-        root = 1.0 / np.sqrt(lam)
+        outer = np.outer(1.0 / np.sqrt(lam), 1.0 / np.sqrt(lam))
         dz = {"out": lambda: indefinite(rng, n),
               "z_in": lambda: random_spd(rng, n),
               "s_in": lambda: -np.diag(lam) - random_spd(rng, n)}[kind]()
-        got = sdp._predictor_steps(root, dz)
-        want = (sdp._max_step(root, -np.diag(lam) - dz),
-                sdp._max_step(root, dz))
+        got = sdp._predictor_steps(outer, dz)
+        want = (sdp._max_step(outer, -np.diag(lam) - dz),
+                sdp._max_step(outer, dz))
         assert np.isinf(got[0]) == (kind == "s_in")
         assert np.isinf(got[1]) == (kind == "z_in")
         for g, w in zip(got, want):
@@ -485,7 +485,8 @@ class TestDualSubspace:
         dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
 
         _, step = sdp._newton_system(cone, r, quad)
-        da, dy, ds_got, _ = step(kmat, cone.project(res_p), res_d[:order_p])
+        da, dy, ds_got, _, _ = step(kmat, cone.project(res_p),
+                                    res_d[:order_p])
         assert_close(da, dx[:order_p], rtol=1e-10)
         assert_close(ds_got, ds, rtol=1e-10)
         assert_close(cone.lift(dy), dz, rtol=1e-10)
