@@ -485,7 +485,7 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
             sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
             # corrector with Mehrotra second-order term
-            second = ds_t @ dz_t
+            second = dz_t @ ds_t
             theta = np.diag(sigma * mu - lam * lam) - 0.5 * (second + second.T)
             k_cor = 2.0 * theta / (lam[:, None] + lam[None, :])
             da, dy, ds, dz_c, solves = newton_step(k_cor, res_primal,
