@@ -418,9 +418,9 @@ def solve_conic(cone: _KypCone, c, x0, settings: SolverSettings,
     stopping norms, at most ``REFINEMENT_PASSES`` times, and measured on
     each side (``_max_step``).  ``SdpProblem`` rules out infeasible
     problems.  Returns ((a, P), status, info); ``info`` counts the
-    refinement solves taken (``refinement_solves``).  The start x0 = (a, P) need not be
-    strictly feasible; the slack is shifted onto the identity when -M(x0) is
-    not PD and the residual is driven out by the iteration.
+    refinement solves taken (``refinement_solves``).  The start x0 = (a, P)
+    need not be strictly feasible; the slack is shifted onto the identity
+    when -M(x0) is not PD and the residual is driven out by the iteration.
     The duality gap <S, Z> is judged relative to the whole objective
     (floored at 1e-12).
     """
