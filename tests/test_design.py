@@ -326,6 +326,25 @@ class TestTightBandpassGrid:
         assert verify_bounded_real(result.ntf.coeffs, gamma).feasible
 
 
+class TestRefinementGate:
+    # The corrector's refinement stops once its Newton residual is
+    # REFINED_RESIDUAL of feas_tol in the stopping norms.  At default
+    # settings the unrefined step mostly meets that already; the TIGHT
+    # designs near gamma = 1 need refinement to stay within their bound.
+    def test_default_lowpass_refines_fewer_steps_than_it_takes(self):
+        solution = run_design(lowpass_spec(12)).solution
+        assert solution.status == "optimal"
+        # the last iteration only converges
+        assert solution.refinement_solves < solution.iterations - 1
+
+    def test_tight_bandpass_near_unit_gamma_refines(self):
+        tight = SolverSettings(gap_tol=1e-10, feas_tol=1e-9)
+        solution = run_design(dataclasses.replace(
+            bandpass_spec(64, 1.02), solver=tight)).solution
+        assert solution.status == "optimal"
+        assert solution.refinement_solves >= 1
+
+
 def exact_noise_gain(h, a):
     """a^T Q a for Q = build_q_matrix(h, P), in exact integer arithmetic:
     every float is an integer over a power of two, and int / int rounds

@@ -10,7 +10,7 @@ two-band P=50 cases, and the bandpass at P=64 with gamma = 1.02.
 import numpy as np
 import pytest
 
-from ntfforge.design import DesignSpec, run_design
+from ntfforge.design import DesignSpec, design_floor, run_design, sweep_orders
 from ntfforge.filters import FilterSpec, impulse_response
 from ntfforge.objective import noise_floor, noise_gain
 from oracles import FINE_POINTS, mean_log_gain, noise_floor_bisection
@@ -153,6 +153,26 @@ class TestGerzonCraven:
         coeffs = designs[name][0].ntf.coeffs
         assert np.max(np.abs(np.roots(coeffs))) < 1.0
         assert abs(mean_log_gain(coeffs)) <= 1e-10
+
+
+class TestNoiseFloorCache:
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_cached_floor_is_the_floor_of_the_truncated_response(
+            self, designs, name):
+        result, h, _ = designs[name]
+        gamma = SPECS[name].gamma
+        assert design_floor(result.filt, gamma) == noise_floor(h, gamma)
+        assert design_floor(result.filt, gamma) == noise_floor(
+            impulse_response(result.filt), gamma)
+
+    def test_sweep_computes_the_floor_once(self):
+        # the 21 orders share one filter and gamma, so the first design's
+        # miss answers the other twenty
+        design_floor.cache_clear()
+        rows = sweep_orders(lowpass_spec(5), SWEEP)
+        assert all(row["status"] == "optimal" for row in rows)
+        info = design_floor.cache_info()
+        assert (info.misses, info.hits) == (1, len(SWEEP) - 1)
 
 
 class TestIterationBudget:

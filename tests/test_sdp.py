@@ -309,6 +309,71 @@ def dense_cone_basis(cone):
     return np.array([cone.lift(e) for e in np.eye(cone.norm.size)])
 
 
+class NewtonCase:
+    """A random reduced Newton system at S = F0 + F(x) - E (E = 0 or a
+    random primal residual times ``residual``), Z = lift(y) and the NT
+    scaling R of a random pair, with the full Newton step over
+    x = (a, certificate) from the dense basis: matrix tr(G_k G_l) + G,
+    G_k = R^-1 F_k R^-T.  ``res_p`` is projected and ``res_d`` is the
+    coefficients' part, as ``_newton_system``'s step takes them."""
+
+    def __init__(self, rng, order_p, gamma, residual):
+        self.order = order_p
+        cone, f0, fmat, x = random_kyp_point(rng, order_p, gamma)
+        n = order_p + 2
+        half = rng.normal(size=(order_p, order_p))
+        quad = half @ half.T
+        c = rng.normal(size=order_p)
+        s = f0 + np.tensordot(x, fmat, 1) - residual * symmetric(rng, n)
+        z = cone.lift(rng.normal(size=2 * order_p + 3))
+        kmat = symmetric(rng, n)
+        r = random_scaling(rng, n)
+        r_inv = np.linalg.inv(r)
+
+        res_p = f0 + np.tensordot(x, fmat, 1) - s
+        res_d = -np.einsum("nab,ab->n", fmat, z)
+        res_d[:order_p] += c + quad @ x[:order_p]
+        h = dense_gram(fmat, r_inv)
+        h[:order_p, :order_p] += quad
+        mat = r_inv.T @ (kmat - r_inv @ res_p @ r_inv.T) @ r_inv
+        dx = np.linalg.solve(h, np.einsum("nab,ab->n", fmat, mat) - res_d)
+        ds = np.tensordot(dx, fmat, 1) + res_p
+        self.dense = (dx[:order_p], ds,
+                      r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv)
+        self.cone, self.r, self.quad, self.kmat = cone, r, quad, kmat
+        self.res_p, self.res_d = cone.project(res_p), res_d[:order_p]
+        self.basis, self.coeff_basis = dense_cone_basis(cone), fmat[:order_p]
+
+    def assert_matches_dense(self, da, dy, ds):
+        assert_close(da, self.dense[0], rtol=1e-10)
+        assert_close(ds, self.dense[1], rtol=1e-10)
+        assert_close(self.cone.lift(dy), self.dense[2], rtol=1e-10)
+
+    def _project(self, mat):
+        return np.einsum("kab,ab->k", self.basis, mat)
+
+    def rhs_scales(self):
+        """1 + the largest entry of each right-hand side, the primal one
+        over the basis norms."""
+        rhs_y = self._project(self.r @ self.kmat @ self.r.T) - self.res_p
+        return (1.0 + np.max(np.abs(rhs_y / self.cone.norm)),
+                1.0 + np.max(np.abs(self.res_d)))
+
+    def newton_residual(self, da, dy):
+        """Right-hand side minus [H C; C^T -G] (dy, da), with H, C and C^T
+        applied through the dense basis."""
+        w = self.r @ self.r.T
+        lifted = np.tensordot(dy, self.basis, 1)
+        res_y = self._project(self.r @ self.kmat @ self.r.T
+                              - w @ lifted @ w
+                              - np.tensordot(da, self.coeff_basis, 1)) \
+            - self.res_p
+        res_a = self.res_d \
+            - np.einsum("kab,ab->k", self.coeff_basis, lifted) \
+            + self.quad @ da
+        return res_y, res_a
+
+
 def assert_gram_matches_dense(order_p, seed):
     # tr(B_j W B_k W) from W alone against g g^T with g_k = R^T B_k R
     rng = np.random.default_rng(seed)
@@ -462,34 +527,51 @@ class TestDualSubspace:
         # at S = F0 + F(x) - E (E = 0 or a random primal residual) and
         # Z = lift(y), the reduced step equals the full Newton step over
         # x = (a, certificate) with matrix tr(G_k G_l) + G, G_k = R^-1 F_k R^-T
-        rng = np.random.default_rng(seed)
-        cone, f0, fmat, x = random_kyp_point(rng, order_p, gamma)
-        n = order_p + 2
-        half = rng.normal(size=(order_p, order_p))
-        quad = half @ half.T
-        c = rng.normal(size=order_p)
-        s = f0 + np.tensordot(x, fmat, 1) - residual * symmetric(rng, n)
-        z = cone.lift(rng.normal(size=2 * order_p + 3))
-        kmat = symmetric(rng, n)
-        r = random_scaling(rng, n)
-        r_inv = np.linalg.inv(r)
+        case = NewtonCase(np.random.default_rng(seed), order_p, gamma,
+                          residual)
+        _, step = sdp._newton_system(case.cone, case.r, case.quad)
+        da, dy, ds_got, _, _ = step(case.kmat, case.res_p, case.res_d)
+        case.assert_matches_dense(da, dy, ds_got)
 
-        res_p = f0 + np.tensordot(x, fmat, 1) - s
-        res_d = -np.einsum("nab,ab->n", fmat, z)
-        res_d[:order_p] += c + quad @ x[:order_p]
-        h = dense_gram(fmat, r_inv)
-        h[:order_p, :order_p] += quad
-        mat = r_inv.T @ (kmat - r_inv @ res_p @ r_inv.T) @ r_inv
-        dx = np.linalg.solve(h, np.einsum("nab,ab->n", fmat, mat) - res_d)
-        ds = np.tensordot(dx, fmat, 1) + res_p
-        dz = r_inv.T @ (kmat - r_inv @ ds @ r_inv.T) @ r_inv
+    @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1.0]), st.floats(-16.0, -4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_stops_at_the_resolution(self, order_p, gamma, seed,
+                                                residual, log_tol):
+        # a step built with a resolution stops refining once its Newton
+        # residual, formed here from the dense basis, is within it (the
+        # primal part over the basis norms, as the stopping test measures
+        # it) or after every pass; built without one it takes every pass
+        # and matches the dense system
+        case = NewtonCase(np.random.default_rng(seed), order_p, gamma,
+                          residual)
+        scale_p, scale_d = case.rhs_scales()
+        resolution = (10.0**log_tol * scale_p, 10.0**log_tol * scale_d)
+        _, step = sdp._newton_system(case.cone, case.r, case.quad, resolution)
+        da, dy, _, _, solves = step(case.kmat, case.res_p, case.res_d)
+        assert 0 <= solves <= sdp.REFINEMENT_PASSES
+        if solves < sdp.REFINEMENT_PASSES:
+            res_y, res_a = case.newton_residual(da, dy)
+            assert np.max(np.abs(res_y / case.cone.norm)) \
+                <= resolution[0] + 1e-12 * scale_p
+            assert np.max(np.abs(res_a)) <= resolution[1] + 1e-12 * scale_d
 
-        _, step = sdp._newton_system(cone, r, quad)
-        da, dy, ds_got, _, _ = step(kmat, cone.project(res_p),
-                                    res_d[:order_p])
-        assert_close(da, dx[:order_p], rtol=1e-10)
-        assert_close(ds_got, ds, rtol=1e-10)
-        assert_close(cone.lift(dy), dz, rtol=1e-10)
+        _, step = sdp._newton_system(case.cone, case.r, case.quad)
+        da, dy, ds, dz, solves = step(case.kmat, case.res_p, case.res_d)
+        assert solves == sdp.REFINEMENT_PASSES
+        case.assert_matches_dense(da, dy, ds)
+        # a resolution nothing meets takes every pass, with the same bits,
+        # and so does one that only the primal or only the dual part
+        # meets; one everything meets takes none
+        for part in ((0.0, 0.0), (np.inf, 0.0), (0.0, np.inf)):
+            _, strict = sdp._newton_system(case.cone, case.r, case.quad,
+                                           part)
+            for got, want in zip(strict(case.kmat, case.res_p, case.res_d),
+                                 (da, dy, ds, dz, solves)):
+                np.testing.assert_array_equal(got, want)
+        _, loose = sdp._newton_system(case.cone, case.r, case.quad,
+                                      (np.inf, np.inf))
+        assert loose(case.kmat, case.res_p, case.res_d)[4] == 0
 
     @given(st.integers(1, 8), st.floats(1.01, 4.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
