@@ -38,8 +38,9 @@ lengths; refinement and dS are kept for the step taken.  That step is
 refined (at most ``REFINEMENT_PASSES`` = 2 times) only while its Newton
 residual exceeds ``REFINED_RESIDUAL`` = 1e-3 of feas_tol in the stopping
 test's norms, below which the test cannot see it.  The predictor's
-right-hand side is -(F0 + C a), which never touches S.  The coefficient map C is held
-once, as each a_k's slot and weight: C a scatters and C^T y gathers.
+right-hand side is -(F0 + C a), which never touches S.  The coefficient
+map C is held once, as each a_k's slot and weight: C a scatters and C^T y
+gathers.
 The subspace's basis is sparse and Toeplitz, so the system's matrix comes
 from the scaling W = R R^T alone, through one FFT autocorrelation and
 Toeplitz and Hankel gathers (``_KypCone.gram``), and no basis matrix is ever

@@ -560,10 +560,10 @@ class TestDualSubspace:
         da, dy, ds, dz, solves = step(case.kmat, case.res_p, case.res_d)
         assert solves == sdp.REFINEMENT_PASSES
         case.assert_matches_dense(da, dy, ds)
-        # a resolution nothing meets takes every pass, with the same bits,
-        # and so does one that only the primal or only the dual part
-        # meets; one everything meets takes none
-        for part in ((0.0, 0.0), (np.inf, 0.0), (0.0, np.inf)):
+        # a resolution nothing meets (a negative one) takes every pass, with
+        # the same bits, and so does one that only the primal or only the
+        # dual part meets; one everything meets takes none
+        for part in ((-1.0, -1.0), (np.inf, -1.0), (-1.0, np.inf)):
             _, strict = sdp._newton_system(case.cone, case.r, case.quad,
                                            part)
             for got, want in zip(strict(case.kmat, case.res_p, case.res_d),
